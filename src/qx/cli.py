@@ -9,9 +9,8 @@ byte-identical output.  Exit codes: 0 success, 1 a numerical check failed,
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -90,23 +89,19 @@ def _closed_form_residuals(code) -> tuple[float, float]:
     """Max deviations of transfer contraction from the detection and
     correlation closed forms, over all generators and bond pairs."""
     g = code.basis.generators
+    a = np.arange(code.site_dim)
     n_sites = code.n_sites
     det = 0.0
-    for a in range(code.site_dim):
-        for bond in range(n_sites + 1):
-            got = vbs_code.edge_overlap(code, ket_insertions=[(bond, g[a])])
-            want = vbs_code.detection_closed_form(code, a, bond)
-            det = max(det, float(np.abs(got - want).max()))
+    for bond in range(n_sites + 1):
+        got = vbs_code.edge_overlap(code, ket_insertions=[(bond, g)])
+        want = vbs_code.detection_closed_form(code, a, bond)
+        det = max(det, float(np.abs(got - want).max()))
     corr = 0.0
-    for a in range(code.site_dim):
-        for b in range(code.site_dim):
-            for m in range(n_sites):
-                for n in range(m + 1, n_sites + 1):
-                    got = vbs_code.edge_overlap(
-                        code, ket_insertions=[(n, g[b]), (m, g[a])]
-                    )
-                    want = vbs_code.correlation_closed_form(code, a, b, m, n)
-                    corr = max(corr, float(np.abs(got - want).max()))
+    for m in range(n_sites):
+        for n in range(m + 1, n_sites + 1):
+            got = vbs_code.edge_overlap(code, ket_insertions=[(n, g[None, :]), (m, g[:, None])])
+            want = vbs_code.correlation_closed_form(code, a[:, None], a[None, :], m, n)
+            corr = max(corr, float(np.abs(got - want).max()))
     return det, corr
 
 
@@ -139,14 +134,7 @@ def cmd_sweep(args) -> int:
         for d in range(args.d_min, args.d_max + 1)
         for n in range(args.n_min, args.n_max + 1)
     ]
-    jobs = args.jobs or int(os.environ.get("QX_JOBS", "1"))
-    if jobs > 1 and points:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(lambda p: _sweep_point(p[0], p[1], args.strength), points)
-            )
-    else:
-        rows = [_sweep_point(d, n, args.strength) for d, n in points]
+    rows = [_sweep_point(d, n, args.strength) for d, n in points]
     if args.format == "csv":
         text = "\n".join([SWEEP_HEADER] + rows) + "\n"
     else:
@@ -244,6 +232,8 @@ def cmd_kl(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        raise UsageError("trial count must be positive")
     finals = []
     for trial in range(args.trials):
         trajectory = quasi_universality.simulate_computation(
@@ -269,8 +259,8 @@ def cmd_gates(args) -> int:
         accuracy = abs(vbs_code.eta(args.d, args.n))
     else:
         raise UsageError("give either --eta or both --d and --n")
-    if accuracy <= 0.0:
-        raise UsageError("accuracy must be positive")
+    if not (math.isfinite(accuracy) and accuracy > 0.0):
+        raise UsageError("accuracy must be finite and positive")
     if args.target < args.synthesis_error:
         raise UsageError("target budget is below the synthesis error")
     count = quasi_universality.max_gate_count(
@@ -315,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--strength", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--format", choices=["csv", "text"], default="csv")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_sweep)

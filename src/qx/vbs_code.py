@@ -115,8 +115,7 @@ def build(d: int, n_sites: int) -> VbsCode:
     un = np.einsum("aij,akj->ik", kraus, kraus.conj()) - eye
     if max(np.abs(tp).max(), np.abs(un).max()) > BUILD_TOL:
         raise ContractionError("Kraus family is not trace preserving and unital")
-    scaled = np.stack([transfer_apply(code, t) for t in basis.generators])
-    if np.abs(scaled - chi * basis.generators).max() > BUILD_TOL:
+    if np.abs(transfer_apply(code, basis.generators) - chi * basis.generators).max() > BUILD_TOL:
         raise ContractionError("transfer channel does not scale the generators")
     return code
 
@@ -134,8 +133,15 @@ def eta(d: int, n_sites: int) -> float:
 
 
 def transfer_apply(code: VbsCode, x: np.ndarray) -> np.ndarray:
-    """One application of the transfer channel via its Kraus sum."""
-    return np.einsum("aij,jk,alk->il", code.kraus, x, code.kraus.conj())
+    """One application of the transfer channel to an operator or a stack
+    (..., d, d), as one matmul with the superoperator sum_a A^a (x) conj(A^a)."""
+    d = code.d
+    flat = code.kraus.reshape(-1, d * d)
+    # (flat.T @ flat.conj())[(i, j), (l, k)] = sum_a A^a_ij conj(A^a_lk)
+    superop_t = (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(1, 3, 0, 2)
+    superop_t = superop_t.reshape(d * d, d * d)
+    x = np.asarray(x)
+    return (x.reshape(-1, d * d) @ superop_t).reshape(x.shape)
 
 
 def transfer_power(code: VbsCode, x: np.ndarray, n: int) -> np.ndarray:
@@ -145,8 +151,9 @@ def transfer_power(code: VbsCode, x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _group_insertions(code: VbsCode, insertions) -> dict[int, np.ndarray]:
-    """Compose insertions per bond; first listed acts leftmost in the chain."""
+def _group_insertions(code: VbsCode, insertions, stacks: bool = False) -> dict[int, np.ndarray]:
+    """Compose insertions per bond; first listed acts leftmost in the chain.
+    With ``stacks``, operators may be broadcasting stacks (..., d, d)."""
     grouped: dict[int, np.ndarray] = {}
     for ins in insertions:
         if isinstance(ins, BondInsertion):
@@ -156,7 +163,7 @@ def _group_insertions(code: VbsCode, insertions) -> dict[int, np.ndarray]:
         if not 0 <= bond <= code.n_sites:
             raise ValueError(f"bond index {bond} outside 0..{code.n_sites}")
         op = np.asarray(op, dtype=complex)
-        if op.shape != (code.d, code.d):
+        if op.shape[-2:] != (code.d, code.d) or (op.ndim != 2 and not stacks):
             raise ValueError(f"insertion operator must be {code.d}x{code.d}")
         grouped[bond] = grouped[bond] @ op if bond in grouped else op
     return grouped
@@ -168,14 +175,17 @@ def edge_overlap(code: VbsCode, bra_insertions=(), ket_insertions=()) -> np.ndar
     Returns M with M[alpha, beta] = <psi_alpha with bra insertions |
     psi_beta with ket insertions>, contracted by transfer iteration from the
     edge downwards: crossing bond b applies C -> X_b^dagger C Y_b, crossing a
-    site applies the transfer channel.
+    site applies the transfer channel.  Insertion operators may be stacks
+    (..., d, d) that broadcast against each other, giving a stack of logical
+    matrices: ``[(n, g[None, :]), (m, g[:, None])]`` yields M[a, b] for t^b at
+    bond n and t^a at bond m.
     """
-    bra = _group_insertions(code, bra_insertions)
-    ket = _group_insertions(code, ket_insertions)
+    bra = _group_insertions(code, bra_insertions, stacks=True)
+    ket = _group_insertions(code, ket_insertions, stacks=True)
     c = np.eye(code.d, dtype=complex)
     for bond in range(code.n_sites, -1, -1):
         if bond in bra:
-            c = bra[bond].conj().T @ c
+            c = bra[bond].conj().swapaxes(-1, -2) @ c
         if bond in ket:
             c = c @ ket[bond]
         if bond > 0:
@@ -259,8 +269,9 @@ def detection_overlap(code: VbsCode, alpha: int, beta: int, a: int, bond: int) -
     return complex(edge_overlap(code, ket_insertions=[(bond, t)])[alpha, beta])
 
 
-def detection_closed_form(code: VbsCode, a: int, bond: int) -> np.ndarray:
-    """Closed-form logical matrix chi^n t^a for a single bond insertion."""
+def detection_closed_form(code: VbsCode, a, bond: int) -> np.ndarray:
+    """Closed-form logical matrix chi^n t^a for a single bond insertion;
+    an index array ``a`` gives the stack of matrices."""
     return code.chi**bond * code.basis.generators[a]
 
 
@@ -275,18 +286,18 @@ def correlation(
     return complex(mat[alpha, beta])
 
 
-def correlation_closed_form(code: VbsCode, a: int, b: int, m: int, n: int) -> np.ndarray:
+def correlation_closed_form(code: VbsCode, a, b, m: int, n: int) -> np.ndarray:
     """Closed-form logical matrix for the two-bond insertion.
 
     chi^(n-m) delta_ab I / (2d) + chi^n h_bac t^c / 2 with
-    h_bac = d_bac + i f_bac.
+    h_bac = d_bac + i f_bac.  Index arrays ``a`` and ``b`` broadcast to a
+    stack of matrices.
     """
     basis = code.basis
     h = basis.d_sym[b, a, :] + 1j * basis.f[b, a, :]
-    mat = 0.5 * code.chi**n * np.einsum("c,cij->ij", h, basis.generators)
-    if a == b:
-        mat = mat + code.chi ** (n - m) / (2.0 * code.d) * np.eye(code.d)
-    return mat
+    mat = 0.5 * code.chi**n * np.tensordot(h, basis.generators, axes=1)
+    diagonal = np.equal(a, b)[..., None, None]
+    return mat + diagonal * (code.chi ** (n - m) / (2.0 * code.d) * np.eye(code.d))
 
 
 def _site_term(code: VbsCode, upper: list, site: int, t: np.ndarray) -> np.ndarray:
@@ -505,19 +516,15 @@ def bond_error_compressions(
     contracted entirely by transfer so any N is reachable."""
     bonds = _bond_list(code, bonds)
     w0, w = bond_error_weights(code, bonds, strength)
-    g = code.basis.generators
-    labels = [None] + [(n, a) for n in bonds for a in range(code.site_dim)]
-    k = len(labels)
-    m = np.zeros((k, k, code.d, code.d), dtype=complex)
-    for i in range(k):
-        for j in range(i, k):
-            li, lj = labels[i], labels[j]
-            bra = [] if li is None else [(li[0], g[li[1]])]
-            ket = [] if lj is None else [(lj[0], g[lj[1]])]
-            wi = w0 if li is None else w
-            wj = w0 if lj is None else w
-            val = wi * wj * edge_overlap(code, bra_insertions=bra, ket_insertions=ket)
-            m[i, j] = val
+    families = [(0, w0 * np.eye(code.d)[None])]
+    families += [(n, w * code.basis.generators) for n in bonds]
+    start = np.cumsum([0] + [len(ops) for _, ops in families])
+    rows = [slice(lo, hi) for lo, hi in zip(start, start[1:])]
+    m = np.zeros((start[-1], start[-1], code.d, code.d), dtype=complex)
+    for i, (bond_i, ops_i) in enumerate(families):
+        for j, (bond_j, ops_j) in enumerate(families[i:], start=i):
+            bra, ket = [(bond_i, ops_i[:, None])], [(bond_j, ops_j[None, :])]
+            m[rows[i], rows[j]] = edge_overlap(code, bra, ket)
             if j > i:
-                m[j, i] = val.conj().T
+                m[rows[j], rows[i]] = m[rows[i], rows[j]].conj().transpose(1, 0, 3, 2)
     return m

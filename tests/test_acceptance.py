@@ -27,57 +27,6 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{name}{suffix}"
 
 
-# ---------------------------------------------------------------------------
-# batched transfer contraction helpers (volume scans)
-
-
-def _transfer_superop(code):
-    """Row-major superoperator matrix of the transfer channel."""
-    d = code.d
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for k in code.kraus:
-        s += np.kron(k, k.conj())
-    return s
-
-
-def _batched_power(code, stack, n, superop=None):
-    out = np.asarray(stack, dtype=complex)
-    if superop is None:
-        superop = _transfer_superop(code)
-    shape = out.shape
-    flat = out.reshape(-1, code.d * code.d)
-    for _ in range(n):
-        flat = flat @ superop.T
-    return flat.reshape(shape)
-
-
-def _detection_matrices(code, superop=None):
-    """det[a, bond] = logical matrix of the bond insertion of t^a."""
-    g = code.basis.generators
-    out = np.empty((code.site_dim, code.n_sites + 1, code.d, code.d), dtype=complex)
-    current = g.astype(complex).copy()
-    out[:, 0] = current
-    for bond in range(1, code.n_sites + 1):
-        current = _batched_power(code, current, 1, superop)
-        out[:, bond] = current
-    return out
-
-
-def _pair_matrices(code, m, n, superop=None):
-    """corr[a, b] for the lower insertion t^a at bond m, upper t^b at bond n;
-    m == n composes the operators at one bond (upper to the left)."""
-    g = code.basis.generators
-    if m == n:
-        seed = np.einsum("bij,ajk->abik", g, g)
-        return _batched_power(code, seed, m, superop)
-    upper = _batched_power(code, g.astype(complex), n - m, superop)
-    seed = np.einsum("bij,ajk->abik", upper, g)
-    return _batched_power(code, seed, m, superop)
-
-
-# ---------------------------------------------------------------------------
-
-
 def test_criterion_1_algebra_invariants():
     start = time.perf_counter()
     worst = 0.0
@@ -111,33 +60,33 @@ def _closed_form_gap(code):
     d, q, chi, n_sites = code.d, code.site_dim, code.chi, code.n_sites
     g = code.basis.generators
     eye = np.eye(d)
-    superop = _transfer_superop(code)
     worst = 0.0
-    # edge states after every step count
-    for alpha in range(d):
-        proj = np.zeros((d, d), dtype=complex)
-        proj[alpha, alpha] = 1.0
-        current = proj
-        for n in range(1, n_sites + 1):
-            current = vc.transfer_apply(code, current)
-            closed = eye / d + 2.0 * chi**n * np.einsum(
-                "a,aij->ij", g[:, alpha, alpha], g
-            )
-            worst = max(worst, np.abs(current - closed).max())
-    # single-bond insertions
-    det = _detection_matrices(code, superop)
+    # edge states |alpha><alpha| after every step count, all alpha at once
+    current = np.einsum("ai,aj->aij", eye, eye).astype(complex)
+    for n in range(1, n_sites + 1):
+        current = vc.transfer_apply(code, current)
+        closed = eye / d + 2.0 * chi**n * np.einsum("caa,cij->aij", g, g)
+        worst = max(worst, np.abs(current - closed).max())
+    # single-bond insertions, det[a, bond]
+    det = np.stack(
+        [vc.edge_overlap(code, ket_insertions=[(bond, g)]) for bond in range(n_sites + 1)],
+        axis=1,
+    )
     powers = chi ** np.arange(n_sites + 1)
     worst = max(worst, np.abs(det - powers[None, :, None, None] * g[:, None]).max())
-    # spot-check the batched scan against the public single-value routes
+    # spot-check the stacked contraction against the public single-value routes
     assert abs(det[0, 1, 0, min(d - 1, 1)] - vc.detection_overlap(code, 0, min(d - 1, 1), 0, 1)) < 1e-13
-    # two-bond insertions and the three site-operator forms
+    # two-bond insertions pair[a, b]: t^a at bond m, t^b at bond n; m == n
+    # composes the operators at one bond (upper to the left)
     h = code.basis.d_sym + 1j * code.basis.f  # h[b, a, c]
     h_part = 0.5 * np.einsum("bac,cij->abij", h, g)
     eye_q = np.eye(q)
     pair_cache = {}
     for m in range(n_sites + 1):
         for n in range(m, n_sites + 1):
-            pair_cache[(m, n)] = _pair_matrices(code, m, n, superop)
+            pair_cache[(m, n)] = vc.edge_overlap(
+                code, ket_insertions=[(n, g[None, :]), (m, g[:, None])]
+            )
             closed = chi**n * h_part + (
                 chi ** (n - m) / (2.0 * d)
             ) * np.einsum("ab,ij->abij", eye_q, eye)
@@ -262,11 +211,12 @@ def test_criterion_3_sum_rule():
     for d in (2, 3):
         for n_sites in range(1, 25):
             code = vc.build(d, n_sites)
-            det = _detection_matrices(code)
-            total = det[:, n_sites].copy()
+            g = code.basis.generators
+            det = [vc.edge_overlap(code, ket_insertions=[(bond, g)]) for bond in range(n_sites + 1)]
+            total = det[n_sites].copy()
             for site in range(1, n_sites + 1):
-                total += det[:, site - 1] - det[:, site]
-            worst = max(worst, np.abs(total - code.basis.generators).max())
+                total += det[site - 1] - det[site]
+            worst = max(worst, np.abs(total - g).max())
     spot = vc.sum_rule_check(vc.build(3, 12), 5, 0, 2)
     report(
         "criterion 3: edge plus bulk telescope reproduces the generator",

@@ -71,13 +71,6 @@ def test_sweep_text_format(tmp_path):
     assert text.decode().startswith("d: 2\nN: 3\n")
 
 
-def test_sweep_jobs_matches_serial(tmp_path):
-    args = ["sweep", "--d-min", "2", "--d-max", "2", "--n-min", "3", "--n-max", "6"]
-    _, serial = run_cli(args, tmp_path, "serial.csv")
-    _, threaded = run_cli(args + ["--jobs", "3"], tmp_path, "jobs.csv")
-    assert serial == threaded
-
-
 def test_vbs_command(tmp_path):
     code, text = run_cli(["vbs", "--d", "2", "--n", "4"], tmp_path, "vbs.txt")
     assert code == 0
@@ -174,15 +167,6 @@ def test_kl_bad_selector(capsys):
     capsys.readouterr()
 
 
-def test_sweep_jobs_from_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("QX_JOBS", "2")
-    args = ["sweep", "--d-min", "2", "--d-max", "2", "--n-min", "3", "--n-max", "4"]
-    _, via_env = run_cli(args, tmp_path, "env.csv")
-    monkeypatch.delenv("QX_JOBS")
-    _, serial = run_cli(args, tmp_path, "plain.csv")
-    assert via_env == serial
-
-
 def test_simulate_command(tmp_path):
     args = [
         "simulate", "--d", "2", "--n", "8", "--length", "30",
@@ -205,6 +189,15 @@ def test_simulate_single_trial(tmp_path):
     assert text.decode().strip().split("\n")[1].startswith("0,")
 
 
+@pytest.mark.filterwarnings("error")
+def test_simulate_rejects_nonpositive_trials(capsys):
+    for trials in ("0", "-3"):
+        args = ["simulate", "--d", "2", "--n", "4", "--length", "10", "--trials", trials]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qx: ") and err.count("\n") == 1
+
+
 def test_gates_command(tmp_path):
     code, text = run_cli(["gates", "--eta", "0.001", "--target", "0.1"], tmp_path, "g1")
     assert code == 0 and text.decode().strip() == "100"
@@ -217,11 +210,17 @@ def test_gates_command(tmp_path):
     assert code == 0 and text.decode().strip() == str(want)
 
 
+@pytest.mark.filterwarnings("error")
 def test_gates_usage_errors(capsys):
     assert cli.main(["gates", "--target", "0.1"]) == 2
     assert cli.main(["gates", "--eta", "0.01", "--target", "0.005",
                      "--synthesis-error", "0.01"]) == 2
     capsys.readouterr()
+    for eta in ("inf", "nan", "0", "-0.01"):
+        assert cli.main(["gates", "--eta", eta, "--target", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qx: accuracy must be finite and positive\n"
 
 
 def test_usage_exit_code_for_unknown_command():

@@ -343,6 +343,51 @@ def test_transfer_self_consistency():
     assert np.abs(vc.transfer_power(code, x, 3) - vc.transfer_apply(
         code, vc.transfer_apply(code, one)
     )).max() < 1e-14
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 4):
+        code = vc.build(d, 2)
+        stack = rng.normal(size=(2, 3, d, d)) + 1j * rng.normal(size=(2, 3, d, d))
+        got = vc.transfer_apply(code, stack)
+        assert got.shape == stack.shape
+        for idx in np.ndindex(2, 3):
+            want = sum(k @ stack[idx] @ k.conj().T for k in code.kraus)
+            assert np.abs(got[idx] - want).max() < 1e-14
+
+
+def test_edge_overlap_stacks_match_scalar_calls():
+    code = vc.build(3, 4)
+    g = code.basis.generators
+    q = code.site_dim
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(q, 3, 3)) + 1j * rng.normal(size=(q, 3, 3))
+    ket = vc.edge_overlap(code, ket_insertions=[(2, g)])
+    bra = vc.edge_overlap(code, bra_insertions=[(3, x)])
+    for a in range(q):
+        assert np.abs(ket[a] - vc.edge_overlap(code, ket_insertions=[(2, g[a])])).max() < 1e-14
+        assert np.abs(bra[a] - vc.edge_overlap(code, bra_insertions=[(3, x[a])])).max() < 1e-14
+    for m, n in ((1, 3), (2, 2)):
+        got = vc.edge_overlap(code, ket_insertions=[(n, g[None, :]), (m, x[:, None])])
+        mixed = vc.edge_overlap(code, [(m, x[:, None])], [(n, g[None, :])])
+        assert got.shape == mixed.shape == (q, q, 3, 3)
+        for a in range(q):
+            for b in range(q):
+                want = vc.edge_overlap(code, ket_insertions=[(n, g[b]), (m, x[a])])
+                assert np.abs(got[a, b] - want).max() < 1e-14
+                want = vc.edge_overlap(code, [(m, x[a])], [(n, g[b])])
+                assert np.abs(mixed[a, b] - want).max() < 1e-14
+
+
+def test_closed_forms_accept_index_arrays():
+    code = vc.build(3, 5)
+    idx = np.arange(code.site_dim)
+    det = vc.detection_closed_form(code, idx, 3)
+    corr = vc.correlation_closed_form(code, idx[:, None], idx[None, :], 1, 4)
+    assert corr.shape == (code.site_dim, code.site_dim, 3, 3)
+    for a in idx:
+        assert np.array_equal(det[a], vc.detection_closed_form(code, int(a), 3))
+        for b in idx:
+            want = vc.correlation_closed_form(code, int(a), int(b), 1, 4)
+            assert np.abs(corr[a, b] - want).max() < 1e-14
 
 
 def test_site_overlap_internal_check_raises_on_tampering():
