@@ -175,8 +175,21 @@ def _parse_bonds(spec: str, code) -> list[int]:
         return [code.n_sites]
     if spec == "bond:all":
         return list(range(1, code.n_sites + 1))
-    tail = spec.split(":", 1)[1]
+    head, _, tail = spec.partition(":")
+    if head != "bond" or not tail.isdecimal():
+        raise UsageError(f"bad bond selector {spec!r}; use bond, bond:all or bond:N")
     return [int(tail)]
+
+
+def _dense_report(iso, errors, noise_stacks, cutoff: float):
+    """KL report of ``errors`` on ``iso`` with the exact recovery distance
+    under the noise given by its code-state stacks."""
+    report = qec_core.kl_decompose(iso, errors, cutoff_rel=cutoff)
+    q_ch = qec_core.logical_recovery_channel(iso, report, noise_stacks)
+    dist, bracket, _, _ = qec_core.recovery_error(q_ch)
+    report.exact_distance = dist
+    report.diamond_bracket = bracket
+    return report
 
 
 def cmd_kl(args) -> int:
@@ -189,21 +202,20 @@ def cmd_kl(args) -> int:
         if not args.errors.startswith("bond"):
             raise UsageError("valence-bond codes take a bond error model")
         bonds = _parse_bonds(args.errors, code)
-        if code.dense_size <= vbs_code.DENSE_CAP:
+        k = 1 + len(bonds) * code.site_dim
+        # the dense route holds K error stacks of d_Q x d_L amplitudes each
+        if (
+            code.dense_size <= vbs_code.DENSE_CAP
+            and k * code.dense_size * code.d <= vbs_code.DENSE_STACK_CAP
+        ):
             iso = vbs_code.dense_isometry(code)
             stacks = vbs_code.bond_error_stacks(code, bonds, args.strength)
-            report = qec_core.kl_decompose(iso, stacks, cutoff_rel=args.cutoff)
-            report.epsilon = qec_core.epsilon_from_report(report)
-            q_ch = qec_core.logical_recovery_channel(iso, report, stacks)
-            dist, bracket, _, _ = qec_core.recovery_error(q_ch)
-            report.exact_distance = dist
-            report.diamond_bracket = bracket
+            report = _dense_report(iso, stacks, stacks, args.cutoff)
         else:
             report = qec_core.kl_report_from_compressions(
                 vbs_code.bond_error_compressions(code, bonds, args.strength),
                 cutoff_rel=args.cutoff,
             )
-            report.epsilon = qec_core.epsilon_from_report(report)
     else:
         if selector == "five_one_three":
             iso = exact_codes.five_qubit_code()
@@ -218,15 +230,14 @@ def cmd_kl(args) -> int:
         n_qubits = int(iso.d_q).bit_length() - 1
         if 2**n_qubits != iso.d_q:
             raise UsageError("pauli1 errors need a qubit-factorable physical space")
-        errors = exact_codes.weight_one_paulis(n_qubits)
-        report = qec_core.kl_decompose(iso, errors, cutoff_rel=args.cutoff)
-        report.epsilon = qec_core.epsilon_from_report(report)
         noise = exact_codes.single_qubit_depolarizing(n_qubits, args.strength)
-        noise_stacks = [k @ iso.isometry for k in noise.kraus]
-        q_ch = qec_core.logical_recovery_channel(iso, report, noise_stacks)
-        dist, bracket, _, _ = qec_core.recovery_error(q_ch)
-        report.exact_distance = dist
-        report.diamond_bracket = bracket
+        report = _dense_report(
+            iso,
+            exact_codes.weight_one_paulis(n_qubits),
+            [k @ iso.isometry for k in noise.kraus],
+            args.cutoff,
+        )
+    report.epsilon = qec_core.epsilon_from_report(report)
     _emit(qec_core.format_kl_report(report), args.output)
     return 0
 

@@ -202,49 +202,52 @@ def kl_decompose(code: CodeIsometry, errors, cutoff_rel: float = CUTOFF_REL) -> 
     if not len(errors):
         raise ValueError("error list must not be empty")
     stacks = [_as_stack(code, op) for op in errors]
-    compressions = np.einsum(
-        "iqa,jqb->ijab", np.stack(stacks).conj(), np.stack(stacks)
-    )
     return kl_report_from_compressions(
-        compressions, cutoff_rel=cutoff_rel, error_stacks=stacks
+        error_compressions(code, stacks), cutoff_rel=cutoff_rel, error_stacks=stacks
     )
 
 
-def _rotated_stacks(report: KLReport) -> np.ndarray:
+def _recovery_kernel(report: KLReport, normalization: str):
+    """Thin factors (T, X, C) of a recovery normalization.
+
+    ``T`` (d_Q, r*d_L) holds the retained rotated stacks F_k V side by side,
+    scaled by 1/sqrt(eig_k) except under ``transpose``.  The recovery Kraus
+    elements are V X_k T+ for each retained mode k, followed by the
+    completion I - T C T+ unless C is None.  ``X`` (r, d_L, r*d_L) is the
+    damped block selector (canonical), the plain selector (raw), or the
+    blocks of (T+T)^(-1/2) on its support (transpose); X and C both come from
+    one eigendecomposition of T+T.
+    """
+    if normalization not in ("canonical", "transpose", "raw"):
+        raise ValueError(f"unknown normalization {normalization!r}")
     if report.error_stacks is None:
         raise ValueError("report carries no error stacks; rebuild with kl_decompose")
-    stacked = np.stack(report.error_stacks)
-    rotated = np.einsum("kj,jqa->kqa", report.rotation, stacked)
-    return rotated[report.retained]
-
-
-def _completion_core(scaled_stack: np.ndarray, damping: float):
-    """Spectral data for sqrt(I - damping^2 M) with M = T T+.
-
-    Returns (t, core) such that the completion operator is
-    I - t @ core @ t+; ``core`` collapses to the support inverse when the
-    damped spectrum touches 1.
-    """
-    t = np.concatenate(list(scaled_stack), axis=1)
+    rotation = report.rotation[report.retained]
+    if normalization != "transpose":
+        rotation = rotation / np.sqrt(report.eigenvalues[report.retained])[:, None]
+    r, d_l = rotation.shape[0], report.logical_dim
+    t = np.einsum("kj,jqa->qka", rotation, np.stack(report.error_stacks))
+    t = t.reshape(-1, r * d_l)
+    selector = np.eye(r * d_l).reshape(r, d_l, r * d_l)
+    if normalization == "raw":
+        return t, selector, None
     a = t.conj().T @ t
     s, y = np.linalg.eigh((a + a.conj().T) / 2.0)
     keep = s > CUTOFF_REL * max(s.max(), 0.0)
     s, y = s[keep], y[:, keep]
+    if normalization == "transpose":
+        x = ((y * s**-0.5) @ y.conj().T).reshape(r, d_l, r * d_l)
+        return t, x, (y / s) @ y.conj().T
+    # Quasi residuals can push the top of sum R+R = T+T above one, where the
+    # square-root completion would not exist: damp every R_k by a common factor.
+    damping = 1.0 / np.sqrt(s.max()) if s.max() > 1.0 + COMPLETION_TOL else 1.0
     remainder = 1.0 - damping * damping * s
     if remainder.min() < -COMPLETION_TOL:
         raise CompletionError(
             f"completion operand has eigenvalue {remainder.min():.3e} below zero"
         )
     coeff = (1.0 - np.sqrt(np.clip(remainder, 0.0, None))) / s
-    core = (y * coeff) @ y.conj().T
-    return t, core
-
-
-def _canonical_damping(scaled_stack: np.ndarray) -> float:
-    """Largest eigenvalue of sum_k R_k+ R_k for the 1/sqrt(eig) scaling."""
-    t = np.concatenate(list(scaled_stack), axis=1)
-    top = float(np.linalg.eigvalsh(t.conj().T @ t).max())
-    return 1.0 / np.sqrt(top) if top > 1.0 + COMPLETION_TOL else 1.0
+    return t, damping * selector, (y * coeff) @ y.conj().T
 
 
 def recovery_from_kl(
@@ -274,34 +277,11 @@ def recovery_from_kl(
             f"dense recovery at d_Q={code.d_q} exceeds the cap; "
             "use logical_recovery_channel instead"
         )
-    v = code.isometry
-    rotated = _rotated_stacks(report)  # (r, d_Q, d_L)
-    eigs = report.eigenvalues[report.retained]
-    kraus: list[np.ndarray] = []
-    if normalization == "transpose":
-        t = np.concatenate(list(rotated), axis=1)  # (d_Q, r*d_L)
-        a = t.conj().T @ t
-        s, y = np.linalg.eigh((a + a.conj().T) / 2.0)
-        keep = s > CUTOFF_REL * s.max()
-        s, y = s[keep], y[:, keep]
-        inv_3half = (y * s**-1.5) @ y.conj().T
-        inv_full = (y * (1.0 / s)) @ y.conj().T
-        for w in rotated:
-            kraus.append(v @ (w.conj().T @ t) @ inv_3half @ t.conj().T)
-        kraus.append(np.eye(code.d_q) - (t @ inv_full) @ t.conj().T)
-    elif normalization == "canonical":
-        scaled = rotated / np.sqrt(eigs)[:, None, None]
-        damping = _canonical_damping(scaled)
-        for w in scaled:
-            kraus.append(damping * (v @ w.conj().T))
-        t, core = _completion_core(scaled, damping)
-        kraus.append(np.eye(code.d_q) - (t @ core) @ t.conj().T)
-    elif normalization == "raw":
-        scaled = rotated / np.sqrt(eigs)[:, None, None]
-        for w in scaled:
-            kraus.append(v @ w.conj().T)
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
+    t, x, core = _recovery_kernel(report, normalization)
+    t_adj = t.conj().T
+    kraus = list(code.isometry @ (x @ t_adj))
+    if core is not None:
+        kraus.append(np.eye(code.d_q) - (t @ core) @ t_adj)
     return KrausChannel.from_kraus(kraus)
 
 
@@ -334,41 +314,15 @@ def logical_recovery_channel(
     family.  The recovery is the same channel as :func:`recovery_from_kl`;
     only thin products of stacks are formed, so large codes stay cheap.
     """
-    v = code.isometry
-    rotated = _rotated_stacks(report)
-    eigs = report.eigenvalues[report.retained]
+    t, x, core = _recovery_kernel(report, normalization)
+    v_adj = code.isometry.conj().T
     noise = [np.asarray(s, dtype=complex) for s in noise_stacks]
-    kraus = []
-    if normalization == "transpose":
-        t = np.concatenate(list(rotated), axis=1)
-        a = t.conj().T @ t
-        s, y = np.linalg.eigh((a + a.conj().T) / 2.0)
-        keep = s > CUTOFF_REL * s.max()
-        s, y = s[keep], y[:, keep]
-        inv_3half = (y * s**-1.5) @ y.conj().T
-        inv_full = (y * (1.0 / s)) @ y.conj().T
-        for w in rotated:
-            left = (w.conj().T @ t) @ inv_3half
-            for nv in noise:
-                kraus.append(left @ (t.conj().T @ nv))
-        for nv in noise:
-            kraus.append(v.conj().T @ nv - (v.conj().T @ t) @ inv_full @ (t.conj().T @ nv))
-    elif normalization == "canonical":
-        scaled = rotated / np.sqrt(eigs)[:, None, None]
-        damping = _canonical_damping(scaled)
-        for w in scaled:
-            for nv in noise:
-                kraus.append(damping * (w.conj().T @ nv))
-        t, core = _completion_core(scaled, damping)
-        for nv in noise:
-            kraus.append(v.conj().T @ nv - (v.conj().T @ t) @ core @ (t.conj().T @ nv))
-    elif normalization == "raw":
-        scaled = rotated / np.sqrt(eigs)[:, None, None]
-        for w in scaled:
-            for nv in noise:
-                kraus.append(w.conj().T @ nv)
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
+    t_adj = t.conj().T
+    t_noise = np.stack([t_adj @ nv for nv in noise])  # T+ N_l V
+    kraus = list((x[:, None] @ t_noise[None]).reshape(-1, code.d_l, code.d_l))
+    if core is not None:
+        v_t_core = (v_adj @ t) @ core
+        kraus.extend(v_adj @ nv - v_t_core @ tn for nv, tn in zip(noise, t_noise))
     return KrausChannel.from_kraus(kraus)
 
 

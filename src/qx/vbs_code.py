@@ -34,6 +34,7 @@ __all__ = [
     "VbsCode",
     "BondInsertion",
     "DENSE_CAP",
+    "DENSE_STACK_CAP",
     "build",
     "eta",
     "transfer_apply",
@@ -62,6 +63,8 @@ __all__ = [
 ]
 
 DENSE_CAP = 2_000_000
+# amplitudes in the K error stacks E_i V that the dense kl route allocates
+DENSE_STACK_CAP = 32_000_000
 
 BUILD_TOL = 1e-12
 

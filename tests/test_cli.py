@@ -160,11 +160,29 @@ def test_kl_four_two_two(tmp_path):
     assert float(body["max_residual_weight"]) > 0.1
 
 
+@pytest.mark.filterwarnings("error")
 def test_kl_bad_selector(capsys):
     assert cli.main(["kl", "--code", "nonsense"]) == 2
     assert cli.main(["kl", "--code", "vbs:2:3", "--errors", "pauli1"]) == 2
     assert cli.main(["kl", "--code", "five_one_three", "--errors", "bond"]) == 2
     capsys.readouterr()
+    for spec in ["bondx", "bond:", "bond:x"]:
+        assert cli.main(["kl", "--code", "vbs:2:3", "--errors", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qx: ") and err.count("\n") == 1
+
+
+def test_kl_dense_route_bounded_by_stack_size(tmp_path, monkeypatch):
+    # vbs:2:3 stacks hold 4 * 54 * 2 = 432 amplitudes for bond and
+    # 10 * 54 * 2 = 1080 for bond:all; a cap between them splits the routes
+    monkeypatch.setattr(vc, "DENSE_STACK_CAP", 500)
+    fields = {}
+    for spec in ["bond", "bond:all"]:
+        code, text = run_cli(["kl", "--code", "vbs:2:3", "--errors", spec], tmp_path, "r.txt")
+        assert code == 0
+        fields[spec] = dict(line.split(": ") for line in text.decode().strip().split("\n"))
+    assert fields["bond:all"]["exact_distance"] == "nan"
+    assert float(fields["bond"]["exact_distance"]) > 0.0
 
 
 def test_simulate_command(tmp_path):

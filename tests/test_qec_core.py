@@ -4,7 +4,7 @@ import pytest
 from qx import exact_codes as ec
 from qx import qec_core as qc
 from qx import vbs_code as vc
-from qx.quantum_ops import KrausChannel, apply_channel, cptp_residuals
+from qx.quantum_ops import KrausChannel, apply_channel, choi_matrix, cptp_residuals
 from qx.quasi_universality import unitary_distance
 from qx.su_algebra import expi_hermitian, random_special_unitary
 
@@ -145,26 +145,38 @@ def test_recovery_requires_stacks():
         qc.recovery_from_kl(code, report)
 
 
-@pytest.mark.parametrize("normalization", ["canonical", "transpose", "raw"])
-def test_logical_recovery_matches_dense_composition(normalization):
-    code, iso, stacks, report = edge_report(2, 4)
+@pytest.mark.parametrize("d, n_sites", [(2, 4), (3, 2)])
+@pytest.mark.parametrize("normalization", ["canonical", "transpose"])
+def test_recovery_trace_preserving_on_quasi_codes(d, n_sites, normalization):
+    # both codes damp the canonical family (factors about 0.982 and 0.943)
+    _, iso, _, report = edge_report(d, n_sites)
+    if normalization == "canonical":
+        _, x, _ = qc._recovery_kernel(report, normalization)
+        assert x[0, 0, 0] < 0.99
+    recovery = qc.recovery_from_kl(iso, report, normalization)
+    assert cptp_residuals(recovery)[0] < 1e-10
+
+
+@pytest.mark.parametrize(
+    "normalization, d, n_sites",
+    [
+        pytest.param(norm, d, n, id=norm if d == 2 else f"{norm}-d{d}")
+        for d, n in [(2, 4), (3, 2)]
+        for norm in ["canonical", "transpose", "raw"]
+    ],
+)
+def test_logical_recovery_matches_dense_composition(normalization, d, n_sites):
+    code, iso, stacks, report = edge_report(d, n_sites)
     thin = qc.logical_recovery_channel(iso, report, stacks, normalization)
     recovery = qc.recovery_from_kl(iso, report, normalization)
-    noise_ops = [
-        np.sqrt(0.9) * np.eye(iso.d_q),
-    ]
-    # realize the insertion errors as physical edge operators for the dense route
-    w = np.sqrt(2 * 2 * 0.1 / 3)
-    for a in range(3):
-        noise_ops.append(
-            w * np.kron(np.eye(3**4), code.basis.generators[a])
-        )
+    # realize the edge-bond insertion errors as physical edge operators
+    w0, w = vc.bond_error_weights(code, [n_sites], 0.1)
+    bulk = np.eye(code.site_dim**n_sites)
+    noise_ops = [w0 * np.eye(iso.d_q)]
+    noise_ops += [w * np.kron(bulk, g) for g in code.basis.generators]
     noise = KrausChannel.from_kraus(noise_ops)
     dense = qc.recovered_logical_channel(iso, noise, recovery)
-    sigma = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
-    assert np.abs(
-        apply_channel(thin, sigma) - apply_channel(dense, sigma)
-    ).max() < 1e-10
+    assert np.abs(choi_matrix(thin).matrix - choi_matrix(dense).matrix).max() < 1e-10
 
 
 def test_first_order_distance_is_exact_for_raw_recovery():
