@@ -181,15 +181,11 @@ def _parse_bonds(spec: str, code) -> list[int]:
     return [int(tail)]
 
 
-def _dense_report(iso, errors, noise_stacks, cutoff: float):
-    """KL report of ``errors`` on ``iso`` with the exact recovery distance
-    under the noise given by its code-state stacks."""
-    report = qec_core.kl_decompose(iso, errors, cutoff_rel=cutoff)
+def _set_exact_distance(iso, report, noise_stacks) -> None:
+    """Fill the exact recovery distance of ``report`` under the noise given
+    by its code-state stacks."""
     q_ch = qec_core.logical_recovery_channel(iso, report, noise_stacks)
-    dist, bracket, _, _ = qec_core.recovery_error(q_ch)
-    report.exact_distance = dist
-    report.diamond_bracket = bracket
-    return report
+    report.exact_distance, report.diamond_bracket, _, _ = qec_core.recovery_error(q_ch)
 
 
 def cmd_kl(args) -> int:
@@ -209,8 +205,14 @@ def cmd_kl(args) -> int:
             and k * code.dense_size * code.d <= vbs_code.DENSE_STACK_CAP
         ):
             iso = vbs_code.dense_isometry(code)
-            stacks = vbs_code.bond_error_stacks(code, bonds, args.strength)
-            report = _dense_report(iso, stacks, stacks, args.cutoff)
+            # the list goes straight in, so only the report's stacked copy
+            # outlives the call; the noise is the error family itself
+            report = qec_core.kl_decompose(
+                iso,
+                vbs_code.bond_error_stacks(code, bonds, args.strength),
+                cutoff_rel=args.cutoff,
+            )
+            _set_exact_distance(iso, report, report.error_stacks)
         else:
             report = qec_core.kl_report_from_compressions(
                 vbs_code.bond_error_compressions(code, bonds, args.strength),
@@ -231,12 +233,10 @@ def cmd_kl(args) -> int:
         if 2**n_qubits != iso.d_q:
             raise UsageError("pauli1 errors need a qubit-factorable physical space")
         noise = exact_codes.single_qubit_depolarizing(n_qubits, args.strength)
-        report = _dense_report(
-            iso,
-            exact_codes.weight_one_paulis(n_qubits),
-            [k @ iso.isometry for k in noise.kraus],
-            args.cutoff,
+        report = qec_core.kl_decompose(
+            iso, exact_codes.weight_one_paulis(n_qubits), cutoff_rel=args.cutoff
         )
+        _set_exact_distance(iso, report, [k @ iso.isometry for k in noise.kraus])
     report.epsilon = qec_core.epsilon_from_report(report)
     _emit(qec_core.format_kl_report(report), args.output)
     return 0

@@ -3,7 +3,8 @@
 Error operators may be passed either as square matrices on the physical
 space or as code-state stacks E V of shape (d_Q, d_L); every quantity below
 only ever needs the compressions V+ E_i+ E_j V, so stacks keep large codes
-tractable.
+tractable.  A family of K operators is held as one (d_Q, K, d_L) array, so
+every sum over d_Q is a single matrix product.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from math import sqrt
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from .quantum_ops import (
     KrausChannel,
@@ -120,10 +122,42 @@ def detect_condition(code: CodeIsometry, errors) -> list[tuple[complex, float]]:
     return out
 
 
+def _error_family(code: CodeIsometry, ops) -> np.ndarray:
+    """Operators as one (d_Q, K, d_L) array of code-state stacks E_i V.
+
+    ``ops`` is either such an array, returned without a copy, or a sequence
+    of physical operators and (d_Q, d_L) stacks.  Reshaped to (d_Q, K*d_L)
+    the array holds the stacks side by side.
+    """
+    if isinstance(ops, np.ndarray) and ops.ndim == 3:
+        if ops.shape[0] != code.d_q or ops.shape[2] != code.d_l:
+            raise ValueError(
+                f"stacked family shape {ops.shape} is not (d_Q, K, d_L) = "
+                f"({code.d_q}, K, {code.d_l})"
+            )
+        return np.ascontiguousarray(ops, dtype=complex)
+    family = np.empty((code.d_q, len(ops), code.d_l), dtype=complex)
+    for i, op in enumerate(ops):
+        family[:, i] = _as_stack(code, op)
+    return family
+
+
+def _adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a+ b for (n, p) and (n, m) arrays.
+
+    One zgemm on the transposed views as conj(a.T @ conj(b)); for C-ordered
+    complex operands those views are Fortran-ordered, so neither operand is
+    conjugated or copied.
+    """
+    return scipy.linalg.blas.zgemm(1.0, a.T, b.T, trans_b=2).conj()
+
+
 def error_compressions(code: CodeIsometry, errors) -> np.ndarray:
     """Tensor M[i, j] = V+ E_i+ E_j V of shape (K, K, d_L, d_L)."""
-    stacks = np.stack([_as_stack(code, op) for op in errors])
-    return np.einsum("iqa,jqb->ijab", stacks.conj(), stacks)
+    family = _error_family(code, errors)
+    d_q, k, d_l = family.shape
+    flat = family.reshape(d_q, k * d_l)
+    return _adjoint_product(flat, flat).reshape(k, d_l, k, d_l).transpose(0, 2, 1, 3)
 
 
 @dataclass
@@ -136,6 +170,8 @@ class KLReport:
     the rotated traceless parts and ``residual_weights`` their squared
     Frobenius norms; ``first_order_distance`` is their eigenvalue-weighted
     aggregate (1/2 d_L) sum_kl weights[k, l] / eig[k] over retained modes.
+    ``error_stacks`` is the (d_Q, K, d_L) family E_i V when the report was
+    built from dense stacks.
     """
 
     error_count: int
@@ -149,7 +185,7 @@ class KLReport:
     env_size: int
     first_order_distance: float
     cutoff: float
-    error_stacks: tuple[np.ndarray, ...] | None = None
+    error_stacks: np.ndarray | None = None
     exact_distance: float | None = None
     diamond_bracket: tuple[float, float] | None = None
     epsilon: float | None = None
@@ -179,8 +215,6 @@ def kl_report_from_compressions(
     first_order = float(
         weights[retained, :].sum(axis=1) @ (1.0 / eigvals[retained]) / (2.0 * d_l)
     )
-    if error_stacks is not None:
-        error_stacks = tuple(np.asarray(s, dtype=complex) for s in error_stacks)
     return KLReport(
         error_count=k,
         logical_dim=d_l,
@@ -198,13 +232,33 @@ def kl_report_from_compressions(
 
 
 def kl_decompose(code: CodeIsometry, errors, cutoff_rel: float = CUTOFF_REL) -> KLReport:
-    """Quasi-correctability report of an error list on a code."""
-    if not len(errors):
+    """Quasi-correctability report of an error list on a code.
+
+    The report keeps the errors as one (d_Q, K, d_L) array of stacks; a
+    caller that passes a list it holds nowhere else frees the list here.
+    """
+    family = _error_family(code, errors)
+    if not family.shape[1]:
         raise ValueError("error list must not be empty")
-    stacks = [_as_stack(code, op) for op in errors]
     return kl_report_from_compressions(
-        error_compressions(code, stacks), cutoff_rel=cutoff_rel, error_stacks=stacks
+        error_compressions(code, family), cutoff_rel=cutoff_rel, error_stacks=family
     )
+
+
+def _completion_remainder(s: np.ndarray) -> tuple[float, np.ndarray]:
+    """Damping factor and spectrum of I - damping^2 T+T, given the spectrum s
+    of T+T.
+
+    Quasi residuals can push the top of sum R+R = T+T above one, where the
+    square-root completion would not exist: every R_k is then damped by the
+    common factor 1/sqrt(s_max).  The damped remainder is formed as
+    (s_max - s) / s_max, so the top mode is exactly 0 rather than a rounding
+    error whose square root (~1e-8) would enter the completion.
+    """
+    top = s.max()
+    if top > 1.0 + COMPLETION_TOL:
+        return 1.0 / np.sqrt(top), (top - s) / top
+    return 1.0, 1.0 - s
 
 
 def _recovery_kernel(report: KLReport, normalization: str):
@@ -225,23 +279,21 @@ def _recovery_kernel(report: KLReport, normalization: str):
     rotation = report.rotation[report.retained]
     if normalization != "transpose":
         rotation = rotation / np.sqrt(report.eigenvalues[report.retained])[:, None]
-    r, d_l = rotation.shape[0], report.logical_dim
-    t = np.einsum("kj,jqa->qka", rotation, np.stack(report.error_stacks))
-    t = t.reshape(-1, r * d_l)
+    d_q, k, d_l = report.error_stacks.shape
+    r = rotation.shape[0]
+    # T[:, (k, a)] = sum_j rotation[k, j] E_j V[:, a]
+    t = report.error_stacks.reshape(d_q, k * d_l) @ np.kron(rotation.T, np.eye(d_l))
     selector = np.eye(r * d_l).reshape(r, d_l, r * d_l)
     if normalization == "raw":
         return t, selector, None
-    a = t.conj().T @ t
+    a = _adjoint_product(t, t)
     s, y = np.linalg.eigh((a + a.conj().T) / 2.0)
     keep = s > CUTOFF_REL * max(s.max(), 0.0)
     s, y = s[keep], y[:, keep]
     if normalization == "transpose":
         x = ((y * s**-0.5) @ y.conj().T).reshape(r, d_l, r * d_l)
         return t, x, (y / s) @ y.conj().T
-    # Quasi residuals can push the top of sum R+R = T+T above one, where the
-    # square-root completion would not exist: damp every R_k by a common factor.
-    damping = 1.0 / np.sqrt(s.max()) if s.max() > 1.0 + COMPLETION_TOL else 1.0
-    remainder = 1.0 - damping * damping * s
+    damping, remainder = _completion_remainder(s)
     if remainder.min() < -COMPLETION_TOL:
         raise CompletionError(
             f"completion operand has eigenvalue {remainder.min():.3e} below zero"
@@ -311,18 +363,22 @@ def logical_recovery_channel(
     """Logical channel V+ R N V without materializing physical recovery Kraus.
 
     ``noise_stacks`` are the code-state stacks N_l V of the noise Kraus
-    family.  The recovery is the same channel as :func:`recovery_from_kl`;
-    only thin products of stacks are formed, so large codes stay cheap.
+    family, as a list or as one (d_Q, L, d_L) array such as
+    ``report.error_stacks``.  The recovery is the same channel as
+    :func:`recovery_from_kl`; only thin products of stacks are formed, so
+    large codes stay cheap.
     """
     t, x, core = _recovery_kernel(report, normalization)
-    v_adj = code.isometry.conj().T
-    noise = [np.asarray(s, dtype=complex) for s in noise_stacks]
-    t_adj = t.conj().T
-    t_noise = np.stack([t_adj @ nv for nv in noise])  # T+ N_l V
-    kraus = list((x[:, None] @ t_noise[None]).reshape(-1, code.d_l, code.d_l))
+    noise = _error_family(code, noise_stacks)
+    d_q, n, d_l = noise.shape
+    flat = noise.reshape(d_q, n * d_l)
+    # T+ N_l V for every l, as (L, r*d_L, d_L)
+    t_noise = _adjoint_product(t, flat).reshape(-1, n, d_l).transpose(1, 0, 2)
+    kraus = list((x[:, None] @ t_noise[None]).reshape(-1, d_l, d_l))
     if core is not None:
-        v_t_core = (v_adj @ t) @ core
-        kraus.extend(v_adj @ nv - v_t_core @ tn for nv, tn in zip(noise, t_noise))
+        v = code.isometry
+        v_noise = _adjoint_product(v, flat).reshape(d_l, n, d_l).transpose(1, 0, 2)
+        kraus.extend(v_noise - (_adjoint_product(v, t) @ core) @ t_noise)
     return KrausChannel.from_kraus(kraus)
 
 

@@ -63,7 +63,9 @@ __all__ = [
 ]
 
 DENSE_CAP = 2_000_000
-# amplitudes in the K error stacks E_i V that the dense kl route allocates
+# amplitudes in the K error stacks E_i V that the dense kl route allocates;
+# it holds them about twice at its peak (the list, then the report's
+# stacked copy next to the recovery factor T)
 DENSE_STACK_CAP = 32_000_000
 
 BUILD_TOL = 1e-12

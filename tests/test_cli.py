@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,22 @@ def test_kl_dense_route_bounded_by_stack_size(tmp_path, monkeypatch):
         fields[spec] = dict(line.split(": ") for line in text.decode().strip().split("\n"))
     assert fields["bond:all"]["exact_distance"] == "nan"
     assert float(fields["bond"]["exact_distance"]) > 0.0
+
+
+def test_kl_dense_route_memory_bound(tmp_path):
+    # the dense route holds the K error stacks about twice at its peak: the
+    # list from bond_error_stacks while kl_decompose stacks it, then the
+    # report's array next to the thin recovery factor T
+    code = vc.build(3, 4)
+    stack_bytes = (1 + code.site_dim) * code.dense_size * code.d * 16
+    tracemalloc.start()
+    try:
+        status, _ = run_cli(["kl", "--code", "vbs:3:4", "--errors", "bond"], tmp_path, "r.txt")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak <= 2.6 * stack_bytes
 
 
 def test_simulate_command(tmp_path):

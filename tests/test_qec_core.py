@@ -157,6 +157,44 @@ def test_recovery_trace_preserving_on_quasi_codes(d, n_sites, normalization):
     assert cptp_residuals(recovery)[0] < 1e-10
 
 
+@pytest.mark.parametrize("d, n_sites", [(2, 4), (3, 2)])
+def test_damped_top_mode_remainder_is_exactly_zero(d, n_sites):
+    # damping factors about 0.982 and 0.943; a rounding error in the top
+    # remainder would enter the completion through its square root (~1e-8)
+    _, _, _, report = edge_report(d, n_sites)
+    t, _, _ = qc._recovery_kernel(report, "raw")
+    a = t.conj().T @ t
+    s = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    damping, remainder = qc._completion_remainder(s)
+    assert damping < 0.99
+    assert remainder[s.argmax()] == 0.0
+    assert remainder.min() >= 0.0
+
+
+def test_kl_decompose_accepts_operators_or_stacks():
+    code = ec.four_two_two_code()
+    paulis = ec.weight_one_paulis(4)
+    stacks = [p @ code.isometry for p in paulis]
+    reference = qc.kl_decompose(code, paulis)
+    for errors in (stacks, np.stack(stacks, axis=1)):
+        report = qc.kl_decompose(code, errors)
+        for field in ("gram", "eigenvalues", "rotation", "residual_weights", "error_stacks"):
+            assert np.array_equal(getattr(report, field), getattr(reference, field))
+        assert report.first_order_distance == reference.first_order_distance
+
+
+def test_logical_recovery_accepts_list_or_stacked_noise():
+    _, iso, stacks, report = edge_report(2, 4)
+    reference = qc.logical_recovery_channel(iso, report, stacks)
+    for noise in (report.error_stacks, np.stack(stacks, axis=1)):
+        q_ch = qc.logical_recovery_channel(iso, report, noise)
+        assert len(q_ch.kraus) == len(reference.kraus)
+        for a, b in zip(q_ch.kraus, reference.kraus):
+            assert np.array_equal(a, b)
+    with pytest.raises(ValueError):
+        qc.logical_recovery_channel(iso, report, np.stack(stacks))
+
+
 @pytest.mark.parametrize(
     "normalization, d, n_sites",
     [

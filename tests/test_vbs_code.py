@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qx import qec_core as qc
 from qx import vbs_code as vc
 from qx.quantum_ops import trace_distance
 from qx.su_algebra import random_special_unitary
@@ -313,10 +314,22 @@ def test_erasure_bound():
 def test_bond_error_compressions_match_dense_stacks(d, n_sites):
     code = vc.build(d, n_sites)
     bonds = list(range(1, n_sites + 1))
-    stacks = np.stack(vc.bond_error_stacks(code, bonds, strength=0.2))
-    dense = np.einsum("iqa,jqb->ijab", stacks.conj(), stacks)
+    stacks = vc.bond_error_stacks(code, bonds, strength=0.2)
+    dense = qc.error_compressions(vc.dense_isometry(code), stacks)
     transfer = vc.bond_error_compressions(code, bonds, strength=0.2)
     assert np.abs(dense - transfer).max() < 1e-12
+
+
+def test_dense_and_transfer_reports_agree_to_relative_precision():
+    # at N = 10 the first-order distance is about 4e-10; both routes must
+    # agree relative to the size of each number, not to one absolute scale
+    code = vc.build(2, 10)
+    dense = qc.kl_decompose(vc.dense_isometry(code), vc.bond_error_stacks(code))
+    transfer = qc.kl_report_from_compressions(vc.bond_error_compressions(code))
+    rel = np.abs(dense.eigenvalues - transfer.eigenvalues) / np.abs(transfer.eigenvalues)
+    assert rel.max() < 1e-13
+    gap = abs(dense.first_order_distance - transfer.first_order_distance)
+    assert gap < 1e-13 * transfer.first_order_distance
 
 
 def test_bond_error_family_is_trace_preserving_on_code():
