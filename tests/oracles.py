@@ -1,4 +1,5 @@
-"""Brute-force dense oracles used to cross-check transfer contractions."""
+"""Brute-force oracles: dense ones for the transfer contractions, and a
+step-by-step product for the trajectory scan."""
 
 from itertools import product
 
@@ -70,3 +71,13 @@ def dense_site_overlap(code, alpha, beta, site_ops):
 def adjoint_site_matrix(code, a):
     """The Hermitian bulk-site observable matching generator index a."""
     return adjoint_generator(code.basis, a)
+
+
+def sequential_products(seq):
+    """``seq[l] @ ... @ seq[0]`` for every l, one matrix product per step."""
+    out = np.empty_like(seq)
+    current = np.eye(seq.shape[-1], dtype=seq.dtype)
+    for step, u in enumerate(seq):
+        current = u @ current
+        out[step] = current
+    return out

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from qx import quasi_universality as qu
 from qx.rng import make_generator, splitmix64, stable_seed
 from qx.su_algebra import expi_hermitian, gell_mann_basis, random_special_unitary
@@ -159,6 +162,78 @@ def test_simulation_explicit_gates_and_validation():
         qu.simulate_computation(2, 8, 11, seed=0, gates=gates)
     with pytest.raises(ValueError):
         qu.simulate_computation(2, 8, 5, seed=0, error_dist="poisson")
+
+
+def random_unitaries(rng, length, d):
+    z = rng.normal(size=(length, d, d)) + 1j * rng.normal(size=(length, d, d))
+    return np.linalg.qr(z)[0]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_cumulative_products_match_sequential_oracle(d):
+    # squares, non-squares and lengths shorter than one block
+    rng = np.random.default_rng(d)
+    for length in [1, 2, 3, 4, 5, 15, 16, 17, 99, 100, 101]:
+        seq = random_unitaries(rng, length, d)
+        got = qu._cumulative_products(seq)
+        assert got.shape == (length, d, d)
+        np.testing.assert_allclose(got, oracles.sequential_products(seq), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.05])
+def test_simulation_matches_sequential_trajectory(scale):
+    d, length = 3, 40
+    gates = random_unitaries(np.random.default_rng(11), length, d)
+    traj = qu.simulate_computation(d, 8, length, seed=4, gates=list(gates), error_scale=scale)
+    basis = gell_mann_basis(d)
+    errors = np.array([
+        expi_hermitian(scale * np.tensordot(eps, basis.generators, axes=1))
+        for eps in traj.exponents
+    ])
+    ideal = oracles.sequential_products(gates)
+    noisy = oracles.sequential_products(gates @ errors)
+    want = [qu.unitary_distance(n, i) for n, i in zip(noisy, ideal)]
+    assert np.array_equal(traj.gates, gates)
+    np.testing.assert_allclose(traj.distances, want, rtol=1e-12, atol=1e-12)
+
+
+def test_simulation_rejects_bad_explicit_gates():
+    gates = [np.eye(2, dtype=complex)] * 6
+    bad = gates[:3] + [np.diag([1.0, 1.0 + 1e-6])] + gates[4:]
+    with pytest.raises(ValueError, match="not unitary"):
+        qu.simulate_computation(2, 8, 6, seed=0, gates=bad)
+    wrong = gates[:2] + [np.eye(3, dtype=complex)] + gates[3:]
+    with pytest.raises(ValueError, match="expected dimension 2, got 3"):
+        qu.simulate_computation(2, 8, 6, seed=0, gates=wrong)
+    with pytest.raises(ValueError, match="expected dimension 2, got 3"):
+        qu.simulate_computation(2, 8, 6, seed=0, gates=[np.eye(3)] * 6)
+    # inside the 1e-8 tolerance still passes
+    near = gates[:3] + [np.diag([1.0, 1.0 + 1e-9])] + gates[4:]
+    assert qu.simulate_computation(2, 8, 6, seed=0, gates=near).length == 6
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulation_length_bounded_by_stack_budget(monkeypatch):
+    # the budget counts SIM_PEAK_STACKS (L, d, d) stacks: 7 * 30 * 4 = 840
+    monkeypatch.setattr(qu.vbs_code, "DENSE_STACK_CAP", 840)
+    assert qu.simulate_computation(2, 8, 30, seed=1).length == 30
+    with pytest.raises(ValueError, match="budget"):
+        qu.simulate_computation(2, 8, 31, seed=1)
+    with pytest.raises(ValueError, match="budget"):
+        qu.simulate_computation(3, 8, 30, seed=1)
+
+
+def test_simulation_peak_within_stated_stack_count():
+    # long enough that numpy's fixed ~0.1 MB of buffers does not count
+    d, length = 2, 20000
+    qu.simulate_computation(d, 8, length, seed=3)
+    tracemalloc.start()
+    try:
+        qu.simulate_computation(d, 8, length, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= qu.SIM_PEAK_STACKS * length * d * d * 16
 
 
 def test_trajectory_csv_format():
