@@ -105,69 +105,55 @@ def _closed_form_residuals(code) -> tuple[float, float]:
     return det, corr
 
 
-def _sweep_point(d: int, n: int, strength: float) -> str:
+def _sweep_point(d: int, n: int, strength: float) -> dict:
+    """The SWEEP_HEADER columns of one code, by name: d and N as integers,
+    the rest as floats."""
     code = vbs_code.build(d, n)
     det, corr = _closed_form_residuals(code)
     iterated, _ = vbs_code.edge_state(code, 0, n)
-    edge_fp = trace_distance(iterated, np.eye(d) / d)
     report = qec_core.kl_report_from_compressions(
         vbs_code.bond_error_compressions(code, strength=strength)
     )
-    eps = qec_core.epsilon_from_report(report)
-    row = [
-        str(d),
-        str(n),
-        _fmt(code.chi),
-        _fmt(vbs_code.eta(d, n)),
-        _fmt(det),
-        _fmt(corr),
-        _fmt(edge_fp),
-        _fmt(eps),
-        _fmt(vbs_code.erasure_bound(code)),
+    values = [
+        d,
+        n,
+        code.chi,
+        vbs_code.eta(d, n),
+        det,
+        corr,
+        trace_distance(iterated, np.eye(d) / d),
+        qec_core.epsilon_from_report(report),
+        vbs_code.erasure_bound(code),
     ]
-    return ",".join(row)
+    return dict(zip(SWEEP_HEADER.split(","), values))
+
+
+def _format_points(points, fmt: str) -> str:
+    """Sweep points as CSV rows under SWEEP_HEADER, or as blocks of
+    'name: value' lines separated by blank lines."""
+    rows = [[str(x) if isinstance(x, int) else _fmt(x) for x in p.values()] for p in points]
+    if fmt == "csv":
+        return "\n".join([SWEEP_HEADER] + [",".join(row) for row in rows]) + "\n"
+    names = SWEEP_HEADER.split(",")
+    blocks = ["\n".join(f"{k}: {v}" for k, v in zip(names, row)) for row in rows]
+    return ("\n\n".join(blocks) + "\n") if blocks else ""
 
 
 def cmd_sweep(args) -> int:
     points = [
-        (d, n)
+        _sweep_point(d, n, args.strength)
         for d in range(args.d_min, args.d_max + 1)
         for n in range(args.n_min, args.n_max + 1)
     ]
-    rows = [_sweep_point(d, n, args.strength) for d, n in points]
-    if args.format == "csv":
-        text = "\n".join([SWEEP_HEADER] + rows) + "\n"
-    else:
-        names = SWEEP_HEADER.split(",")
-        blocks = []
-        for row in rows:
-            values = row.split(",")
-            blocks.append("\n".join(f"{k}: {v}" for k, v in zip(names, values)))
-        text = ("\n\n".join(blocks) + "\n") if blocks else ""
-    _emit(text, args.output)
+    _emit(_format_points(points, args.format), args.output)
     return 0
 
 
 def cmd_vbs(args) -> int:
-    code = vbs_code.build(args.d, args.n)
-    det, corr = _closed_form_residuals(code)
-    iterated, _ = vbs_code.edge_state(code, 0, args.n)
-    report = qec_core.kl_report_from_compressions(
-        vbs_code.bond_error_compressions(code, strength=args.strength)
-    )
-    lines = [
-        f"d: {args.d}",
-        f"N: {args.n}",
-        f"chi: {_fmt(code.chi)}",
-        f"eta: {_fmt(vbs_code.eta(args.d, args.n))}",
-        f"max_detect_closedform_residual: {_fmt(det)}",
-        f"max_corr_closedform_residual: {_fmt(corr)}",
-        f"edge_fixedpoint_distance: {_fmt(trace_distance(iterated, np.eye(args.d) / args.d))}",
-        f"epsilon: {_fmt(qec_core.epsilon_from_report(report))}",
-        f"erasure_bound: {_fmt(vbs_code.erasure_bound(code))}",
-    ]
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0 if max(det, corr) < args.tol else 1
+    point = _sweep_point(args.d, args.n, args.strength)
+    _emit(_format_points([point], "text"), args.output)
+    residual = max(point["max_detect_closedform_residual"], point["max_corr_closedform_residual"])
+    return 0 if residual < args.tol else 1
 
 
 def _parse_bonds(spec: str, code) -> list[int]:

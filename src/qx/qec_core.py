@@ -331,9 +331,9 @@ def recovery_from_kl(
         )
     t, x, core = _recovery_kernel(report, normalization)
     t_adj = t.conj().T
-    kraus = list(code.isometry @ (x @ t_adj))
+    kraus = code.isometry @ (x @ t_adj)
     if core is not None:
-        kraus.append(np.eye(code.d_q) - (t @ core) @ t_adj)
+        kraus = np.concatenate([kraus, (np.eye(code.d_q) - (t @ core) @ t_adj)[None]])
     return KrausChannel.from_kraus(kraus)
 
 
@@ -374,11 +374,11 @@ def logical_recovery_channel(
     flat = noise.reshape(d_q, n * d_l)
     # T+ N_l V for every l, as (L, r*d_L, d_L)
     t_noise = _adjoint_product(t, flat).reshape(-1, n, d_l).transpose(1, 0, 2)
-    kraus = list((x[:, None] @ t_noise[None]).reshape(-1, d_l, d_l))
+    kraus = (x[:, None] @ t_noise[None]).reshape(-1, d_l, d_l)
     if core is not None:
         v = code.isometry
         v_noise = _adjoint_product(v, flat).reshape(d_l, n, d_l).transpose(1, 0, 2)
-        kraus.extend(v_noise - (_adjoint_product(v, t) @ core) @ t_noise)
+        kraus = np.concatenate([kraus, v_noise - (_adjoint_product(v, t) @ core) @ t_noise])
     return KrausChannel.from_kraus(kraus)
 
 
@@ -543,38 +543,33 @@ def subsystem_kl_check(split: SubsystemSplit, errors, gauge_states=None):
     Fits J_ij in V+ E_i+ E_j V = I_T x J_ij by partial trace over the logical
     factor and reports the largest deviation from that product form; the
     rectangular route through gauge states (effective errors T -> H must have
-    scalar pairwise compressions) is folded into the same residual.
+    scalar pairwise compressions) is folded into the same residual.  Both
+    routes form all their products at once: (K d_T d_J)^2 and, for G gauge
+    states, (K G d_T)^2 amplitudes.
     """
     v = split.isometry
     d_t, d_j = split.d_t, split.d_j
-    ops = [np.asarray(e, dtype=complex) for e in errors]
-    stacks = [e @ v for e in ops]
-    k = len(stacks)
-    j_ops = np.zeros((k, k, d_j, d_j), dtype=complex)
-    residual = 0.0
     eye_t = np.eye(d_t)
-    for i in range(k):
-        for j in range(k):
-            block = (stacks[i].conj().T @ stacks[j]).reshape(d_t, d_j, d_t, d_j)
-            fitted = np.einsum("tatb->ab", block) / d_t
-            j_ops[i, j] = fitted
-            gap = block - np.einsum("ts,ab->tasb", eye_t, fitted)
-            residual = max(residual, float(np.linalg.norm(gap.reshape(d_t * d_j, d_t * d_j), 2)))
+    ops = np.asarray(errors, dtype=complex)
+    m = error_compressions(CodeIsometry(isometry=v), (ops @ v).transpose(1, 0, 2))
+    k = m.shape[0]
+    block = m.reshape(k, k, d_t, d_j, d_t, d_j)
+    j_ops = np.einsum("ijtatb->ijab", block) / d_t
+    gap = (block - np.einsum("ts,ijab->ijtasb", eye_t, j_ops)).reshape(m.shape)
+    residual = float(np.linalg.norm(gap, 2, axis=(-2, -1)).max())
     if gauge_states is None:
         gauge_states = default_gauge_states(d_j)
     if len(gauge_states) < d_j * d_j:
         raise ValueError(f"need at least {d_j * d_j} gauge states")
-    v_tensor = v.reshape(split.d_q, d_t, d_j)
-    eff = []
-    for op in ops:
-        for g in gauge_states:
-            anchored = np.einsum("qtj,j->qt", v_tensor, np.asarray(g, dtype=complex))
-            eff.append(op @ anchored)
-    for x in eff:
-        for y in eff:
-            prod = x.conj().T @ y
-            scalar = np.trace(prod) / d_t
-            residual = max(residual, float(np.linalg.norm(prod - scalar * eye_t, 2)))
+    gauge = np.asarray(gauge_states, dtype=complex)
+    # effective errors E_i V (I_T x |g>), (d_Q, d_T) each, side by side
+    anchored = np.einsum("qtj,gj->qgt", v.reshape(split.d_q, d_t, d_j), gauge)
+    eff = (ops @ anchored.reshape(split.d_q, -1)).transpose(1, 0, 2).reshape(split.d_q, -1)
+    n = len(ops) * len(gauge)
+    prods = _adjoint_product(eff, eff).reshape(n, d_t, n, d_t).transpose(0, 2, 1, 3)
+    scalars = np.einsum("xyaa->xy", prods) / d_t
+    gaps = prods - scalars[..., None, None] * eye_t
+    residual = max(residual, float(np.linalg.norm(gaps, 2, axis=(-2, -1)).max()))
     return j_ops, residual
 
 

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, isqrt, pi, sin
+from math import floor, isqrt
 
 import numpy as np
 
 from .rng import make_generator
 from .su_algebra import expi_hermitian, gell_mann_basis, random_special_unitary
 from . import vbs_code
+from .vbs_code import eta
 
 __all__ = [
     "unitary_distance",
@@ -52,12 +53,8 @@ def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
     """
     u = _check_unitary(u)
     v = _check_unitary(v, u.shape[0])
-    phases = np.sort(np.angle(np.linalg.eigvals(v.conj().T @ u)))
-    if phases.size == 1:
-        return 0.0
-    gaps = np.diff(phases, append=phases[0] + 2.0 * pi)
-    width = 2.0 * pi - gaps.max()
-    return float(2.0 * sin(max(width, 0.0) / 4.0))
+    phases = np.angle(np.linalg.eigvals(v.conj().T @ u))
+    return float(_arc_distances(phases[None])[0])
 
 
 @dataclass(frozen=True)
@@ -245,7 +242,7 @@ def simulate_computation(
             f"amplitudes, over the budget of {vbs_code.DENSE_STACK_CAP}"
         )
     basis = gell_mann_basis(d)
-    scale = vbs_code.eta(d, n_sites) if error_scale is None else float(error_scale)
+    scale = eta(d, n_sites) if error_scale is None else float(error_scale)
     rng = make_generator(seed)
     if gates is None:
         weights = rng.normal(0.0, 1.0, size=(length, basis.size))

@@ -17,14 +17,13 @@ bond 0 is adjacent to the logical ket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
 from .quantum_ops import KrausChannel, choi_matrix, trace_distance
 from .su_algebra import (
     SuBasis,
-    adjoint_generator,
     adjoint_group_element,
     expi_hermitian,
     gell_mann_basis,
@@ -63,9 +62,10 @@ __all__ = [
 ]
 
 DENSE_CAP = 2_000_000
-# amplitudes in the K error stacks E_i V that the dense kl route allocates;
-# it holds them about twice at its peak (the list, then the report's
-# stacked copy next to the recovery factor T)
+# amplitudes in one batched encode_dense call, and in the K error stacks
+# E_i V that the dense kl route allocates; that route holds them about twice
+# at its peak (the list, then the report's stacked copy next to the
+# recovery factor T)
 DENSE_STACK_CAP = 32_000_000
 
 BUILD_TOL = 1e-12
@@ -156,9 +156,9 @@ def transfer_power(code: VbsCode, x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _group_insertions(code: VbsCode, insertions, stacks: bool = False) -> dict[int, np.ndarray]:
+def _group_insertions(code: VbsCode, insertions) -> dict[int, np.ndarray]:
     """Compose insertions per bond; first listed acts leftmost in the chain.
-    With ``stacks``, operators may be broadcasting stacks (..., d, d)."""
+    Operators may be broadcasting stacks (..., d, d)."""
     grouped: dict[int, np.ndarray] = {}
     for ins in insertions:
         if isinstance(ins, BondInsertion):
@@ -168,7 +168,7 @@ def _group_insertions(code: VbsCode, insertions, stacks: bool = False) -> dict[i
         if not 0 <= bond <= code.n_sites:
             raise ValueError(f"bond index {bond} outside 0..{code.n_sites}")
         op = np.asarray(op, dtype=complex)
-        if op.shape[-2:] != (code.d, code.d) or (op.ndim != 2 and not stacks):
+        if op.shape[-2:] != (code.d, code.d):
             raise ValueError(f"insertion operator must be {code.d}x{code.d}")
         grouped[bond] = grouped[bond] @ op if bond in grouped else op
     return grouped
@@ -185,8 +185,8 @@ def edge_overlap(code: VbsCode, bra_insertions=(), ket_insertions=()) -> np.ndar
     matrices: ``[(n, g[None, :]), (m, g[:, None])]`` yields M[a, b] for t^b at
     bond n and t^a at bond m.
     """
-    bra = _group_insertions(code, bra_insertions, stacks=True)
-    ket = _group_insertions(code, ket_insertions, stacks=True)
+    bra = _group_insertions(code, bra_insertions)
+    ket = _group_insertions(code, ket_insertions)
     c = np.eye(code.d, dtype=complex)
     for bond in range(code.n_sites, -1, -1):
         if bond in bra:
@@ -198,17 +198,22 @@ def edge_overlap(code: VbsCode, bra_insertions=(), ket_insertions=()) -> np.ndar
     return c
 
 
-def encode_dense(code: VbsCode, logical, insertions=(), cap: int = DENSE_CAP) -> np.ndarray:
-    """Dense state vector of the encoded (optionally decorated) logical input.
+def encode_dense(code: VbsCode, logical, insertions=()) -> np.ndarray:
+    """Dense state vectors of encoded (optionally decorated) logical inputs.
 
-    ``logical`` is a basis index or a length-d vector.  The returned vector
-    is ordered with site 1 as the slowest tensor factor and the edge factor
-    last.  Raises when the amplitude count exceeds ``cap``; use the transfer
-    operations beyond that regime.
+    ``logical`` is a basis index or a stack (..., d) of logical vectors.
+    Insertion operators may be stacks (..., d, d) that broadcast against
+    that batch, as in :func:`edge_overlap`: ``encode_dense(code, np.eye(d),
+    [(n, g[:, None])])`` is the (q, d, d_Q) stack of every basis state with
+    t^a at bond n.  Returns (..., d_Q), each vector ordered with site 1 as
+    the slowest tensor factor and the edge factor last.  Raises before
+    allocating when one state exceeds ``DENSE_CAP`` amplitudes or the whole
+    batch exceeds ``DENSE_STACK_CAP``; use the transfer operations beyond
+    that regime.
     """
-    if code.dense_size > cap:
+    if code.dense_size > DENSE_CAP:
         raise ValueError(
-            f"dense encoding needs {code.dense_size} amplitudes, cap is {cap}; "
+            f"dense encoding needs {code.dense_size} amplitudes, cap is {DENSE_CAP}; "
             "use the transfer-matrix operations instead"
         )
     if np.isscalar(logical):
@@ -217,24 +222,29 @@ def encode_dense(code: VbsCode, logical, insertions=(), cap: int = DENSE_CAP) ->
     else:
         vec = np.asarray(logical, dtype=complex)
     grouped = _group_insertions(code, insertions)
-    if 0 in grouped:
-        vec = grouped[0] @ vec
-    tensor = vec
-    for site in range(1, code.n_sites + 1):
-        tensor = np.einsum("ibg,...g->...ib", code.kraus, tensor)
-        if site in grouped:
-            tensor = tensor @ grouped[site].T
-    return tensor.reshape(-1)
+    batch = np.broadcast_shapes(vec.shape[:-1], *(op.shape[:-2] for op in grouped.values()))
+    if prod(batch) * code.dense_size > DENSE_STACK_CAP:
+        raise ValueError(
+            f"dense encoding of a batch {batch} needs {prod(batch) * code.dense_size} "
+            f"amplitudes, over the budget of {DENSE_STACK_CAP}"
+        )
+    # (..., strings so far, d): the site strings flattened, site 1 slowest
+    tensor = vec[..., None, :]
+    for bond in range(code.n_sites + 1):
+        if bond > 0:
+            tensor = np.einsum("ibg,...g->...ib", code.kraus, tensor)
+            tensor = tensor.reshape(*tensor.shape[:-3], -1, code.d)
+        if bond in grouped:
+            tensor = tensor @ grouped[bond].swapaxes(-1, -2)
+    return tensor.reshape(*tensor.shape[:-2], -1)
 
 
-def dense_isometry(code: VbsCode, cap: int = DENSE_CAP):
-    """Stack dense encodings of the logical basis into a code isometry."""
+def dense_isometry(code: VbsCode):
+    """Dense encodings of the logical basis as a code isometry."""
     from .qec_core import CodeIsometry
 
-    columns = [encode_dense(code, alpha, cap=cap) for alpha in range(code.d)]
-    return CodeIsometry(
-        isometry=np.stack(columns, axis=1), site_dims=code.site_dims
-    )
+    states = encode_dense(code, np.eye(code.d))
+    return CodeIsometry(isometry=np.ascontiguousarray(states.T), site_dims=code.site_dims)
 
 
 def edge_state(code: VbsCode, alpha: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -466,11 +476,8 @@ def erasure_bound(code: VbsCode) -> float:
     Reported as a relative scaling quantity with unit proportionality
     constant, not an absolute error.
     """
-    widest = 0.0
-    for a in range(code.site_dim):
-        spec = np.linalg.eigvalsh(adjoint_generator(code.basis, a))
-        widest = max(widest, float(spec[-1] - spec[0]))
-    return 1.0 / (code.n_sites * widest)
+    spec = np.linalg.eigvalsh(-1j * code.basis.f)  # every adjoint generator
+    return 1.0 / (code.n_sites * float((spec[:, -1] - spec[:, 0]).max()))
 
 
 def bond_error_weights(code: VbsCode, bonds, strength: float) -> tuple[float, float]:
@@ -494,23 +501,24 @@ def _bond_list(code: VbsCode, bonds) -> list[int]:
     return out
 
 
-def bond_error_stacks(
-    code: VbsCode, bonds=None, strength: float = 0.1, cap: int = DENSE_CAP
-) -> list[np.ndarray]:
+def bond_error_stacks(code: VbsCode, bonds=None, strength: float = 0.1) -> list[np.ndarray]:
     """Dense code-state stacks E_i V for the bond error family.
 
     The family is the weighted identity followed by every generator inserted
     at every listed bond (default: the edge bond N), ordered bond-major.
+    Each bond is one batched :func:`encode_dense` call; the K (d_Q, d_L)
+    stacks are returned as a list of views into those blocks.
     """
     bonds = _bond_list(code, bonds)
     w0, w = bond_error_weights(code, bonds, strength)
-    base = np.stack([encode_dense(code, al, cap=cap) for al in range(code.d)], axis=1)
-    stacks = [w0 * base]
+    eye = np.eye(code.d)
+    base = encode_dense(code, eye)
+    base *= w0
+    stacks = [base.T]
     for n in bonds:
-        for a in range(code.site_dim):
-            ins = [(n, code.basis.generators[a])]
-            cols = [encode_dense(code, al, insertions=ins, cap=cap) for al in range(code.d)]
-            stacks.append(w * np.stack(cols, axis=1))
+        block = encode_dense(code, eye, [(n, code.basis.generators[:, None])])
+        block *= w
+        stacks += list(block.swapaxes(-1, -2))
     return stacks
 
 

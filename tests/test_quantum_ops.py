@@ -102,6 +102,42 @@ def test_choi_identity_and_depolarizing():
     assert abs(np.trace(dep.matrix) - 1.0) < 1e-14
 
 
+def test_choi_equals_sequential_outer_product_sum():
+    for dim, n_kraus in ((2, 1), (2, 4), (3, 5), (4, 17)):
+        ch = random_channel(dim, n_kraus, seed=dim + n_kraus)
+        want = np.zeros((dim * dim, dim * dim), dtype=complex)
+        for k in ch.kraus:
+            v = k.reshape(-1)
+            want += np.outer(v, v.conj())
+        assert np.array_equal(choi_matrix(ch).matrix, want / dim)
+
+
+def test_kraus_channel_stacks_its_input():
+    ch = random_channel(3, 4, seed=1)
+    assert isinstance(ch.kraus, np.ndarray) and ch.kraus.shape == (4, 3, 3)
+    rect = KrausChannel.from_kraus(np.ones((2, 5, 3)))
+    assert (rect.out_dim, rect.in_dim) == (5, 3) and rect.kraus.dtype == complex
+    assert dilation_isometry(ch).shape == (12, 3)
+
+
+def test_kraus_channel_empty_and_ragged():
+    empty = KrausChannel(kraus=(), in_dim=2, out_dim=3)
+    assert empty.kraus.shape == (0, 3, 2)
+    assert np.array_equal(apply_channel(empty, np.eye(2)), np.zeros((3, 3)))
+    square = KrausChannel(kraus=[], in_dim=2, out_dim=2)
+    assert np.array_equal(choi_matrix(square).matrix, np.zeros((4, 4)))
+    with pytest.raises(ValueError):
+        KrausChannel.from_kraus([])
+    with pytest.raises(ValueError):
+        KrausChannel.from_kraus([np.eye(2), np.eye(3)])
+    with pytest.raises(ValueError):
+        KrausChannel.from_kraus([np.ones(2)])
+    with pytest.raises(ValueError):
+        KrausChannel(kraus=np.zeros((1, 2, 2)), in_dim=3, out_dim=2)
+    with pytest.raises(ValueError):
+        KrausChannel(kraus=np.zeros((2, 2)), in_dim=2, out_dim=2)
+
+
 def test_choi_reproduces_channel():
     ch = random_channel(3, 3, seed=9)
     c4 = choi_matrix(ch).matrix.reshape(3, 3, 3, 3)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,58 @@ def test_encode_dense_matches_explicit_loop(d, n):
         got = vc.encode_dense(code, alpha, insertions=ins)
         want = oracles.explicit_state(code, alpha, insertions=ins)
         assert np.abs(got - want).max() < 1e-13
+
+
+def _stacked_cases(code):
+    """Insertion lists of (q, 1, d, d) stacks: bond 0, an interior bond, the
+    edge bond N, two stacks composed at one bond, and stacks at two bonds."""
+    g = code.basis.generators[:, None]
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape)
+    n = code.n_sites
+    return [[(0, g)], [(1, g)], [(n, g)], [(1, g), (1, x)], [(0, x), (n, g)]]
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
+def test_encode_dense_stacks_match_single_inputs(d, n):
+    code = vc.build(d, n)
+    for ins in _stacked_cases(code):
+        got = vc.encode_dense(code, np.eye(d), ins)
+        assert got.shape == (code.site_dim, d, code.dense_size)
+        for a in range(code.site_dim):
+            single = [(bond, op[a, 0]) for bond, op in ins]
+            for alpha in range(d):
+                want = vc.encode_dense(code, alpha, insertions=single)
+                assert np.array_equal(got[a, alpha], want)
+                explicit = oracles.explicit_state(code, alpha, insertions=single)
+                assert np.abs(got[a, alpha] - explicit).max() < 1e-13
+    vectors = np.random.default_rng(8).normal(size=(4, d)) + 0j
+    got = vc.encode_dense(code, vectors)
+    for row, vec in zip(got, vectors):
+        assert np.array_equal(row, vc.encode_dense(code, vec))
+
+
+def test_encode_dense_batch_budget(monkeypatch):
+    code = vc.build(2, 3)  # d_Q = 54; (q, d) = (3, 2) batch of 324 amplitudes
+    ins = [(2, code.basis.generators[:, None])]
+    monkeypatch.setattr(vc, "DENSE_STACK_CAP", 324)
+    assert vc.encode_dense(code, np.eye(2), ins).shape == (3, 2, 54)
+    monkeypatch.setattr(vc, "DENSE_STACK_CAP", 323)
+    with pytest.raises(ValueError, match="budget"):
+        vc.encode_dense(code, np.eye(2), ins)
+    assert vc.encode_dense(code, 1, [(2, code.basis.generators)]).shape == (3, 54)
+    # a 38 MB batch is refused before anything near its size is allocated
+    code = vc.build(3, 5)
+    ins = [(5, code.basis.generators[:, None])]
+    monkeypatch.setattr(vc, "DENSE_STACK_CAP", 1_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            vc.encode_dense(code, np.eye(3), ins)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_encode_dense_single_site_amplitudes():
@@ -305,6 +359,10 @@ def test_covariant_gate_rejects_nonunitary():
 
 def test_erasure_bound():
     assert abs(vc.erasure_bound(vc.build(2, 4)) - 1 / 8) < 1e-14
+    for d in (2, 3, 4, 5):
+        code = vc.build(d, 3)
+        widths = [np.ptp(np.linalg.eigvalsh(-1j * f)) for f in code.basis.f]
+        assert vc.erasure_bound(code) == 1.0 / (3 * max(widths))
     b1 = vc.erasure_bound(vc.build(2, 5))
     b2 = vc.erasure_bound(vc.build(2, 10))
     assert abs(b1 - 2 * b2) < 1e-14
