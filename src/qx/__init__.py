@@ -27,7 +27,6 @@ from .qec_core import (
     transversal_collapse_check,
 )
 from .quantum_ops import (
-    ChoiState,
     KrausChannel,
     apply_channel,
     choi_matrix,
@@ -63,12 +62,10 @@ from .vbs_code import (
     bond_error_stacks,
     build,
     bulk_state,
-    correlation,
     correlation_closed_form,
     covariant_gate,
     dense_isometry,
     detection_closed_form,
-    detection_overlap,
     edge_overlap,
     edge_state,
     effective_noise_channel,

@@ -113,13 +113,13 @@ def detect_condition(code: CodeIsometry, errors) -> list[tuple[complex, float]]:
     traceless remainder of V+ E_i V; the error is exactly detected when the
     residual vanishes.
     """
-    out = []
-    eye = np.eye(code.d_l)
-    for op in errors:
-        compressed = code.isometry.conj().T @ _as_stack(code, op)
-        e = complex(np.trace(compressed) / code.d_l)
-        out.append((e, float(np.linalg.norm(compressed - e * eye, 2))))
-    return out
+    family = _error_family(code, errors)
+    k, d_l = family.shape[1], code.d_l
+    flat = family.reshape(code.d_q, k * d_l)
+    compressed = _adjoint_product(code.isometry, flat).reshape(d_l, k, d_l).swapaxes(0, 1)
+    e = np.trace(compressed, axis1=1, axis2=2) / d_l
+    residuals = np.linalg.norm(compressed - e[:, None, None] * np.eye(d_l), 2, axis=(-2, -1))
+    return [(complex(ei), float(r)) for ei, r in zip(e, residuals)]
 
 
 def _error_family(code: CodeIsometry, ops) -> np.ndarray:
@@ -391,7 +391,7 @@ def recovery_error(q_channel: KrausChannel):
     if not q_channel.is_square:
         raise ValueError("recovery error is defined for square channels")
     d_l = q_channel.in_dim
-    dist = trace_distance(choi_matrix(q_channel).matrix, omega_matrix(d_l))
+    dist = trace_distance(choi_matrix(q_channel), omega_matrix(d_l))
     fid, bures = entanglement_fidelity(q_channel)
     return dist, (2.0 * dist, 2.0 * d_l * dist), fid, bures
 

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "KrausChannel",
-    "ChoiState",
     "apply_channel",
     "cptp_residuals",
     "dilation_isometry",
@@ -115,16 +114,8 @@ def omega_matrix(dim: int) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-@dataclass(frozen=True)
-class ChoiState:
-    """Choi matrix of a square channel, with system index before reference."""
-
-    dim: int
-    matrix: np.ndarray
-
-
-def choi_matrix(ch: KrausChannel) -> ChoiState:
-    """Choi state (ch x id)(omega) of a square channel.
+def choi_matrix(ch: KrausChannel) -> np.ndarray:
+    """Choi matrix (ch x id)(omega) of a square channel.
 
     With the system factor first, C = (1/d) sum_k vec(K_k) vec(K_k)+, where
     vec is row-major flattening.  The channel is recovered through
@@ -138,7 +129,7 @@ def choi_matrix(ch: KrausChannel) -> ChoiState:
     # bit to the sequential sum of outer products (einsum's products round
     # differently where np.multiply uses fused multiply-add)
     c = (v[:, :, None] * v.conj()[:, None, :]).sum(axis=0)
-    return ChoiState(dim=d, matrix=c / d)
+    return c / d
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -156,7 +147,7 @@ def entanglement_fidelity(ch: KrausChannel) -> tuple[float, float]:
     """Entanglement fidelity F = <omega| C |omega> and Bures distance sqrt(1-F)."""
     c = choi_matrix(ch)
     omega = omega_vector(ch.in_dim)
-    f = float(np.real(omega.conj() @ c.matrix @ omega))
+    f = float(np.real(omega.conj() @ c @ omega))
     f = min(max(f, 0.0), 1.0)
     return f, sqrt(1.0 - f)
 

@@ -158,9 +158,10 @@ def _batched_expi(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _arc_distances(phases: np.ndarray) -> np.ndarray:
-    """Phase-minimized distances 2 sin(W/4) for stacked eigenphase rows."""
-    wrapped = np.sort(np.mod(phases + np.pi, 2.0 * np.pi) - np.pi, axis=1)
-    gaps = np.diff(wrapped, axis=1, append=(wrapped[:, :1] + 2.0 * np.pi))
+    """Phase-minimized distances 2 sin(W/4) for stacked eigenphase rows,
+    each phase in [-pi, pi] as np.angle returns it."""
+    ordered = np.sort(phases, axis=1)
+    gaps = np.diff(ordered, axis=1, append=(ordered[:, :1] + 2.0 * np.pi))
     widths = np.clip(2.0 * np.pi - gaps.max(axis=1), 0.0, None)
     return 2.0 * np.sin(widths / 4.0)
 
@@ -266,7 +267,7 @@ def simulate_computation(
     error_gates, error_eigs = _batched_expi(
         scale * np.einsum("lk,kij->lij", exponents, basis.generators)
     )
-    step_errors = _arc_distances(error_eigs)
+    step_errors = _arc_distances(np.mod(error_eigs + np.pi, 2.0 * np.pi) - np.pi)
     noisy = _cumulative_products(gate_stack @ error_gates)  # steps G_l E_l
     del error_gates  # before the ideal scan, or the peak passes SIM_PEAK_STACKS
     ideal = _cumulative_products(gate_stack)

@@ -16,7 +16,7 @@ bond 0 is adjacent to the logical ket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod, sqrt
 
 import numpy as np
@@ -31,7 +31,6 @@ from .su_algebra import (
 
 __all__ = [
     "VbsCode",
-    "BondInsertion",
     "DENSE_CAP",
     "DENSE_STACK_CAP",
     "build",
@@ -43,9 +42,7 @@ __all__ = [
     "dense_isometry",
     "edge_state",
     "bulk_state",
-    "detection_overlap",
     "detection_closed_form",
-    "correlation",
     "correlation_closed_form",
     "site_expectation",
     "site_operator_overlaps",
@@ -75,6 +72,17 @@ class ContractionError(RuntimeError):
     """Raised when dual-route contraction values fail to agree."""
 
 
+def _superoperator(kraus: np.ndarray, weights=None) -> np.ndarray:
+    """The (d^2, d^2) matrix S with vec(sum_ab w_ab K^a X K^b+) = vec(X) @ S,
+    vec row-major; weights default to the identity, the channel of ``kraus``."""
+    k, d, _ = kraus.shape
+    flat = kraus.reshape(k, d * d)
+    right = flat.conj() if weights is None else weights @ flat.conj()
+    # (flat.T @ right)[(i, j), (l, k)] = sum_ab K^a_ij w_ab conj(K^b_lk)
+    superop = (flat.T @ right).reshape(d, d, d, d).transpose(1, 3, 0, 2)
+    return superop.reshape(d * d, d * d)
+
+
 @dataclass(frozen=True)
 class VbsCode:
     d: int
@@ -82,6 +90,11 @@ class VbsCode:
     basis: SuBasis
     kraus: np.ndarray  # (d**2 - 1, d, d)
     chi: float
+    # transfer superoperator of the Kraus family, see _superoperator
+    transfer: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "transfer", _superoperator(self.kraus))
 
     @property
     def site_dim(self) -> int:
@@ -96,14 +109,6 @@ class VbsCode:
     @property
     def dense_size(self) -> int:
         return self.site_dim**self.n_sites * self.d
-
-
-@dataclass(frozen=True)
-class BondInsertion:
-    """An operator spliced into the encoding chain at a given bond."""
-
-    bond: int
-    operator: np.ndarray
 
 
 def build(d: int, n_sites: int) -> VbsCode:
@@ -139,14 +144,9 @@ def eta(d: int, n_sites: int) -> float:
 
 def transfer_apply(code: VbsCode, x: np.ndarray) -> np.ndarray:
     """One application of the transfer channel to an operator or a stack
-    (..., d, d), as one matmul with the superoperator sum_a A^a (x) conj(A^a)."""
-    d = code.d
-    flat = code.kraus.reshape(-1, d * d)
-    # (flat.T @ flat.conj())[(i, j), (l, k)] = sum_a A^a_ij conj(A^a_lk)
-    superop_t = (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(1, 3, 0, 2)
-    superop_t = superop_t.reshape(d * d, d * d)
+    (..., d, d), as one matmul with the code's superoperator."""
     x = np.asarray(x)
-    return (x.reshape(-1, d * d) @ superop_t).reshape(x.shape)
+    return (x.reshape(-1, code.d * code.d) @ code.transfer).reshape(x.shape)
 
 
 def transfer_power(code: VbsCode, x: np.ndarray, n: int) -> np.ndarray:
@@ -160,11 +160,7 @@ def _group_insertions(code: VbsCode, insertions) -> dict[int, np.ndarray]:
     """Compose insertions per bond; first listed acts leftmost in the chain.
     Operators may be broadcasting stacks (..., d, d)."""
     grouped: dict[int, np.ndarray] = {}
-    for ins in insertions:
-        if isinstance(ins, BondInsertion):
-            bond, op = ins.bond, ins.operator
-        else:
-            bond, op = ins
+    for bond, op in insertions:
         if not 0 <= bond <= code.n_sites:
             raise ValueError(f"bond index {bond} outside 0..{code.n_sites}")
         op = np.asarray(op, dtype=complex)
@@ -278,27 +274,10 @@ def bulk_state(code: VbsCode, alpha: int, n: int) -> np.ndarray:
     return np.einsum("ab,jbc,ica->ij", sigma, code.kraus, code.kraus)
 
 
-def detection_overlap(code: VbsCode, alpha: int, beta: int, a: int, bond: int) -> complex:
-    """Transfer value <psi_alpha| (t^a inserted at the given bond) |psi_beta>."""
-    t = code.basis.generators[a]
-    return complex(edge_overlap(code, ket_insertions=[(bond, t)])[alpha, beta])
-
-
 def detection_closed_form(code: VbsCode, a, bond: int) -> np.ndarray:
     """Closed-form logical matrix chi^n t^a for a single bond insertion;
     an index array ``a`` gives the stack of matrices."""
     return code.chi**bond * code.basis.generators[a]
-
-
-def correlation(
-    code: VbsCode, alpha: int, beta: int, a: int, b: int, m: int, n: int
-) -> complex:
-    """Transfer value of the two-bond insertion t^a at bond m, t^b at bond n."""
-    if not 0 <= m < n <= code.n_sites:
-        raise ValueError(f"bond pair ({m}, {n}) must satisfy 0 <= m < n <= N")
-    g = code.basis.generators
-    mat = edge_overlap(code, ket_insertions=[(n, g[b]), (m, g[a])])
-    return complex(mat[alpha, beta])
 
 
 def correlation_closed_form(code: VbsCode, a, b, m: int, n: int) -> np.ndarray:
@@ -322,23 +301,24 @@ def _site_term(code: VbsCode, upper: list, site: int, t: np.ndarray) -> np.ndarr
     return low - high
 
 
-def site_expectation(code: VbsCode, alpha: int, beta: int, a: int, site: int) -> complex:
-    """Single adjoint site-operator matrix element via bond expansion,
-    equal to d^2 chi^(site-1)/(d^2-1) t^a[alpha, beta]."""
+def site_expectation(code: VbsCode, a, site: int) -> np.ndarray:
+    """Logical matrix of one adjoint site operator via bond expansion,
+    equal to d^2 chi^(site-1)/(d^2-1) t^a; an index array ``a`` gives the
+    stack of matrices."""
     if not 1 <= site <= code.n_sites:
         raise ValueError(f"site index {site} outside 1..{code.n_sites}")
-    mat = _site_term(code, [], site, code.basis.generators[a])
-    return complex(mat[alpha, beta])
+    return _site_term(code, [], site, code.basis.generators[a])
 
 
 def site_operator_overlaps(
-    code: VbsCode, alpha: int, beta: int, a: int, b: int, m: int, n: int
-) -> tuple[complex, complex, complex]:
-    """Adjoint site-operator expectation values via bond expansion.
+    code: VbsCode, a, b, m: int, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjoint site-operator logical matrices via bond expansion.
 
     Returns (<T_n^a>, <T_n^a t_edge^b>, <T_m^a T_n^b>) for sites 1 <= m < n
-    <= N, where T acts through [A^i, t] on the chain.  Each value is checked
-    against its closed form before returning.
+    <= N, where T acts through [A^i, t] on the chain.  Index arrays ``a``
+    and ``b`` broadcast to stacks, as in :func:`site_overlap_closed_forms`.
+    Every entry is checked against its closed form before returning.
     """
     if not 1 <= m < n <= code.n_sites:
         raise ValueError(f"site pair ({m}, {n}) must satisfy 1 <= m < n <= N")
@@ -347,40 +327,37 @@ def site_operator_overlaps(
     single = _site_term(code, [], n, ta)
     with_edge = _site_term(code, [(code.n_sites, tb)], n, ta)
     pair = _site_term(code, [(n - 1, tb)], m, ta) - _site_term(code, [(n, tb)], m, ta)
-    values = (
-        complex(single[alpha, beta]),
-        complex(with_edge[alpha, beta]),
-        complex(pair[alpha, beta]),
-    )
+    values = (single, with_edge, pair)
     closed = site_overlap_closed_forms(code, a, b, m, n)
     for got, form in zip(values, closed):
-        if abs(got - form[alpha, beta]) > 1e-12:
+        if np.abs(got - form).max() > 1e-12:
             raise ContractionError("site overlap disagrees with its closed form")
     return values
 
 
 def site_overlap_closed_forms(
-    code: VbsCode, a: int, b: int, m: int, n: int
+    code: VbsCode, a, b, m: int, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form logical matrices matching :func:`site_operator_overlaps`."""
+    """Closed-form logical matrices matching :func:`site_operator_overlaps`;
+    index arrays ``a`` and ``b`` broadcast to stacks."""
     q = float(code.site_dim)
     d = code.d
     chi = code.chi
-    eye = np.eye(d)
-    ta = code.basis.generators[a]
-    single = d * d / q * chi ** (n - 1) * ta
-    with_edge = (-d / (2.0 * q) * chi ** (code.n_sites - n) * (a == b)) * eye
-    pair = (-(d**3) / (2.0 * q * q) * chi ** (n - m - 1) * (a == b)) * eye
+    diagonal = np.equal(a, b)[..., None, None] * np.eye(d)
+    single = d * d / q * chi ** (n - 1) * code.basis.generators[a]
+    with_edge = -d / (2.0 * q) * chi ** (code.n_sites - n) * diagonal
+    pair = -(d**3) / (2.0 * q * q) * chi ** (n - m - 1) * diagonal
     return single, with_edge, pair
 
 
-def sum_rule_check(code: VbsCode, a: int, alpha: int, beta: int) -> float:
-    """Residual of the telescoping decomposition of t^a into edge and bulk terms."""
+def sum_rule_check(code: VbsCode, a) -> np.ndarray:
+    """Entrywise residual |t^a - edge term - bulk terms| of the telescoping
+    decomposition of t^a; an index array ``a`` gives the stack."""
     t = code.basis.generators[a]
     total = edge_overlap(code, ket_insertions=[(code.n_sites, t)])
     for site in range(1, code.n_sites + 1):
         total = total + _site_term(code, [], site, t)
-    return float(abs(t[alpha, beta] - total[alpha, beta]))
+    return np.abs(t - total)
 
 
 def effective_noise_channel(
@@ -410,7 +387,7 @@ def effective_noise_channel(
     scale = float(np.mean([code.chi**n for n in bonds]))
     unitary = expi_hermitian(scale * h)
     proxy = KrausChannel.from_kraus([unitary])
-    discrepancy = trace_distance(choi_matrix(mixture).matrix, choi_matrix(proxy).matrix)
+    discrepancy = trace_distance(choi_matrix(mixture), choi_matrix(proxy))
     return mixture, unitary, discrepancy
 
 
@@ -421,12 +398,15 @@ def compressed_transversal_gate(
     contracted by the twisted transfer map; cost linear in N."""
     w = np.asarray(site_matrix, dtype=complex)
     c = np.asarray(edge_matrix, dtype=complex)
-    if w.shape != (code.site_dim, code.site_dim) or c.shape != (code.d, code.d):
+    d = code.d
+    if w.shape != (code.site_dim, code.site_dim) or c.shape != (d, d):
         raise ValueError("factor shapes do not match the code sites")
+    # vec(c) @ twist = vec(sum_ji w_ji A^j+ c A^i)
+    twist = _superoperator(code.kraus.conj().swapaxes(-1, -2), w)
+    c = c.reshape(d * d)
     for _ in range(code.n_sites):
-        t1 = np.einsum("jba,bc->jac", code.kraus.conj(), c)
-        c = np.einsum("jac,ji,icd->ad", t1, w, code.kraus)
-    return c
+        c = c @ twist
+    return c.reshape(d, d)
 
 
 @dataclass(frozen=True)

@@ -81,3 +81,22 @@ def sequential_products(seq):
         current = u @ current
         out[step] = current
     return out
+
+
+def transfer_superoperator(kraus):
+    """Transfer superoperator built from the Kraus family the way every
+    transfer application once rebuilt it: vec(x) @ S = vec(sum_a A x A+)."""
+    d = kraus.shape[-1]
+    flat = kraus.reshape(-1, d * d)
+    superop_t = (flat.T @ flat.conj()).reshape(d, d, d, d).transpose(1, 3, 0, 2)
+    return superop_t.reshape(d * d, d * d)
+
+
+def transversal_gate_by_sites(code, site_matrix, edge_matrix):
+    """V+ (W^(xN) x M) V by a two-einsum step per site:
+    c -> sum_ji W_ji A^j+ c A^i."""
+    c = np.asarray(edge_matrix, dtype=complex)
+    for _ in range(code.n_sites):
+        t1 = np.einsum("jba,bc->jac", code.kraus.conj(), c)
+        c = np.einsum("jac,ji,icd->ad", t1, site_matrix, code.kraus)
+    return c

@@ -74,8 +74,6 @@ def _closed_form_gap(code):
     )
     powers = chi ** np.arange(n_sites + 1)
     worst = max(worst, np.abs(det - powers[None, :, None, None] * g[:, None]).max())
-    # spot-check the stacked contraction against the public single-value routes
-    assert abs(det[0, 1, 0, min(d - 1, 1)] - vc.detection_overlap(code, 0, min(d - 1, 1), 0, 1)) < 1e-13
     # two-bond insertions pair[a, b]: t^a at bond m, t^b at bond n; m == n
     # composes the operators at one bond (upper to the left)
     h = code.basis.d_sym + 1j * code.basis.f  # h[b, a, c]
@@ -117,10 +115,11 @@ def _closed_form_gap(code):
                 "ab,ij->abij", eye_q, eye
             )
             worst = max(worst, np.abs(got - closed).max())
-    # exercise the public op on a sample of index pairs
+    # exercise the public op on the whole (q, q) stack
     if n_sites >= 2:
-        vals = vc.site_operator_overlaps(code, 0, d - 1, 0, min(2, q - 1), 1, 2)
-        assert all(np.isfinite(abs(v)) for v in vals)
+        idx = np.arange(q)
+        vals = vc.site_operator_overlaps(code, idx[:, None], idx[None, :], 1, 2)
+        assert all(np.isfinite(v).all() for v in vals)
     return float(worst)
 
 
@@ -217,7 +216,8 @@ def test_criterion_3_sum_rule():
             for site in range(1, n_sites + 1):
                 total += det[site - 1] - det[site]
             worst = max(worst, np.abs(total - g).max())
-    spot = vc.sum_rule_check(vc.build(3, 12), 5, 0, 2)
+    code = vc.build(3, 12)
+    spot = vc.sum_rule_check(code, np.arange(code.site_dim)).max()
     report(
         "criterion 3: edge plus bulk telescope reproduces the generator",
         worst < 1e-10 and spot < 1e-10,

@@ -214,7 +214,7 @@ def test_logical_recovery_matches_dense_composition(normalization, d, n_sites):
     noise_ops += [w * np.kron(bulk, g) for g in code.basis.generators]
     noise = KrausChannel.from_kraus(noise_ops)
     dense = qc.recovered_logical_channel(iso, noise, recovery)
-    assert np.abs(choi_matrix(thin).matrix - choi_matrix(dense).matrix).max() < 1e-10
+    assert np.abs(choi_matrix(thin) - choi_matrix(dense)).max() < 1e-10
 
 
 def test_first_order_distance_is_exact_for_raw_recovery():

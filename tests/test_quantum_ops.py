@@ -96,10 +96,10 @@ def test_dilation_requires_trace_preservation():
 
 def test_choi_identity_and_depolarizing():
     ident = choi_matrix(KrausChannel.from_kraus([np.eye(2)]))
-    assert np.abs(ident.matrix - omega_matrix(2)).max() < 1e-14
+    assert np.abs(ident - omega_matrix(2)).max() < 1e-14
     dep = choi_matrix(depolarizing2())
-    assert np.abs(dep.matrix - np.eye(4) / 4).max() < 1e-14
-    assert abs(np.trace(dep.matrix) - 1.0) < 1e-14
+    assert np.abs(dep - np.eye(4) / 4).max() < 1e-14
+    assert abs(np.trace(dep) - 1.0) < 1e-14
 
 
 def test_choi_equals_sequential_outer_product_sum():
@@ -109,7 +109,7 @@ def test_choi_equals_sequential_outer_product_sum():
         for k in ch.kraus:
             v = k.reshape(-1)
             want += np.outer(v, v.conj())
-        assert np.array_equal(choi_matrix(ch).matrix, want / dim)
+        assert np.array_equal(choi_matrix(ch), want / dim)
 
 
 def test_kraus_channel_stacks_its_input():
@@ -125,7 +125,7 @@ def test_kraus_channel_empty_and_ragged():
     assert empty.kraus.shape == (0, 3, 2)
     assert np.array_equal(apply_channel(empty, np.eye(2)), np.zeros((3, 3)))
     square = KrausChannel(kraus=[], in_dim=2, out_dim=2)
-    assert np.array_equal(choi_matrix(square).matrix, np.zeros((4, 4)))
+    assert np.array_equal(choi_matrix(square), np.zeros((4, 4)))
     with pytest.raises(ValueError):
         KrausChannel.from_kraus([])
     with pytest.raises(ValueError):
@@ -140,7 +140,7 @@ def test_kraus_channel_empty_and_ragged():
 
 def test_choi_reproduces_channel():
     ch = random_channel(3, 3, seed=9)
-    c4 = choi_matrix(ch).matrix.reshape(3, 3, 3, 3)
+    c4 = choi_matrix(ch).reshape(3, 3, 3, 3)
     rho = random_density(3, 10)
     rebuilt = 3.0 * np.einsum("aecb,eb->ac", c4, rho)
     assert np.abs(rebuilt - apply_channel(ch, rho)).max() < 1e-10

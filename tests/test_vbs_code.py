@@ -29,6 +29,12 @@ def test_build_d3_parameters():
     assert code.kraus.shape == (8, 3, 3)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_code_holds_its_transfer_superoperator(d):
+    code = vc.build(d, 2)
+    assert np.array_equal(code.transfer, oracles.transfer_superoperator(code.kraus))
+
+
 def test_build_invalid_parameters():
     with pytest.raises(ValueError):
         vc.build(1, 3)
@@ -171,10 +177,13 @@ def test_bulk_state_matches_dense_partial_trace():
 def test_detection_overlap_values():
     code = vc.build(2, 3)
     t3 = code.basis.generators[2]
-    assert abs(vc.detection_overlap(code, 0, 1, 2, 0) - t3[0, 1]) < 1e-14
-    assert abs(vc.detection_overlap(code, 0, 0, 2, 1) - (-1 / 6)) < 1e-13
-    edge = vc.detection_overlap(code, 0, 0, 2, 3)
-    assert abs(edge - code.chi**3 * t3[0, 0]) < 1e-13
+
+    def detection(bond):
+        return vc.edge_overlap(code, ket_insertions=[(bond, t3)])
+
+    assert abs(detection(0)[0, 1] - t3[0, 1]) < 1e-14
+    assert abs(detection(1)[0, 0] - (-1 / 6)) < 1e-13
+    assert abs(detection(3)[0, 0] - code.chi**3 * t3[0, 0]) < 1e-13
 
 
 @pytest.mark.parametrize("d,n_sites", [(2, 6), (3, 3)])
@@ -183,32 +192,31 @@ def test_detection_matches_dense_oracle(d, n_sites):
     for a in range(code.site_dim):
         for bond in range(n_sites + 1):
             ins = [(bond, code.basis.generators[a])]
+            got = vc.edge_overlap(code, ket_insertions=ins)
             for alpha in range(d):
                 for beta in range(d):
-                    got = vc.detection_overlap(code, alpha, beta, a, bond)
                     want = oracles.dense_overlap(code, alpha, beta, ket_insertions=ins)
-                    assert abs(got - want) < 1e-12
+                    assert abs(got[alpha, beta] - want) < 1e-12
+
+
+def _correlation(code, a, b, m, n):
+    g = code.basis.generators
+    return vc.edge_overlap(code, ket_insertions=[(n, g[b]), (m, g[a])])
 
 
 def test_correlation_su2_closed_form():
     code = vc.build(2, 5)
     for m, n in [(0, 2), (1, 4)]:
         for a in range(3):
-            got = vc.correlation(code, 0, 0, a, a, m, n)
+            got = _correlation(code, a, a, m, n)[0, 0]
             assert abs(got - code.chi ** (n - m) / 4.0) < 1e-13
-    off = vc.correlation(code, 0, 1, 1, 1, 1, 3)
+    off = _correlation(code, 1, 1, 1, 3)[0, 1]
     assert abs(off) < 1e-13
 
 
 def test_correlation_d3_value():
     code = vc.build(3, 3)
-    assert abs(vc.correlation(code, 0, 0, 0, 0, 1, 2) - (-5 / 256)) < 1e-13
-
-
-def test_correlation_rejects_bad_bond_order():
-    code = vc.build(2, 3)
-    with pytest.raises(ValueError):
-        vc.correlation(code, 0, 0, 0, 0, 2, 2)
+    assert abs(_correlation(code, 0, 0, 1, 2)[0, 0] - (-5 / 256)) < 1e-13
 
 
 @pytest.mark.parametrize("d,n_sites", [(2, 5), (3, 3)])
@@ -220,7 +228,7 @@ def test_correlation_matches_dense_oracle(d, n_sites):
     for m, n in pairs:
         for _ in range(3):
             a, b = rng.integers(0, code.site_dim, size=2)
-            got = vc.correlation(code, 0, 1, a, b, m, n)
+            got = _correlation(code, a, b, m, n)[0, 1]
             want = oracles.dense_overlap(
                 code, 0, 1, ket_insertions=[(n, g[b]), (m, g[a])]
             )
@@ -231,14 +239,15 @@ def test_correlation_matches_dense_oracle(d, n_sites):
 
 def test_site_expectation_value():
     code = vc.build(2, 3)
-    assert abs(vc.site_expectation(code, 0, 0, 2, 1) - 2 / 3) < 1e-13
+    t3 = code.basis.generators[2]
+    assert abs(vc.site_expectation(code, 2, 1)[0, 0] - 2 / 3) < 1e-13
     # telescope: site term equals the difference of adjacent bond insertions
     for site in (1, 2, 3):
-        got = vc.site_expectation(code, 0, 0, 2, site)
-        want = vc.detection_overlap(code, 0, 0, 2, site - 1) - vc.detection_overlap(
-            code, 0, 0, 2, site
+        got = vc.site_expectation(code, 2, site)
+        want = vc.edge_overlap(code, ket_insertions=[(site - 1, t3)]) - vc.edge_overlap(
+            code, ket_insertions=[(site, t3)]
         )
-        assert abs(got - want) < 1e-14
+        assert np.abs(got - want).max() < 1e-14
 
 
 @pytest.mark.parametrize("d,n_sites", [(2, 4), (3, 3)])
@@ -249,7 +258,9 @@ def test_site_operators_match_dense_oracle(d, n_sites):
     for _ in range(4):
         a, b = (int(x) for x in rng.integers(0, code.site_dim, size=2))
         m, n = sorted(rng.choice(range(1, n_sites + 1), size=2, replace=False))
-        single, with_edge, pair = vc.site_operator_overlaps(code, 0, 1, a, b, m, n)
+        single, with_edge, pair = (
+            v[0, 1] for v in vc.site_operator_overlaps(code, a, b, m, n)
+        )
         t_site_a = oracles.adjoint_site_matrix(code, a)
         t_site_b = oracles.adjoint_site_matrix(code, b)
         want_single = oracles.dense_site_overlap(code, 0, 1, [(n, t_site_a)])
@@ -266,14 +277,59 @@ def test_site_operators_match_dense_oracle(d, n_sites):
 
 def test_site_operator_two_point_vanishes_off_diagonal():
     code = vc.build(2, 4)
-    _, with_edge, pair = vc.site_operator_overlaps(code, 0, 1, 1, 1, 1, 3)
-    assert abs(with_edge) < 1e-13
-    assert abs(pair) < 1e-13
+    _, with_edge, pair = vc.site_operator_overlaps(code, 1, 1, 1, 3)
+    assert abs(with_edge[0, 1]) < 1e-13
+    assert abs(pair[0, 1]) < 1e-13
+
+
+@pytest.mark.parametrize("d,n_sites", [(2, 4), (3, 3)])
+def test_site_helpers_stack_like_the_closed_forms(d, n_sites):
+    code = vc.build(d, n_sites)
+    q = code.site_dim
+    idx = np.arange(q)
+    a, b = idx[:, None], idx[None, :]
+    m, n = 1, n_sites
+    singles = vc.site_expectation(code, idx, n)
+    stacked = vc.site_operator_overlaps(code, a, b, m, n)
+    closed = vc.site_overlap_closed_forms(code, a, b, m, n)
+    residuals = vc.sum_rule_check(code, idx)
+    assert singles.shape == residuals.shape == (q, d, d)
+    assert [v.shape for v in stacked] == [(q, 1, d, d), (q, q, d, d), (q, q, d, d)]
+    assert [v.shape for v in closed] == [(q, 1, d, d), (q, q, d, d), (q, q, d, d)]
+    # numpy sends a one-matrix transfer step to gemv and a stack to gemm, so
+    # the transfer values agree with their integer-index calls to rounding
+    for i in range(q):
+        assert np.abs(singles[i] - vc.site_expectation(code, i, n)).max() < 1e-15
+        assert np.abs(residuals[i] - vc.sum_rule_check(code, i)).max() < 1e-15
+        for j in range(q):
+            values = vc.site_operator_overlaps(code, i, j, m, n)
+            forms = vc.site_overlap_closed_forms(code, i, j, m, n)
+            entries = [(i, 0), (i, j), (i, j)]
+            for got, one, form, many, at in zip(stacked, values, forms, closed, entries):
+                assert np.abs(got[at] - one).max() < 1e-15
+                assert np.array_equal(many[at], form)
+    assert residuals.max() < 1e-12
+    g = code.basis.generators
+    for i, j in [(0, 0), (q - 1, 0), (1, 1), (0, q - 1)]:
+        t_site_i = oracles.adjoint_site_matrix(code, i)
+        t_site_j = oracles.adjoint_site_matrix(code, j)
+        for alpha in range(d):
+            for beta in range(d):
+                want = oracles.dense_site_overlap(code, alpha, beta, [(n, t_site_i)])
+                assert abs(singles[i, alpha, beta] - want) < 1e-12
+                want = oracles.dense_site_overlap(
+                    code, alpha, beta, [(n, t_site_i), (n_sites + 1, g[j])]
+                )
+                assert abs(stacked[1][i, j, alpha, beta] - want) < 1e-12
+                want = oracles.dense_site_overlap(
+                    code, alpha, beta, [(m, t_site_i), (n, t_site_j)]
+                )
+                assert abs(stacked[2][i, j, alpha, beta] - want) < 1e-12
 
 
 def test_sum_rule():
-    assert vc.sum_rule_check(vc.build(2, 10), 2, 0, 0) < 1e-12
-    assert vc.sum_rule_check(vc.build(3, 5), 4, 0, 2) < 1e-12
+    assert vc.sum_rule_check(vc.build(2, 10), 2).max() < 1e-12
+    assert vc.sum_rule_check(vc.build(3, 5), 4).max() < 1e-12
     code1 = vc.build(2, 1)
     t = code1.basis.generators[0]
     edge = vc.edge_overlap(code1, ket_insertions=[(1, t)])
@@ -315,6 +371,19 @@ def test_effective_noise_channel_validation():
         vc.effective_noise_channel(code, np.zeros(4))
     with pytest.raises(ValueError):
         vc.effective_noise_channel(code, np.zeros(3), bonds=[])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_compressed_transversal_gate_general_factors(d):
+    rng = np.random.default_rng(d)
+    q = d * d - 1
+    for n_sites in range(1, 7):
+        code = vc.build(d, n_sites)
+        w = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
+        edge = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        got = vc.compressed_transversal_gate(code, w, edge)
+        want = oracles.transversal_gate_by_sites(code, w, edge)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_covariant_gate_identity():
@@ -471,4 +540,4 @@ def test_site_overlap_internal_check_raises_on_tampering():
             kraus=code.kraus * 1.0000001,
             chi=code.chi,
         )
-        vc.site_operator_overlaps(broken, 0, 0, 0, 0, 1, 2)
+        vc.site_operator_overlaps(broken, 0, 0, 1, 2)
