@@ -1,6 +1,8 @@
-"""Brute-force oracles: dense ones for the transfer contractions, and a
-step-by-step product for the trajectory scan."""
+"""Brute-force oracles: dense ones for the transfer contractions, a
+step-by-step product for the trajectory scan, and the einsum rotation of
+the KL report."""
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -100,3 +102,22 @@ def transversal_gate_by_sites(code, site_matrix, edge_matrix):
         t1 = np.einsum("jba,bc->jac", code.kraus.conj(), c)
         c = np.einsum("jac,ji,icd->ad", t1, site_matrix, code.kraus)
     return c
+
+
+def einsum_rotated_report(report, compressions):
+    """``report`` with its residual fields rebuilt by the three-operand
+    einsum that once rotated the compressions: O(K^4 d_L^2), kept as the
+    reference for the two-product rotation."""
+    m = np.asarray(compressions, dtype=complex)
+    k, d_l = report.error_count, report.logical_dim
+    residuals = np.einsum("ki,lj,ijab->klab", report.rotation.conj(), report.rotation, m)
+    idx = np.arange(k)
+    residuals[idx, idx] -= report.eigenvalues[:, None, None] * np.eye(d_l)
+    weights = np.einsum("klab,klab->kl", residuals.conj(), residuals).real
+    retained = report.retained
+    first_order = float(
+        weights[retained, :].sum(axis=1) @ (1.0 / report.eigenvalues[retained]) / (2.0 * d_l)
+    )
+    return replace(
+        report, residuals=residuals, residual_weights=weights, first_order_distance=first_order
+    )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from qx import exact_codes as ec
 from qx import qec_core as qc
 from qx import vbs_code as vc
@@ -319,6 +320,84 @@ def test_epsilon_matches_transfer_route():
     assert abs(dense_eps - qc.epsilon_from_report(transfer_report)) < 1e-12
 
 
+def _random_compressions(k, d_l, seed, d_q=12):
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    iso, _ = np.linalg.qr(gaussian(d_q, d_l))
+    stacks = gaussian(d_q, k, d_l) / np.sqrt(d_q * k)
+    return qc.error_compressions(qc.CodeIsometry(isometry=iso), stacks)
+
+
+def _assert_close(got, want):
+    """Agreement to 1e-13 relative to the largest reference entry, or 1e-15
+    absolute."""
+    got, want = np.asarray(got), np.asarray(want)
+    gap = np.abs(got - want).max()
+    assert gap <= max(1e-13 * np.abs(want).max(), 1e-15), gap
+
+
+@pytest.mark.parametrize(
+    "source",
+    [("random", k, d_l) for k in (1, 4, 17) for d_l in (2, 3)]
+    + [("vbs", 3, 6, "bond:all"), ("vbs", 4, 4, "bond")],
+)
+def test_rotation_matches_einsum_oracle(source):
+    if source[0] == "random":
+        _, k, d_l = source
+        m = _random_compressions(k, d_l, seed=10 * k + d_l)
+    else:
+        _, d, n_sites, errors = source
+        code = vc.build(d, n_sites)
+        bonds = list(range(1, n_sites + 1)) if errors == "bond:all" else None
+        m = vc.bond_error_compressions(code, bonds, strength=0.1)
+    report = qc.kl_report_from_compressions(m)
+    reference = oracles.einsum_rotated_report(report, m)
+    _assert_close(report.residuals, reference.residuals)
+    _assert_close(report.residual_weights, reference.residual_weights)
+    _assert_close(report.first_order_distance, reference.first_order_distance)
+    _assert_close(qc.epsilon_from_report(report), qc.epsilon_from_report(reference))
+
+
+def _report_fields(text):
+    return dict(line.split(": ", 1) for line in text.strip().splitlines())
+
+
+def test_total_residual_weight_is_basis_free():
+    code = vc.build(2, 4)
+    iso = vc.dense_isometry(code)
+    stacks = vc.bond_error_stacks(code, list(range(1, 5)), strength=0.1)
+    report = qc.kl_decompose(iso, stacks)
+    total = report.residual_weights.sum()
+    m = qc.error_compressions(iso, report.error_stacks)
+    d_l = report.logical_dim
+    traceless = m - np.einsum("ijaa->ij", m)[..., None, None] / d_l * np.eye(d_l)
+    input_basis = np.sum(np.abs(traceless) ** 2)
+    assert abs(total - input_basis) <= 1e-12 * input_basis
+    rng = np.random.default_rng(6)
+    k = report.error_count
+    y, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+    rotated = qc.kl_decompose(iso, qc.span_transform(stacks, y))
+    assert abs(rotated.residual_weights.sum() - total) <= 1e-12 * total
+    fields = _report_fields(qc.format_kl_report(report))
+    assert fields["total_residual_weight"] == qc._fmt_float(total)
+
+
+def test_format_kl_report_is_linear_in_error_count():
+    texts = []
+    for d, n_sites in ((2, 4), (3, 10)):
+        code = vc.build(d, n_sites)
+        report = qc.kl_report_from_compressions(
+            vc.bond_error_compressions(code, list(range(1, n_sites + 1)), strength=0.1)
+        )
+        report.epsilon = qc.epsilon_from_report(report)
+        texts.append(qc.format_kl_report(report))
+    assert _report_fields(texts[0]).keys() == _report_fields(texts[1]).keys()
+    assert len(texts[1].encode()) < 4096
+
+
 def test_span_transform_identity_and_permutation():
     code, iso, stacks, report = edge_report(2, 3)
     same = qc.span_transform(stacks, np.eye(4))
@@ -535,8 +614,7 @@ def test_format_kl_report_stable():
         "exact_distance",
         "diamond_bracket",
         "epsilon",
-        "gram_real",
-        "residual_weights",
+        "total_residual_weight",
     ):
         assert f"{key}:" in text
     assert text == qc.format_kl_report(report)
