@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import exact_codes, qec_core, quasi_universality, su_algebra, vbs_code
+from .qec_core import _fmt_float
 from .quantum_ops import trace_distance
 from .rng import make_generator, stable_seed
 
@@ -25,10 +26,6 @@ SWEEP_HEADER = (
     "d,N,chi,eta,max_detect_closedform_residual,max_corr_closedform_residual,"
     "edge_fixedpoint_distance,epsilon,erasure_bound"
 )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
 
 
 def read_isometry(path: str) -> np.ndarray:
@@ -78,8 +75,8 @@ def cmd_algebra(args) -> int:
             basis, g1
         ) @ su_algebra.adjoint_group_element(basis, g2)
         hom = max(hom, float(np.abs(lhs - rhs).max()))
-    lines = [f"{name}: {_fmt(value)}" for name, value in residuals.items()]
-    lines.append(f"adjoint_homomorphism: {_fmt(hom)}")
+    lines = [f"{name}: {_fmt_float(value)}" for name, value in residuals.items()]
+    lines.append(f"adjoint_homomorphism: {_fmt_float(hom)}")
     _emit("\n".join(lines) + "\n", args.output)
     ok = all(v < args.tol for v in residuals.values()) and hom < 100.0 * args.tol
     return 0 if ok else 1
@@ -131,7 +128,7 @@ def _sweep_point(d: int, n: int, strength: float) -> dict:
 def _format_points(points, fmt: str) -> str:
     """Sweep points as CSV rows under SWEEP_HEADER, or as blocks of
     'name: value' lines separated by blank lines."""
-    rows = [[str(x) if isinstance(x, int) else _fmt(x) for x in p.values()] for p in points]
+    rows = [[str(x) if isinstance(x, int) else _fmt_float(x) for x in p.values()] for p in points]
     if fmt == "csv":
         return "\n".join([SWEEP_HEADER] + [",".join(row) for row in rows]) + "\n"
     names = SWEEP_HEADER.split(",")
@@ -218,11 +215,17 @@ def cmd_kl(args) -> int:
         n_qubits = int(iso.d_q).bit_length() - 1
         if 2**n_qubits != iso.d_q:
             raise UsageError("pauli1 errors need a qubit-factorable physical space")
-        noise = exact_codes.single_qubit_depolarizing(n_qubits, args.strength)
-        report = qec_core.kl_decompose(
-            iso, exact_codes.weight_one_paulis(n_qubits), cutoff_rel=args.cutoff
-        )
-        _set_exact_distance(iso, report, [k @ iso.isometry for k in noise.kraus])
+        # the route allocates the K = 3n error stacks P_i V, then K + 1 noise stacks
+        amplitudes = (6 * n_qubits + 1) * iso.d_q * iso.d_l
+        if amplitudes > vbs_code.DENSE_STACK_CAP:
+            raise UsageError(f"pauli1 on a {iso.d_q}x{iso.d_l} isometry needs {amplitudes} "
+                             f"amplitudes, over the budget of {vbs_code.DENSE_STACK_CAP}")
+        # the stacks of a square V would read as physical operators of equal size
+        paulis = (exact_codes.weight_one_pauli_stacks(iso.isometry) if iso.d_q > iso.d_l
+                  else exact_codes.weight_one_paulis(n_qubits))
+        report = qec_core.kl_decompose(iso, paulis, cutoff_rel=args.cutoff)
+        noise = exact_codes.depolarizing_stacks(iso.isometry, report.error_stacks, args.strength)
+        _set_exact_distance(iso, report, noise)
     report.epsilon = qec_core.epsilon_from_report(report)
     _emit(qec_core.format_kl_report(report), args.output)
     return 0
@@ -242,9 +245,9 @@ def cmd_simulate(args) -> int:
         )
         finals.append(trajectory.final_distance)
     lines = ["trial,final_distance"]
-    lines.extend(f"{t},{_fmt(x)}" for t, x in enumerate(finals))
-    lines.append(f"mean,{_fmt(float(np.mean(finals)))}")
-    lines.append(f"max,{_fmt(float(np.max(finals)))}")
+    lines.extend(f"{t},{_fmt_float(x)}" for t, x in enumerate(finals))
+    lines.append(f"mean,{_fmt_float(float(np.mean(finals)))}")
+    lines.append(f"max,{_fmt_float(float(np.max(finals)))}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

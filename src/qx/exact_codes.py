@@ -13,9 +13,11 @@ __all__ = [
     "PAULI",
     "pauli_string",
     "weight_one_paulis",
+    "weight_one_pauli_stacks",
     "five_qubit_code",
     "four_two_two_code",
     "single_qubit_depolarizing",
+    "depolarizing_stacks",
     "product_gauge_split",
 ]
 
@@ -34,12 +36,18 @@ def pauli_string(spec: str) -> np.ndarray:
 
 def weight_one_paulis(n_qubits: int) -> list[np.ndarray]:
     """All 3n single-qubit Pauli errors, site-major then X, Y, Z."""
-    out = []
-    for site in range(n_qubits):
-        for label in "XYZ":
-            spec = "I" * site + label + "I" * (n_qubits - site - 1)
-            out.append(pauli_string(spec))
-    return out
+    return weight_one_pauli_stacks(np.eye(2**n_qubits))
+
+
+def weight_one_pauli_stacks(isometry: np.ndarray) -> list[np.ndarray]:
+    """The code-state stacks P_i V of :func:`weight_one_paulis`, in its order,
+    each formed on one qubit axis of V without a 2^n x 2^n operator."""
+    v = np.asarray(isometry, dtype=complex)
+    stacks = []
+    for site in range(v.shape[0].bit_length() - 1):
+        qubit = v.reshape(2**site, 2, -1)  # (qubits before, this qubit, the rest x d_L)
+        stacks += [np.einsum("ab,ibj->iaj", PAULI[c], qubit).reshape(v.shape) for c in "XYZ"]
+    return stacks
 
 
 def _stabilizer_isometry(n_qubits: int, stabilizers, logical_xs) -> np.ndarray:
@@ -75,12 +83,19 @@ def four_two_two_code() -> CodeIsometry:
 
 def single_qubit_depolarizing(n_qubits: int, strength: float) -> KrausChannel:
     """Trace-preserving noise: identity plus uniformly weighted weight-1 Paulis."""
+    eye = np.eye(2**n_qubits, dtype=complex)
+    stacks = depolarizing_stacks(eye, np.stack(weight_one_paulis(n_qubits), axis=1), strength)
+    return KrausChannel.from_kraus(stacks.transpose(1, 0, 2))
+
+
+def depolarizing_stacks(isometry, pauli_stacks: np.ndarray, strength: float) -> np.ndarray:
+    """Code-state stacks of :func:`single_qubit_depolarizing` as one
+    (d_Q, K + 1, d_L) array: sqrt(1 - p) V, then sqrt(p / K) P_i V for the
+    (d_Q, K, d_L) array of stacks P_i V."""
     if not 0.0 < strength < 1.0:
         raise ValueError("noise strength must lie strictly between 0 and 1")
-    errors = weight_one_paulis(n_qubits)
-    kraus = [np.sqrt(1.0 - strength) * np.eye(2**n_qubits, dtype=complex)]
-    kraus.extend(np.sqrt(strength / len(errors)) * e for e in errors)
-    return KrausChannel.from_kraus(kraus)
+    weighted = np.sqrt(strength / pauli_stacks.shape[1]) * pauli_stacks
+    return np.concatenate([np.sqrt(1.0 - strength) * isometry[:, None], weighted], axis=1)
 
 
 def product_gauge_split() -> SubsystemSplit:

@@ -23,7 +23,7 @@ from .quantum_ops import (
     omega_matrix,
     trace_distance,
 )
-from .su_algebra import expi_hermitian
+from .su_algebra import check_unitary, expi_hermitian
 
 __all__ = [
     "CodeIsometry",
@@ -252,14 +252,19 @@ def _completion_remainder(s: np.ndarray) -> tuple[float, np.ndarray]:
 
     Quasi residuals can push the top of sum R+R = T+T above one, where the
     square-root completion would not exist: every R_k is then damped by the
-    common factor 1/sqrt(s_max).  The damped remainder is formed as
-    (s_max - s) / s_max, so the top mode is exactly 0 rather than a rounding
-    error whose square root (~1e-8) would enter the completion.
+    common factor 1/sqrt(s_max), and the remainder is (s_max - s) / s_max.
+    Symmetry makes the top of T+T an exactly degenerate cluster (24 modes
+    at vbs:3:5 bond) that rounding splits: ``eigh`` is backward stable, so
+    by Weyl's inequality each computed eigenvalue of the n x n operand is off
+    by at most c n eps s_max.  Every remainder within 64 n eps (c = 32 on
+    both ends of a gap) is set to exactly 0; its square root (up to ~1e-7)
+    would otherwise enter the completion.
     """
     top = s.max()
-    if top > 1.0 + COMPLETION_TOL:
-        return 1.0 / np.sqrt(top), (top - s) / top
-    return 1.0, 1.0 - s
+    damping = 1.0 / np.sqrt(top) if top > 1.0 + COMPLETION_TOL else 1.0
+    remainder = (top - s) / top if damping < 1.0 else 1.0 - s
+    remainder[np.abs(remainder) <= 64 * len(s) * np.finfo(float).eps] = 0.0
+    return damping, remainder
 
 
 def _recovery_kernel(report: KLReport, normalization: str):
@@ -401,16 +406,17 @@ def epsilon_from_report(report: KLReport) -> float:
     """Correctability measure from the two system-to-environment maps.
 
     The constant map sends every state to the Gram matrix on the environment
-    index; the perturbed map adds tr(rho B_kl) on top.  Both Choi matrices
-    are formed in the rotated environment basis (the value is invariant
-    under that rotation) and compared in trace distance.
+    index; the perturbed map adds tr(rho B_kl) on top.  Their Choi matrices
+    differ by the Choi matrix of the residual map alone, formed in the
+    rotated environment basis (the value is invariant under that rotation),
+    so epsilon is half its trace norm (its trace distance from zero), with
+    no O(1) part to cancel.
     """
     k = report.error_count
     d_l = report.logical_dim
-    choi_const = np.kron(np.diag(report.eigenvalues), np.eye(d_l)) / d_l
     # Choi of rho -> sum_kl tr(rho B_kl) |k><l| : entry ((k,a),(l,b)) = B_kl[b,a]/d_L.
     choi_resid = report.residuals.transpose(0, 3, 1, 2).reshape(k * d_l, k * d_l) / d_l
-    return trace_distance(choi_const + choi_resid, choi_const)
+    return trace_distance(choi_resid, np.zeros_like(choi_resid))
 
 
 def correctability_epsilon(code: CodeIsometry, errors) -> float:
@@ -440,11 +446,7 @@ def logical_operator_check(
     ``compressed`` is G (the induced logical gate whenever the deviation is
     small).
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (code.d_q, code.d_q):
-        raise ValueError(f"operator shape {u.shape} does not match d_Q={code.d_q}")
-    if np.linalg.norm(u.conj().T @ u - np.eye(code.d_q), 2) > 1e-8:
-        raise ValueError("operator is not unitary")
+    u = check_unitary(u, code.d_q, tol=1e-8)
     moved = u @ code.isometry
     compressed = code.isometry.conj().T @ moved
     deviation = float(np.linalg.norm(moved - code.isometry @ compressed, 2))
@@ -495,32 +497,21 @@ def transversal_collapse_check(
     return h, logical_part, collapse, factorization
 
 
-@dataclass(frozen=True)
-class SubsystemSplit:
+@dataclass(frozen=True, kw_only=True)
+class SubsystemSplit(CodeIsometry):
     """Code space factored as logical x gauge inside the physical space.
 
     ``isometry`` maps the d_T * d_J dimensional product space (logical factor
     major) onto the code subspace.
     """
 
-    isometry: np.ndarray
     d_t: int
     d_j: int
 
     def __post_init__(self):
-        v = np.asarray(self.isometry, dtype=complex)
-        object.__setattr__(self, "isometry", v)
-        if self.d_t < 1 or self.d_j < 1 or v.shape[1] != self.d_t * self.d_j:
+        super().__post_init__()
+        if self.d_t < 1 or self.d_j < 1 or self.d_l != self.d_t * self.d_j:
             raise ValueError("degenerate split: factor dimensions do not match")
-        if np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() > ISOMETRY_TOL:
-            raise ValueError("split basis is not orthonormal")
-
-    @property
-    def d_q(self) -> int:
-        return self.isometry.shape[0]
-
-    def projector(self) -> np.ndarray:
-        return self.isometry @ self.isometry.conj().T
 
 
 def default_gauge_states(d_j: int) -> list[np.ndarray]:
@@ -552,7 +543,7 @@ def subsystem_kl_check(split: SubsystemSplit, errors, gauge_states=None):
     d_t, d_j = split.d_t, split.d_j
     eye_t = np.eye(d_t)
     ops = np.asarray(errors, dtype=complex)
-    m = error_compressions(CodeIsometry(isometry=v), (ops @ v).transpose(1, 0, 2))
+    m = error_compressions(split, (ops @ v).transpose(1, 0, 2))
     k = m.shape[0]
     block = m.reshape(k, k, d_t, d_j, d_t, d_j)
     j_ops = np.einsum("ijtatb->ijab", block) / d_t
@@ -579,13 +570,10 @@ def subsystem_gate_factorization(u: np.ndarray, split: SubsystemSplit, tol: floa
 
     Compresses the gate to the code space, extracts the closest unitary
     acting on the logical factor alone, and reports the deviation
-    ||compressed - U_T x I_J||.  Raises when the gate does not preserve the
-    code space.
+    ||compressed - U_T x I_J||.  Raises when the gate is not unitary or does
+    not preserve the code space.
     """
-    u = np.asarray(u, dtype=complex)
-    moved = u @ split.isometry
-    compressed = split.isometry.conj().T @ moved
-    leak = float(np.linalg.norm(moved - split.isometry @ compressed, 2))
+    leak, compressed = logical_operator_check(u, split)
     if leak > tol:
         raise ValueError(f"gate leaks out of the code space (deviation {leak:.3e})")
     block = compressed.reshape(split.d_t, split.d_j, split.d_t, split.d_j)

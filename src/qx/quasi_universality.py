@@ -8,7 +8,7 @@ from math import floor, isqrt
 import numpy as np
 
 from .rng import make_generator
-from .su_algebra import expi_hermitian, gell_mann_basis, random_special_unitary
+from .su_algebra import _expi_eigh, check_unitary, gell_mann_basis, random_special_unitary
 from . import vbs_code
 from .vbs_code import eta
 
@@ -31,30 +31,19 @@ SIM_PEAK_STACKS = 7
 TIE_DECIMALS = 12
 
 
-def _check_unitary(u: np.ndarray, dim: int | None = None, ndim: int = 2) -> np.ndarray:
-    """u as a complex array of ``ndim`` axes whose last two form unitaries."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != ndim or u.shape[-1] != u.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {u.shape[ndim - 2:]}")
-    if dim is not None and u.shape[-1] != dim:
-        raise ValueError(f"expected dimension {dim}, got {u.shape[-1]}")
-    gram = np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])
-    if np.any(np.linalg.norm(gram, 2, axis=(-2, -1)) > UNITARY_TOL):
-        raise ValueError("matrix is not unitary")
-    return u
-
-
-def unitary_distance(u: np.ndarray, v: np.ndarray) -> float:
+def unitary_distance(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """Global-phase-minimized operator-norm distance between unitaries.
 
     min over phases of ||u - e^(i phi) v||.  Since v+u is unitary, the
     minimum is reached at the midpoint of the smallest arc enclosing its
-    eigenphases: for enclosing width W the distance is 2 sin(W/4).
+    eigenphases: for enclosing width W the distance is 2 sin(W/4).  A stack
+    ``v`` of shape (..., d, d) gives the array of distances to each of its
+    matrices; a single v gives a float.
     """
-    u = _check_unitary(u)
-    v = _check_unitary(v, u.shape[0])
-    phases = np.angle(np.linalg.eigvals(v.conj().T @ u))
-    return float(_arc_distances(phases[None])[0])
+    u = check_unitary(u, tol=UNITARY_TOL)
+    v = check_unitary(v, u.shape[0], ndim=max(np.ndim(v), 2), tol=UNITARY_TOL)
+    distances = _phase_distances(u, v)
+    return float(distances) if v.ndim == 2 else distances
 
 
 @dataclass(frozen=True)
@@ -86,7 +75,7 @@ def build_gate_cell_table(
     reps: list[np.ndarray] = [np.eye(dim, dtype=complex)]
     for _ in range(n_samples):
         candidate = random_special_unitary(basis, rng)
-        if all(unitary_distance(candidate, r) > accuracy for r in reps):
+        if (unitary_distance(candidate, np.array(reps)) > accuracy).all():
             reps.append(candidate)
     return GateCellTable(dim=dim, accuracy=accuracy, representatives=tuple(reps))
 
@@ -99,12 +88,8 @@ def cell_assign(table: GateCellTable, u: np.ndarray) -> int:
     """
     if not table.representatives:
         raise ValueError("gate-cell table is empty")
-    u = _check_unitary(u, table.dim)
-    distances = [
-        round(unitary_distance(u, rep), TIE_DECIMALS)
-        for rep in table.representatives
-    ]
-    return int(np.argmin(distances))
+    distances = unitary_distance(u, np.array(table.representatives))
+    return int(np.argmin(np.round(distances, TIE_DECIMALS)))
 
 
 def max_gate_count(target: float, accuracy: float, synthesis_error: float = 0.0) -> int:
@@ -150,20 +135,20 @@ class SimTrajectory:
         return float(self.distances[-1])
 
 
-def _batched_expi(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(i h) and the eigenvalues for a stack of Hermitian matrices."""
-    w, v = np.linalg.eigh((h + h.conj().transpose(0, 2, 1)) / 2.0)
-    phase = np.exp(1j * w)
-    return np.einsum("lik,lk,ljk->lij", v, phase, v.conj()), w
-
-
 def _arc_distances(phases: np.ndarray) -> np.ndarray:
-    """Phase-minimized distances 2 sin(W/4) for stacked eigenphase rows,
-    each phase in [-pi, pi] as np.angle returns it."""
-    ordered = np.sort(phases, axis=1)
-    gaps = np.diff(ordered, axis=1, append=(ordered[:, :1] + 2.0 * np.pi))
-    widths = np.clip(2.0 * np.pi - gaps.max(axis=1), 0.0, None)
+    """Phase-minimized distances 2 sin(W/4) for stacked eigenphase rows
+    (..., d), each phase in [-pi, pi] as np.angle returns it."""
+    ordered = np.sort(phases, axis=-1)
+    gaps = np.diff(ordered, axis=-1, append=(ordered[..., :1] + 2.0 * np.pi))
+    widths = np.clip(2.0 * np.pi - gaps.max(axis=-1), 0.0, None)
     return 2.0 * np.sin(widths / 4.0)
+
+
+def _phase_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Unchecked :func:`unitary_distance` between broadcasting stacks of
+    unitaries (..., d, d), from the eigenphases of v+ u."""
+    relative = np.einsum("...ba,...bc->...ac", v.conj(), u)
+    return _arc_distances(np.angle(np.linalg.eigvals(relative)))
 
 
 def _cumulative_products(seq: np.ndarray) -> np.ndarray:
@@ -247,32 +232,29 @@ def simulate_computation(
     rng = make_generator(seed)
     if gates is None:
         weights = rng.normal(0.0, 1.0, size=(length, basis.size))
-        gate_stack, _ = _batched_expi(
-            np.einsum("lk,kij->lij", weights, basis.generators)
-        )
+        gate_stack, _ = _expi_eigh(np.einsum("lk,kij->lij", weights, basis.generators))
     else:
         try:
             gate_stack = np.asarray(gates, dtype=complex)
         except ValueError:  # ragged: the per-gate check names the first misfit
             for g in gates:
-                _check_unitary(g, d)
+                check_unitary(g, d, tol=UNITARY_TOL)
             raise
         if len(gate_stack) < length:
             raise ValueError(f"need {length} gates, got {len(gate_stack)}")
-        gate_stack = _check_unitary(gate_stack, d, ndim=3)[:length]
+        gate_stack = check_unitary(gate_stack, d, ndim=3, tol=UNITARY_TOL)[:length]
     if error_dist == "uniform":
         exponents = rng.uniform(-1.0, 1.0, size=(length, basis.size))
     else:
         exponents = rng.normal(0.0, 1.0, size=(length, basis.size))
-    error_gates, error_eigs = _batched_expi(
+    error_gates, error_eigs = _expi_eigh(
         scale * np.einsum("lk,kij->lij", exponents, basis.generators)
     )
     step_errors = _arc_distances(np.mod(error_eigs + np.pi, 2.0 * np.pi) - np.pi)
     noisy = _cumulative_products(gate_stack @ error_gates)  # steps G_l E_l
     del error_gates  # before the ideal scan, or the peak passes SIM_PEAK_STACKS
     ideal = _cumulative_products(gate_stack)
-    relative = np.einsum("lba,lbc->lac", ideal.conj(), noisy)
-    distances = _arc_distances(np.angle(np.linalg.eigvals(relative)))
+    distances = _phase_distances(noisy, ideal)
     return SimTrajectory(
         seed=seed,
         length=length,

@@ -13,6 +13,7 @@ __all__ = [
     "adjoint_generator",
     "adjoint_group_element",
     "invariant_residuals",
+    "check_unitary",
     "expi_hermitian",
     "random_special_unitary",
 ]
@@ -121,11 +122,7 @@ def adjoint_group_element(basis: SuBasis, u: np.ndarray) -> np.ndarray:
     traceless operators transform as x -> R x.  With this orientation R is a
     group homomorphism: R(u v) = R(u) R(v).
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (basis.d, basis.d):
-        raise ValueError(f"expected a {basis.d}x{basis.d} unitary, got {u.shape}")
-    if np.linalg.norm(u.conj().T @ u - np.eye(basis.d), 2) > UNITARY_TOL:
-        raise ValueError("input matrix is not unitary")
+    u = check_unitary(u, basis.d)
     g = basis.generators
     r = 2.0 * np.einsum("iab,bc,jcd,da->ij", g, u, g, u.conj().T)
     if np.abs(r.imag).max() > UNITARY_TOL:
@@ -184,10 +181,31 @@ def invariant_residuals(basis: SuBasis) -> dict[str, float]:
     return res
 
 
+def check_unitary(u: np.ndarray, dim=None, ndim: int = 2, tol: float = UNITARY_TOL) -> np.ndarray:
+    """u as a complex array of ``ndim`` axes whose last two form unitaries,
+    each within ``tol`` of unitary in operator norm."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != ndim or u.shape[-1] != u.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {u.shape[ndim - 2:]}")
+    if dim is not None and u.shape[-1] != dim:
+        raise ValueError(f"expected dimension {dim}, got {u.shape[-1]}")
+    gram = np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])
+    if np.any(np.linalg.norm(gram, 2, axis=(-2, -1)) > tol):
+        raise ValueError("matrix is not unitary")
+    return u
+
+
+def _expi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(i h) and the eigenvalues of h, for a Hermitian h or a stack
+    (..., n, n); the product v e^(iw) v+ is one einsum over the stack."""
+    h = np.asarray(h, dtype=complex)
+    w, v = np.linalg.eigh((h + np.swapaxes(h.conj(), -1, -2)) / 2.0)
+    return np.einsum("...ik,...k,...jk->...ij", v, np.exp(1j * w), v.conj()), w
+
+
 def expi_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(i h) for Hermitian h, through the eigendecomposition."""
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    """exp(i h) for a Hermitian h or a stack (..., n, n) of them."""
+    return _expi_eigh(h)[0]
 
 
 def random_special_unitary(

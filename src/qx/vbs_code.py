@@ -21,12 +21,10 @@ from math import prod, sqrt
 
 import numpy as np
 
+from .qec_core import CodeIsometry
 from .quantum_ops import KrausChannel, choi_matrix, trace_distance
 from .su_algebra import (
-    SuBasis,
-    adjoint_group_element,
-    expi_hermitian,
-    gell_mann_basis,
+    SuBasis, adjoint_group_element, check_unitary, expi_hermitian, gell_mann_basis,
 )
 
 __all__ = [
@@ -237,8 +235,6 @@ def encode_dense(code: VbsCode, logical, insertions=()) -> np.ndarray:
 
 def dense_isometry(code: VbsCode):
     """Dense encodings of the logical basis as a code isometry."""
-    from .qec_core import CodeIsometry
-
     states = encode_dense(code, np.eye(code.d))
     return CodeIsometry(isometry=np.ascontiguousarray(states.T), site_dims=code.site_dims)
 
@@ -380,12 +376,11 @@ def effective_noise_channel(
     if not bonds:
         raise ValueError("bond list must not be empty")
     h = np.einsum("k,kij->ij", eps, code.basis.generators)
-    weight = 1.0 / sqrt(len(bonds))
-    mixture = KrausChannel.from_kraus(
-        [weight * expi_hermitian(code.chi**n * h) for n in bonds]
-    )
-    scale = float(np.mean([code.chi**n for n in bonds]))
-    unitary = expi_hermitian(scale * h)
+    scales = code.chi ** np.array(bonds, dtype=float)
+    # one stacked call: the bond gates, then the proxy at the mean scale
+    gates = expi_hermitian(np.append(scales, scales.mean())[:, None, None] * h)
+    mixture = KrausChannel.from_kraus(gates[:-1] * (1.0 / sqrt(len(bonds))))
+    unitary = gates[-1]
     proxy = KrausChannel.from_kraus([unitary])
     discrepancy = trace_distance(choi_matrix(mixture), choi_matrix(proxy))
     return mixture, unitary, discrepancy
@@ -431,9 +426,7 @@ def covariant_gate(code: VbsCode, g: np.ndarray) -> CovariantGateResult:
     qec_core.logical_operator_check gives the full-precision value when the
     dense operator is affordable.
     """
-    g = np.asarray(g, dtype=complex)
-    if np.linalg.norm(g.conj().T @ g - np.eye(code.d), 2) > 1e-10:
-        raise ValueError("gate is not unitary")
+    g = check_unitary(g, code.d)
     site = adjoint_group_element(code.basis, g)
     logical = compressed_transversal_gate(code, site, g)
     diag = np.abs(np.diag(g.conj().T @ logical))

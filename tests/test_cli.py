@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qx import cli
+from qx import cli, qec_core
+from qx import exact_codes as ec
 from qx import vbs_code as vc
 
 
@@ -160,6 +161,62 @@ def test_kl_four_two_two(tmp_path):
     assert int(body["error_count"]) == 12
     # a distance-2 code only detects: residual weights stay macroscopic
     assert float(body["max_residual_weight"]) > 0.1
+
+
+def _dense_pauli1_report(iso, strength=0.1):
+    """The pauli1 report through dense 2^n x 2^n Paulis and Kraus operators."""
+    n_qubits = iso.d_q.bit_length() - 1
+    report = qec_core.kl_decompose(iso, ec.weight_one_paulis(n_qubits))
+    noise = ec.single_qubit_depolarizing(n_qubits, strength).kraus
+    cli._set_exact_distance(iso, report, list(noise))  # physical operators
+    report.epsilon = qec_core.epsilon_from_report(report)
+    return qec_core.format_kl_report(report).encode()
+
+
+def test_kl_pauli1_stacks_match_dense_operators(tmp_path):
+    for name, iso in (("five_one_three", ec.five_qubit_code()),
+                      ("four_two_two", ec.four_two_two_code())):
+        code, text = run_cli(["kl", "--code", name], tmp_path, f"{name}.txt")
+        assert code == 0 and text == _dense_pauli1_report(iso)
+    # a square isometry: its (d_Q, d_L) stacks have the shape of physical
+    # operators, so only the operator form applies each noise operator once
+    square = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))[0]
+    path = tmp_path / "square.mat"
+    cli.write_isometry(str(path), square)
+    code, text = run_cli(["kl", "--code", f"file:{path}"], tmp_path, "square.txt")
+    assert code == 0
+    loaded = qec_core.CodeIsometry(isometry=cli.read_isometry(str(path)))
+    assert text == _dense_pauli1_report(loaded)
+
+
+def test_kl_pauli1_file_memory_scales_with_stacks(tmp_path):
+    # 8 qubits, d_L = 2: 24 stacks of 512 amplitudes (196 kB); the dense
+    # operators took about 78 MB
+    rng = np.random.default_rng(3)
+    iso, _ = np.linalg.qr(rng.normal(size=(256, 2)) + 1j * rng.normal(size=(256, 2)))
+    path = tmp_path / "eight.mat"
+    cli.write_isometry(str(path), iso)
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(["kl", "--code", f"file:{path}"], tmp_path, "eight.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 24 * 256 * 2 * 16
+
+
+def test_kl_pauli1_over_budget_exits_2(tmp_path, capsys):
+    # 17 qubits, d_L = 3: (6 * 17 + 1) * 2^17 * 3 = 40.5M amplitudes > 32M
+    rows, cols = 2**17, 3
+    lines = ["0 0"] * (rows * cols)
+    for j in range(cols):
+        lines[j * cols + j] = "1 0"
+    path = tmp_path / "big.mat"
+    path.write_text(f"{rows} {cols}\n" + "\n".join(lines) + "\n", encoding="ascii")
+    assert cli.main(["kl", "--code", f"file:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qx: ") and err.count("\n") == 1 and "budget" in err
 
 
 @pytest.mark.filterwarnings("error")

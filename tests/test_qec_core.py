@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,49 @@ def test_damped_top_mode_remainder_is_exactly_zero(d, n_sites):
     assert remainder.min() >= 0.0
 
 
+# damped points: the top of T+T is an exactly degenerate cluster that only
+# rounding splits
+DAMPED_POINTS = [(2, 4, 0.1), (2, 8, 0.1), (3, 3, 0.1), (3, 5, 0.1), (3, 5, 0.27)]
+
+
+@pytest.mark.parametrize("d, n_sites, strength", DAMPED_POINTS)
+def test_exact_distance_independent_of_summation_order(d, n_sites, strength):
+    # T = sum_j rotation[k, j] E_j V summed over j in reverse order: the same
+    # recovery, rounded differently (the unsnapped cluster moved it by up to
+    # 3e-7 relative)
+    _, iso, _, report = edge_report(d, n_sites, strength)
+    flipped = dataclasses.replace(
+        report,
+        error_stacks=np.ascontiguousarray(report.error_stacks[:, ::-1]),
+        rotation=report.rotation[:, ::-1],
+    )
+    want, got = (
+        qc.recovery_error(qc.logical_recovery_channel(iso, r, report.error_stacks))[0]
+        for r in (report, flipped)
+    )
+    assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize(
+    "d, n_sites, strength, bonds",
+    [p + (None,) for p in DAMPED_POINTS] + [(2, 6, 0.1, "all"), (3, 3, 0.27, "all")],
+)
+def test_completion_snap_merges_no_real_gap(d, n_sites, strength, bonds):
+    code = vc.build(d, n_sites)
+    bonds = range(1, n_sites + 1) if bonds else None
+    report = qc.kl_decompose(vc.dense_isometry(code), vc.bond_error_stacks(code, bonds, strength))
+    t, _, _ = qc._recovery_kernel(report, "raw")
+    a = t.conj().T @ t
+    s = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    damping, remainder = qc._completion_remainder(s)
+    assert damping < 1.0
+    bound = 64 * len(s) * np.finfo(float).eps
+    snapped = remainder == 0.0
+    # the cluster is the modes within rounding of the top, and nothing else
+    assert snapped.sum() == ((s.max() - s) / s.max() < 1e-9).sum() >= 2
+    assert remainder[~snapped].min() > 1e6 * bound
+
+
 def test_kl_decompose_accepts_operators_or_stacks():
     code = ec.four_two_two_code()
     paulis = ec.weight_one_paulis(4)
@@ -309,6 +354,17 @@ def test_epsilon_monotone_over_full_grid_via_transfer():
             assert eps[(d, n)] > eps[(d, n + 1)]
     for n in range(3, 9):
         assert eps[(3, n)] < eps[(2, n)]
+
+
+def test_epsilon_matches_svd_trace_norm():
+    # epsilon ~ 1.5e-15 at vbs:3:16; adding the O(1) Gram Choi matrix and
+    # subtracting it again moved it by 2.3e-3 relative
+    code = vc.build(3, 16)
+    report = qc.kl_report_from_compressions(vc.bond_error_compressions(code))
+    k, d_l = report.error_count, report.logical_dim
+    choi = report.residuals.transpose(0, 3, 1, 2).reshape(k * d_l, k * d_l) / d_l
+    want = 0.5 * np.linalg.svd(choi + choi.conj().T, compute_uv=False).sum() / 2.0
+    assert abs(qc.epsilon_from_report(report) - want) <= 1e-10 * want
 
 
 def test_epsilon_matches_transfer_route():
@@ -599,6 +655,22 @@ def test_subsystem_gate_factorization_rejects_leaky():
 def test_subsystem_split_validation():
     with pytest.raises(ValueError):
         qc.SubsystemSplit(isometry=np.eye(4)[:, :3], d_t=2, d_j=2)
+
+
+def test_subsystem_split_is_a_keyword_only_code_isometry():
+    split = ec.product_gauge_split()
+    assert isinstance(split, qc.CodeIsometry)
+    assert (split.d_q, split.d_l) == (64, split.d_t * split.d_j)
+    with pytest.raises(TypeError):
+        qc.SubsystemSplit(split.isometry, None, 2, 2)
+    with pytest.raises(ValueError):
+        qc.SubsystemSplit(isometry=np.eye(4)[:, :3] * 1.1, d_t=3, d_j=1)
+
+
+def test_subsystem_gate_factorization_rejects_nonunitary():
+    split = ec.product_gauge_split()
+    with pytest.raises(ValueError, match="not unitary"):
+        qc.subsystem_gate_factorization(1.01 * np.eye(64), split)
 
 
 def test_format_kl_report_stable():

@@ -44,6 +44,22 @@ def test_unitary_distance_rejects_nonunitary():
         qu.unitary_distance(np.array([[1.0, 0.3], [0.0, 1.0]]), np.eye(2))
 
 
+def test_unitary_distance_stack_matches_each_matrix():
+    rng = make_generator(8)
+    basis = gell_mann_basis(3)
+    u = random_special_unitary(basis, rng)
+    stack = np.array([random_special_unitary(basis, rng) for _ in range(5)])
+    distances = qu.unitary_distance(u, stack)
+    assert distances.shape == (5,)
+    single = [qu.unitary_distance(u, v) for v in stack]
+    assert all(isinstance(x, float) for x in single)
+    assert np.array_equal(distances, single)
+    assert qu.unitary_distance(u, stack[None, :2]).shape == (1, 2)
+    stack[3, 0, 0] += 0.1
+    with pytest.raises(ValueError, match="not unitary"):
+        qu.unitary_distance(u, stack)
+
+
 def test_gate_cell_table_build_and_assign():
     table = qu.build_gate_cell_table(2, accuracy=0.5, n_samples=200, seed=7)
     reps = table.representatives

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qx.su_algebra import (
     adjoint_generator,
     adjoint_group_element,
+    check_unitary,
+    expi_hermitian,
     gell_mann_basis,
     invariant_residuals,
     random_special_unitary,
@@ -147,3 +150,29 @@ def test_random_special_unitary_properties():
     g = random_special_unitary(basis, rng)
     assert np.abs(g.conj().T @ g - np.eye(4)).max() < 1e-12
     assert abs(np.linalg.det(g) - 1.0) < 1e-12
+
+
+def test_check_unitary_tolerance_and_stacks():
+    off = np.diag([1.0 + 1e-9, 1.0])
+    assert check_unitary(off, 2, tol=1e-8) is not None
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(off)  # default tolerance 1e-10
+    stack = np.stack([np.eye(3), np.roll(np.eye(3), 1, axis=0), np.eye(3)])
+    assert check_unitary(stack, 3, ndim=3).dtype == complex
+    stack[2, 0, 1] = 0.1
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(stack, 3, ndim=3)
+    with pytest.raises(ValueError, match="expected dimension 2, got 3"):
+        check_unitary(np.eye(3), 2)
+    with pytest.raises(ValueError, match="square"):
+        check_unitary(stack)  # a stack where one matrix was expected
+
+
+def test_expi_hermitian_stack_matches_each_matrix():
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    h = m + m.conj().transpose(0, 2, 1)
+    stacked = expi_hermitian(h)
+    for hi, ui in zip(h, stacked):
+        assert np.array_equal(ui, expi_hermitian(hi))
+        assert np.abs(ui - scipy.linalg.expm(1j * hi)).max() < 1e-12
