@@ -164,15 +164,9 @@ def _parse_bonds(spec: str, code) -> list[int]:
     return [int(tail)]
 
 
-def _set_exact_distance(iso, report, noise_stacks) -> None:
-    """Fill the exact recovery distance of ``report`` under the noise given
-    by its code-state stacks."""
-    q_ch = qec_core.logical_recovery_channel(iso, report, noise_stacks)
-    report.exact_distance, report.diamond_bracket, _, _ = qec_core.recovery_error(q_ch)
-
-
 def cmd_kl(args) -> int:
     selector = args.code
+    noise = None  # (D, c) for logical_recovery_channel, on the routes that have it
     if selector.startswith("vbs:"):
         parts = selector.split(":")
         if len(parts) != 3:
@@ -188,14 +182,16 @@ def cmd_kl(args) -> int:
             and k * code.dense_size * code.d <= vbs_code.DENSE_STACK_CAP
         ):
             iso = vbs_code.dense_isometry(code)
-            # the list goes straight in, so only the report's stacked copy
-            # outlives the call; the noise is the error family itself
+            # the list goes straight in, so no stack outlives the call
             report = qec_core.kl_decompose(
                 iso,
                 vbs_code.bond_error_stacks(code, bonds, args.strength),
                 cutoff_rel=args.cutoff,
             )
-            _set_exact_distance(iso, report, report.error_stacks)
+            # the noise is the error family itself, whose first member is w0 I
+            w0, _ = vbs_code.bond_error_weights(code, bonds, args.strength)
+            k = report.error_count
+            noise = report.compressions[0] / w0, np.eye(k, k + 1, 1)
         else:
             report = qec_core.kl_report_from_compressions(
                 vbs_code.bond_error_compressions(code, bonds, args.strength),
@@ -215,17 +211,20 @@ def cmd_kl(args) -> int:
         n_qubits = int(iso.d_q).bit_length() - 1
         if 2**n_qubits != iso.d_q:
             raise UsageError("pauli1 errors need a qubit-factorable physical space")
-        # the route allocates the K = 3n error stacks P_i V, then K + 1 noise stacks
+        # the route allocates the 3n stacks P_i V, then V and them as one array
         amplitudes = (6 * n_qubits + 1) * iso.d_q * iso.d_l
         if amplitudes > vbs_code.DENSE_STACK_CAP:
             raise UsageError(f"pauli1 on a {iso.d_q}x{iso.d_l} isometry needs {amplitudes} "
                              f"amplitudes, over the budget of {vbs_code.DENSE_STACK_CAP}")
-        # the stacks of a square V would read as physical operators of equal size
-        paulis = (exact_codes.weight_one_pauli_stacks(iso.isometry) if iso.d_q > iso.d_l
-                  else exact_codes.weight_one_paulis(n_qubits))
-        report = qec_core.kl_decompose(iso, paulis, cutoff_rel=args.cutoff)
-        noise = exact_codes.depolarizing_stacks(iso.isometry, report.error_stacks, args.strength)
-        _set_exact_distance(iso, report, noise)
+        weights = exact_codes.depolarizing_weights(n_qubits, args.strength)
+        joint = np.stack([iso.isometry] + exact_codes.weight_one_pauli_stacks(iso.isometry), 1)
+        # one compression of [V | P_i V]: M over the Paulis, and D_i = V+ P_i V
+        m = qec_core.error_compressions(iso, joint)
+        report = qec_core.kl_report_from_compressions(m[1:, 1:], cutoff_rel=args.cutoff)
+        noise = m[0, 1:], np.diag(weights)
+    if noise is not None:
+        q_ch = qec_core.logical_recovery_channel(report, *noise)
+        report.exact_distance, report.diamond_bracket, _, _ = qec_core.recovery_error(q_ch)
     report.epsilon = qec_core.epsilon_from_report(report)
     _emit(qec_core.format_kl_report(report), args.output)
     return 0

@@ -17,7 +17,7 @@ __all__ = [
     "five_qubit_code",
     "four_two_two_code",
     "single_qubit_depolarizing",
-    "depolarizing_stacks",
+    "depolarizing_weights",
     "product_gauge_split",
 ]
 
@@ -83,19 +83,17 @@ def four_two_two_code() -> CodeIsometry:
 
 def single_qubit_depolarizing(n_qubits: int, strength: float) -> KrausChannel:
     """Trace-preserving noise: identity plus uniformly weighted weight-1 Paulis."""
-    eye = np.eye(2**n_qubits, dtype=complex)
-    stacks = depolarizing_stacks(eye, np.stack(weight_one_paulis(n_qubits), axis=1), strength)
-    return KrausChannel.from_kraus(stacks.transpose(1, 0, 2))
+    ops = np.stack([np.eye(2**n_qubits, dtype=complex)] + weight_one_paulis(n_qubits))
+    return KrausChannel.from_kraus(depolarizing_weights(n_qubits, strength)[:, None, None] * ops)
 
 
-def depolarizing_stacks(isometry, pauli_stacks: np.ndarray, strength: float) -> np.ndarray:
-    """Code-state stacks of :func:`single_qubit_depolarizing` as one
-    (d_Q, K + 1, d_L) array: sqrt(1 - p) V, then sqrt(p / K) P_i V for the
-    (d_Q, K, d_L) array of stacks P_i V."""
+def depolarizing_weights(n_qubits: int, strength: float) -> np.ndarray:
+    """Kraus weights of :func:`single_qubit_depolarizing`: sqrt(1 - p) on the
+    identity, then sqrt(p / 3n) on each weight-one Pauli in its order."""
     if not 0.0 < strength < 1.0:
         raise ValueError("noise strength must lie strictly between 0 and 1")
-    weighted = np.sqrt(strength / pauli_stacks.shape[1]) * pauli_stacks
-    return np.concatenate([np.sqrt(1.0 - strength) * isometry[:, None], weighted], axis=1)
+    k = 3 * n_qubits
+    return np.sqrt([1.0 - strength] + [strength / k] * k)
 
 
 def product_gauge_split() -> SubsystemSplit:

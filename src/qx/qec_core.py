@@ -1,10 +1,12 @@
 """Correctability conditions, canonical recovery, and gate-structure checks.
 
-Error operators may be passed either as square matrices on the physical
-space or as code-state stacks E V of shape (d_Q, d_L); every quantity below
-only ever needs the compressions V+ E_i+ E_j V, so stacks keep large codes
-tractable.  A family of K operators is held as one (d_Q, K, d_L) array, so
-every sum over d_Q is a single matrix product.
+Errors enter only as code-state stacks E V of shape (d_Q, d_L), never as
+physical d_Q x d_Q operators: a family of K of them is one (d_Q, K, d_L)
+array, or a list of the stacks, so every sum over d_Q is a single matrix
+product.  That sum is made once, in :func:`error_compressions`; the report,
+the recovery and its logical channel read only the d_L-sized blocks
+V+ E_i+ E_j V after it.  :func:`recovery_from_kl` and
+:func:`recovered_logical_channel` are the physical-space oracles.
 """
 
 from __future__ import annotations
@@ -94,18 +96,6 @@ class CodeIsometry:
         return self.isometry @ self.isometry.conj().T
 
 
-def _as_stack(code: CodeIsometry, op: np.ndarray) -> np.ndarray:
-    op = np.asarray(op, dtype=complex)
-    if op.shape == (code.d_q, code.d_q):
-        return op @ code.isometry
-    if op.shape == (code.d_q, code.d_l):
-        return op
-    raise ValueError(
-        f"operator shape {op.shape} is neither physical ({code.d_q}x{code.d_q}) "
-        f"nor a code-state stack ({code.d_q}x{code.d_l})"
-    )
-
-
 def detect_condition(code: CodeIsometry, errors) -> list[tuple[complex, float]]:
     """Detection data (e_i, residual_i) for each error operator.
 
@@ -122,23 +112,23 @@ def detect_condition(code: CodeIsometry, errors) -> list[tuple[complex, float]]:
     return [(complex(ei), float(r)) for ei, r in zip(e, residuals)]
 
 
-def _error_family(code: CodeIsometry, ops) -> np.ndarray:
-    """Operators as one (d_Q, K, d_L) array of code-state stacks E_i V.
+def _error_family(code: CodeIsometry, stacks) -> np.ndarray:
+    """Code-state stacks E_i V as one (d_Q, K, d_L) array.
 
-    ``ops`` is either such an array, returned without a copy, or a sequence
-    of physical operators and (d_Q, d_L) stacks.  Reshaped to (d_Q, K*d_L)
-    the array holds the stacks side by side.
+    ``stacks`` is either such an array, returned without a copy, or a
+    sequence of (d_Q, d_L) stacks.  Reshaped to (d_Q, K*d_L) the array holds
+    the stacks side by side.
     """
-    if isinstance(ops, np.ndarray) and ops.ndim == 3:
-        if ops.shape[0] != code.d_q or ops.shape[2] != code.d_l:
-            raise ValueError(
-                f"stacked family shape {ops.shape} is not (d_Q, K, d_L) = "
-                f"({code.d_q}, K, {code.d_l})"
-            )
-        return np.ascontiguousarray(ops, dtype=complex)
-    family = np.empty((code.d_q, len(ops), code.d_l), dtype=complex)
-    for i, op in enumerate(ops):
-        family[:, i] = _as_stack(code, op)
+    shape = (code.d_q, code.d_l)
+    stacked = isinstance(stacks, np.ndarray) and stacks.ndim == 3
+    for got in [stacks.shape[::2]] if stacked else map(np.shape, stacks):
+        if got != shape:
+            raise ValueError(f"error stack shape {got} is not (d_Q, d_L) = {shape}")
+    if stacked:
+        return np.ascontiguousarray(stacks, dtype=complex)
+    family = np.empty((code.d_q, len(stacks), code.d_l), dtype=complex)
+    for i, stack in enumerate(stacks):
+        family[:, i] = stack
     return family
 
 
@@ -170,8 +160,9 @@ class KLReport:
     the rotated traceless parts and ``residual_weights`` their squared
     Frobenius norms; ``first_order_distance`` is their eigenvalue-weighted
     aggregate (1/2 d_L) sum_kl weights[k, l] / eig[k] over retained modes.
-    ``error_stacks`` is the (d_Q, K, d_L) family E_i V when the report was
-    built from dense stacks.
+    ``compressions`` is the tensor M[i, j] = V+ E_i+ E_j V the report was
+    built from, held without a copy; with ``residuals`` it is all that the
+    recovery reads, whichever route made it.
     """
 
     error_count: int
@@ -185,14 +176,14 @@ class KLReport:
     env_size: int
     first_order_distance: float
     cutoff: float
-    error_stacks: np.ndarray | None = None
+    compressions: np.ndarray
     exact_distance: float | None = None
     diamond_bracket: tuple[float, float] | None = None
     epsilon: float | None = None
 
 
 def kl_report_from_compressions(
-    compressions: np.ndarray, cutoff_rel: float = CUTOFF_REL, error_stacks=None
+    compressions: np.ndarray, cutoff_rel: float = CUTOFF_REL
 ) -> KLReport:
     """Build the quasi-correctability report from V+ E_i+ E_j V tensors."""
     m = np.asarray(compressions, dtype=complex)
@@ -228,22 +219,20 @@ def kl_report_from_compressions(
         env_size=int(retained.sum()),
         first_order_distance=first_order,
         cutoff=float(cutoff),
-        error_stacks=error_stacks,
+        compressions=m,
     )
 
 
 def kl_decompose(code: CodeIsometry, errors, cutoff_rel: float = CUTOFF_REL) -> KLReport:
-    """Quasi-correctability report of an error list on a code.
+    """Quasi-correctability report of a list of error stacks on a code.
 
-    The report keeps the errors as one (d_Q, K, d_L) array of stacks; a
-    caller that passes a list it holds nowhere else frees the list here.
+    Nothing with a d_Q axis outlives the call: a caller that passes a list
+    it holds nowhere else frees the stacks here.
     """
-    family = _error_family(code, errors)
-    if not family.shape[1]:
+    m = error_compressions(code, errors)
+    if not len(m):
         raise ValueError("error list must not be empty")
-    return kl_report_from_compressions(
-        error_compressions(code, family), cutoff_rel=cutoff_rel, error_stacks=family
-    )
+    return kl_report_from_compressions(m, cutoff_rel=cutoff_rel)
 
 
 def _completion_remainder(s: np.ndarray) -> tuple[float, np.ndarray]:
@@ -268,50 +257,56 @@ def _completion_remainder(s: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _recovery_kernel(report: KLReport, normalization: str):
-    """Thin factors (T, X, C) of a recovery normalization.
+    """Factors (W, G, X, C) of a recovery normalization, from the report alone.
 
-    ``T`` (d_Q, r*d_L) holds the retained rotated stacks F_k V side by side,
-    scaled by 1/sqrt(eig_k) except under ``transpose``.  The recovery Kraus
-    elements are V X_k T+ for each retained mode k, followed by the
-    completion I - T C T+ unless C is None.  ``X`` (r, d_L, r*d_L) is the
-    damped block selector (canonical), the plain selector (raw), or the
-    blocks of (T+T)^(-1/2) on its support (transpose); X and C both come from
-    one eigendecomposition of T+T.
+    The recovery factor T (d_Q, r*d_L) holds the retained rotated stacks
+    F_k V side by side, T[:, (k, a)] = sum_j W[k, j] E_j V[:, a], where W is
+    the retained rotation scaled by 1/sqrt(eig_k) except under
+    ``transpose``.  T itself is not formed: G = T+T is the retained block of
+    the rotated compressions, the residuals plus eig_k I on the diagonal.
+    The recovery Kraus elements are V X_k T+ for each retained mode k,
+    followed by the completion I - T C T+ unless C is None.  ``X``
+    (r, d_L, r*d_L) is the damped block selector (canonical), the plain
+    selector (raw), or the blocks of G^(-1/2) on its support (transpose);
+    X and C both come from one eigendecomposition of G.
     """
     if normalization not in ("canonical", "transpose", "raw"):
         raise ValueError(f"unknown normalization {normalization!r}")
-    if report.error_stacks is None:
-        raise ValueError("report carries no error stacks; rebuild with kl_decompose")
-    rotation = report.rotation[report.retained]
-    if normalization != "transpose":
-        rotation = rotation / np.sqrt(report.eigenvalues[report.retained])[:, None]
-    d_q, k, d_l = report.error_stacks.shape
-    r = rotation.shape[0]
-    # T[:, (k, a)] = sum_j rotation[k, j] E_j V[:, a]
-    t = report.error_stacks.reshape(d_q, k * d_l) @ np.kron(rotation.T, np.eye(d_l))
+    kept = report.retained
+    eig = report.eigenvalues[kept]
+    scale = np.ones_like(eig) if normalization == "transpose" else 1.0 / np.sqrt(eig)
+    w = report.rotation[kept] * scale[:, None]
+    r, d_l = len(eig), report.logical_dim
+    blocks = report.residuals[np.ix_(kept, kept)]
+    blocks[np.arange(r), np.arange(r)] += eig[:, None, None] * np.eye(d_l)
+    blocks *= np.outer(scale, scale)[:, :, None, None]
+    gram = blocks.transpose(0, 2, 1, 3).reshape(r * d_l, r * d_l)
     selector = np.eye(r * d_l).reshape(r, d_l, r * d_l)
     if normalization == "raw":
-        return t, selector, None
-    a = _adjoint_product(t, t)
-    s, y = np.linalg.eigh((a + a.conj().T) / 2.0)
+        return w, gram, selector, None
+    s, y = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     keep = s > CUTOFF_REL * max(s.max(), 0.0)
     s, y = s[keep], y[:, keep]
     if normalization == "transpose":
         x = ((y * s**-0.5) @ y.conj().T).reshape(r, d_l, r * d_l)
-        return t, x, (y / s) @ y.conj().T
+        return w, gram, x, (y / s) @ y.conj().T
     damping, remainder = _completion_remainder(s)
     if remainder.min() < -COMPLETION_TOL:
         raise CompletionError(
             f"completion operand has eigenvalue {remainder.min():.3e} below zero"
         )
     coeff = (1.0 - np.sqrt(np.clip(remainder, 0.0, None))) / s
-    return t, damping * selector, (y * coeff) @ y.conj().T
+    return w, gram, damping * selector, (y * coeff) @ y.conj().T
 
 
 def recovery_from_kl(
-    code: CodeIsometry, report: KLReport, normalization: str = "canonical"
+    code: CodeIsometry, report: KLReport, errors, normalization: str = "canonical"
 ) -> KrausChannel:
     """Canonical recovery channel built from the diagonalized error family.
+
+    ``errors`` are the code-state stacks E_i V the report was built from;
+    this physical-space oracle is the one place that forms the recovery
+    factor T of :func:`_recovery_kernel`.
 
     ``normalization="canonical"`` scales R_k = P F_k+ / sqrt(eig_k).  For
     exact codes the subspaces F_k P are orthogonal, sum R_k+ R_k is a
@@ -335,7 +330,8 @@ def recovery_from_kl(
             f"dense recovery at d_Q={code.d_q} exceeds the cap; "
             "use logical_recovery_channel instead"
         )
-    t, x, core = _recovery_kernel(report, normalization)
+    w, _, x, core = _recovery_kernel(report, normalization)
+    t = _error_family(code, errors).reshape(code.d_q, -1) @ np.kron(w.T, np.eye(code.d_l))
     t_adj = t.conj().T
     kraus = code.isometry @ (x @ t_adj)
     if core is not None:
@@ -361,30 +357,34 @@ def recovered_logical_channel(
 
 
 def logical_recovery_channel(
-    code: CodeIsometry,
-    report: KLReport,
-    noise_stacks,
-    normalization: str = "canonical",
+    report: KLReport, compressed, coefficients, normalization: str = "canonical"
 ) -> KrausChannel:
-    """Logical channel V+ R N V without materializing physical recovery Kraus.
+    """Logical channel V+ R N V from d_L-sized blocks alone.
 
-    ``noise_stacks`` are the code-state stacks N_l V of the noise Kraus
-    family, as a list or as one (d_Q, L, d_L) array such as
-    ``report.error_stacks``.  The recovery is the same channel as
-    :func:`recovery_from_kl`; only thin products of stacks are formed, so
-    large codes stay cheap.
+    The noise Kraus operators are N_l = c[l, 0] I + sum_j c[l, j+1] E_j over
+    the report's error family, with ``coefficients`` c of shape (L, K+1) and
+    ``compressed`` the (K, d_L, d_L) blocks D_j = V+ E_j V.  With
+    M = ``report.compressions`` and W from :func:`_recovery_kernel`, block k
+    of T+ N_l V is sum_j W*[k, j] (c[l, 0] D_j+ + sum_i c[l, i+1] M[j, i]),
+    block k of V+ T is sum_j W[k, j] D_j, and V+ N_l V is
+    c[l, 0] I + sum_j c[l, j+1] D_j.  The channel is X_k (T+ N_l V) and
+    V+ N_l V - (V+ T) C (T+ N_l V), the recovery of :func:`recovery_from_kl`.
     """
-    t, x, core = _recovery_kernel(report, normalization)
-    noise = _error_family(code, noise_stacks)
-    d_q, n, d_l = noise.shape
-    flat = noise.reshape(d_q, n * d_l)
-    # T+ N_l V for every l, as (L, r*d_L, d_L)
-    t_noise = _adjoint_product(t, flat).reshape(-1, n, d_l).transpose(1, 0, 2)
+    w, _, x, core = _recovery_kernel(report, normalization)
+    k, d_l = report.error_count, report.logical_dim
+    d = np.asarray(compressed, dtype=complex)
+    c = np.asarray(coefficients, dtype=complex)
+    if d.shape != (k, d_l, d_l) or c.shape[1:] != (k + 1,):
+        raise ValueError(f"noise shapes {d.shape}, {c.shape} are not {(k, d_l, d_l)}, (L, {k + 1})")
+    # V+ E_j+ N_l V for every (l, j), then T+ N_l V as (L, r*d_L, d_L)
+    e_noise = np.einsum("li,jiab->ljab", c[:, 1:], report.compressions)
+    e_noise += c[:, 0, None, None, None] * d.conj().transpose(0, 2, 1)
+    t_noise = np.einsum("kj,ljab->lkab", w.conj(), e_noise).reshape(len(c), -1, d_l)
     kraus = (x[:, None] @ t_noise[None]).reshape(-1, d_l, d_l)
     if core is not None:
-        v = code.isometry
-        v_noise = _adjoint_product(v, flat).reshape(d_l, n, d_l).transpose(1, 0, 2)
-        kraus = np.concatenate([kraus, v_noise - (_adjoint_product(v, t) @ core) @ t_noise])
+        v_t = np.einsum("kj,jab->akb", w, d).reshape(d_l, -1)
+        v_noise = np.einsum("lj,jab->lab", c[:, 1:], d) + c[:, 0, None, None] * np.eye(d_l)
+        kraus = np.concatenate([kraus, v_noise - (v_t @ core) @ t_noise])
     return KrausChannel.from_kraus(kraus)
 
 

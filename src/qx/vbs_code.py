@@ -58,9 +58,9 @@ __all__ = [
 
 DENSE_CAP = 2_000_000
 # amplitudes in one batched encode_dense call, and in the K error stacks
-# E_i V that the dense kl route allocates; that route holds them about twice
-# at its peak (the list, then the report's stacked copy next to the
-# recovery factor T)
+# E_i V that the dense kl route allocates; that route holds them twice at
+# its peak (the list and its stacked copy inside kl_decompose), and nothing
+# after kl_decompose has a d_Q axis
 DENSE_STACK_CAP = 32_000_000
 
 BUILD_TOL = 1e-12

@@ -1,6 +1,6 @@
 """Brute-force oracles: dense ones for the transfer contractions, a
 step-by-step product for the trajectory scan, and the einsum rotation of
-the KL report."""
+the KL report; and the bond error family written as its own noise."""
 
 from dataclasses import replace
 from itertools import product
@@ -121,3 +121,12 @@ def einsum_rotated_report(report, compressions):
     return replace(
         report, residuals=residuals, residual_weights=weights, first_order_distance=first_order
     )
+
+
+def bond_noise(code, report, strength=0.1):
+    """(D, c) of a bond error family on ``code`` as its own noise, for
+    ``logical_recovery_channel``: the first error is w0 I, so
+    D_j = V+ E_j V = M[0, j] / w0, and c = [0 | I]."""
+    w0, _ = vc.bond_error_weights(code, [code.n_sites], strength)
+    k = report.error_count
+    return report.compressions[0] / w0, np.eye(k, k + 1, 1)

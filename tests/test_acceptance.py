@@ -227,9 +227,9 @@ def test_criterion_3_sum_rule():
 
 def test_criterion_4_exact_code_anchor():
     code = ec.five_qubit_code()
-    errors = ec.weight_one_paulis(5)
+    errors = ec.weight_one_pauli_stacks(code.isometry)
     kl = qc.kl_decompose(code, errors)
-    recovery = qc.recovery_from_kl(code, kl)
+    recovery = qc.recovery_from_kl(code, kl, errors)
     noise = ec.single_qubit_depolarizing(5, 0.25)
     dist = qc.recovery_error(qc.recovered_logical_channel(code, noise, recovery))[0]
     rng = make_generator(stable_seed(4, 0))
@@ -261,7 +261,7 @@ def _edge_model_metrics(d, n_sites, strength=0.1):
     stacks = vc.bond_error_stacks(code, strength=strength)
     kl = qc.kl_decompose(iso, stacks)
     eps = qc.epsilon_from_report(kl)
-    q_ch = qc.logical_recovery_channel(iso, kl, stacks)
+    q_ch = qc.logical_recovery_channel(kl, *oracles.bond_noise(code, kl, strength))
     dist = qc.recovery_error(q_ch)[0]
     return eps, dist, kl.first_order_distance
 

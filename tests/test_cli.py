@@ -164,29 +164,42 @@ def test_kl_four_two_two(tmp_path):
 
 
 def _dense_pauli1_report(iso, strength=0.1):
-    """The pauli1 report through dense 2^n x 2^n Paulis and Kraus operators."""
+    """The pauli1 report through the physical-space oracles: dense
+    2^n x 2^n Paulis, the recovery's Kraus operators and the noise channel."""
     n_qubits = iso.d_q.bit_length() - 1
-    report = qec_core.kl_decompose(iso, ec.weight_one_paulis(n_qubits))
-    noise = ec.single_qubit_depolarizing(n_qubits, strength).kraus
-    cli._set_exact_distance(iso, report, list(noise))  # physical operators
+    stacks = [p @ iso.isometry for p in ec.weight_one_paulis(n_qubits)]
+    report = qec_core.kl_decompose(iso, stacks)
+    noise = ec.single_qubit_depolarizing(n_qubits, strength)
+    recovery = qec_core.recovery_from_kl(iso, report, stacks)
+    q_ch = qec_core.recovered_logical_channel(iso, noise, recovery)
+    report.exact_distance, report.diamond_bracket, _, _ = qec_core.recovery_error(q_ch)
     report.epsilon = qec_core.epsilon_from_report(report)
     return qec_core.format_kl_report(report).encode()
 
 
+def _kl_fields(text):
+    return dict(line.split(": ", 1) for line in text.decode().strip().splitlines())
+
+
 def test_kl_pauli1_stacks_match_dense_operators(tmp_path):
-    for name, iso in (("five_one_three", ec.five_qubit_code()),
-                      ("four_two_two", ec.four_two_two_code())):
-        code, text = run_cli(["kl", "--code", name], tmp_path, f"{name}.txt")
-        assert code == 0 and text == _dense_pauli1_report(iso)
     # a square isometry: its (d_Q, d_L) stacks have the shape of physical
-    # operators, so only the operator form applies each noise operator once
+    # operators, and each noise operator must still apply once
     square = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))[0]
     path = tmp_path / "square.mat"
     cli.write_isometry(str(path), square)
-    code, text = run_cli(["kl", "--code", f"file:{path}"], tmp_path, "square.txt")
-    assert code == 0
     loaded = qec_core.CodeIsometry(isometry=cli.read_isometry(str(path)))
-    assert text == _dense_pauli1_report(loaded)
+    for name, iso in (("five_one_three", ec.five_qubit_code()),
+                      ("four_two_two", ec.four_two_two_code()),
+                      (f"file:{path}", loaded)):
+        code, text = run_cli(["kl", "--code", name], tmp_path, "pauli1.txt")
+        assert code == 0
+        got, want = _kl_fields(text), _kl_fields(_dense_pauli1_report(iso))
+        if name == "five_one_three":
+            # an exact code: both routes give distances at machine noise
+            for key in ("exact_distance", "diamond_bracket"):
+                a, b = (np.array(f.pop(key).strip("[]").split(","), float) for f in (got, want))
+                assert np.abs(a - b).max() < 1e-14
+        assert got == want
 
 
 def test_kl_pauli1_file_memory_scales_with_stacks(tmp_path):
@@ -245,9 +258,8 @@ def test_kl_dense_route_bounded_by_stack_size(tmp_path, monkeypatch):
 
 
 def test_kl_dense_route_memory_bound(tmp_path):
-    # the dense route holds the K error stacks about twice at its peak: the
-    # list from bond_error_stacks while kl_decompose stacks it, then the
-    # report's array next to the thin recovery factor T
+    # the dense route holds the K error stacks twice at its peak: the list
+    # from bond_error_stacks while kl_decompose stacks it
     code = vc.build(3, 4)
     stack_bytes = (1 + code.site_dim) * code.dense_size * code.d * 16
     tracemalloc.start()

@@ -1,4 +1,4 @@
-import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,9 +28,9 @@ def test_code_isometry_validation():
 
 def test_detect_condition_identity_and_fixtures():
     code = ec.four_two_two_code()
-    (e0, r0), = qc.detect_condition(code, [np.eye(16)])
+    (e0, r0), = qc.detect_condition(code, [code.isometry])
     assert abs(e0 - 1.0) < 1e-14 and r0 < 1e-14
-    for _, resid in qc.detect_condition(code, ec.weight_one_paulis(4)):
+    for _, resid in qc.detect_condition(code, ec.weight_one_pauli_stacks(code.isometry)):
         assert resid < 1e-12
 
 
@@ -50,7 +50,7 @@ def test_detect_condition_vbs_bond_error():
 
 def test_five_qubit_kl_is_exact():
     code = ec.five_qubit_code()
-    report = qc.kl_decompose(code, ec.weight_one_paulis(5))
+    report = qc.kl_decompose(code, ec.weight_one_pauli_stacks(code.isometry))
     assert report.error_count == 15
     assert report.residual_weights.max() < 1e-12
     assert np.abs(report.eigenvalues - 1.0).max() < 1e-12
@@ -59,7 +59,7 @@ def test_five_qubit_kl_is_exact():
 
 def test_kl_single_identity_error():
     code = ec.five_qubit_code()
-    report = qc.kl_decompose(code, [np.eye(32)])
+    report = qc.kl_decompose(code, [code.isometry])
     assert report.gram.shape == (1, 1)
     assert abs(report.gram[0, 0] - 1.0) < 1e-14
     assert report.residual_weights.max() < 1e-14
@@ -106,13 +106,14 @@ def test_kl_beta_decay_over_bonds():
 def test_kl_degenerate_noise_error():
     code = ec.five_qubit_code()
     with pytest.raises(qc.DegenerateNoiseError):
-        qc.kl_decompose(code, [np.zeros((32, 32))])
+        qc.kl_decompose(code, [np.zeros((32, 2))])
 
 
 def test_recovery_five_qubit_inverts_noise():
     code = ec.five_qubit_code()
-    report = qc.kl_decompose(code, ec.weight_one_paulis(5))
-    recovery = qc.recovery_from_kl(code, report)
+    stacks = ec.weight_one_pauli_stacks(code.isometry)
+    report = qc.kl_decompose(code, stacks)
+    recovery = qc.recovery_from_kl(code, report, stacks)
     tp, _ = cptp_residuals(recovery)
     assert tp < 1e-10
     noise = ec.single_qubit_depolarizing(5, 0.3)
@@ -125,9 +126,10 @@ def test_recovery_five_qubit_inverts_noise():
 
 def test_recovery_normalizations_agree_on_exact_code():
     code = ec.five_qubit_code()
-    report = qc.kl_decompose(code, ec.weight_one_paulis(5))
-    canonical = qc.recovery_from_kl(code, report, "canonical")
-    transpose = qc.recovery_from_kl(code, report, "transpose")
+    stacks = ec.weight_one_pauli_stacks(code.isometry)
+    report = qc.kl_decompose(code, stacks)
+    canonical = qc.recovery_from_kl(code, report, stacks, "canonical")
+    transpose = qc.recovery_from_kl(code, report, stacks, "transpose")
     for a, b in zip(canonical.kraus, transpose.kraus):
         assert np.abs(a - b).max() < 1e-10
 
@@ -135,28 +137,20 @@ def test_recovery_normalizations_agree_on_exact_code():
 def test_recovery_trivial_code():
     code = qc.CodeIsometry(isometry=np.eye(2))
     report = qc.kl_decompose(code, [np.eye(2)])
-    recovery = qc.recovery_from_kl(code, report)
+    recovery = qc.recovery_from_kl(code, report, [np.eye(2)])
     rho = np.array([[0.7, 0.1j], [-0.1j, 0.3]])
     assert np.abs(apply_channel(recovery, rho) - rho).max() < 1e-12
-
-
-def test_recovery_requires_stacks():
-    _, _, _, report = edge_report(2, 3)
-    report.error_stacks = None
-    code = vc.dense_isometry(vc.build(2, 3))
-    with pytest.raises(ValueError):
-        qc.recovery_from_kl(code, report)
 
 
 @pytest.mark.parametrize("d, n_sites", [(2, 4), (3, 2)])
 @pytest.mark.parametrize("normalization", ["canonical", "transpose"])
 def test_recovery_trace_preserving_on_quasi_codes(d, n_sites, normalization):
     # both codes damp the canonical family (factors about 0.982 and 0.943)
-    _, iso, _, report = edge_report(d, n_sites)
+    _, iso, stacks, report = edge_report(d, n_sites)
     if normalization == "canonical":
-        _, x, _ = qc._recovery_kernel(report, normalization)
+        _, _, x, _ = qc._recovery_kernel(report, normalization)
         assert x[0, 0, 0] < 0.99
-    recovery = qc.recovery_from_kl(iso, report, normalization)
+    recovery = qc.recovery_from_kl(iso, report, stacks, normalization)
     assert cptp_residuals(recovery)[0] < 1e-10
 
 
@@ -165,8 +159,7 @@ def test_damped_top_mode_remainder_is_exactly_zero(d, n_sites):
     # damping factors about 0.982 and 0.943; a rounding error in the top
     # remainder would enter the completion through its square root (~1e-8)
     _, _, _, report = edge_report(d, n_sites)
-    t, _, _ = qc._recovery_kernel(report, "raw")
-    a = t.conj().T @ t
+    _, a, _, _ = qc._recovery_kernel(report, "raw")
     s = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
     damping, remainder = qc._completion_remainder(s)
     assert damping < 0.99
@@ -181,19 +174,15 @@ DAMPED_POINTS = [(2, 4, 0.1), (2, 8, 0.1), (3, 3, 0.1), (3, 5, 0.1), (3, 5, 0.27
 
 @pytest.mark.parametrize("d, n_sites, strength", DAMPED_POINTS)
 def test_exact_distance_independent_of_summation_order(d, n_sites, strength):
-    # T = sum_j rotation[k, j] E_j V summed over j in reverse order: the same
-    # recovery, rounded differently (the unsnapped cluster moved it by up to
-    # 3e-7 relative)
-    _, iso, _, report = edge_report(d, n_sites, strength)
-    flipped = dataclasses.replace(
-        report,
-        error_stacks=np.ascontiguousarray(report.error_stacks[:, ::-1]),
-        rotation=report.rotation[:, ::-1],
-    )
-    want, got = (
-        qc.recovery_error(qc.logical_recovery_channel(iso, r, report.error_stacks))[0]
-        for r in (report, flipped)
-    )
+    # the errors of M, D and c in reverse order: the same recovery, rounded
+    # differently, with the Gram eigenbasis inside each degenerate group
+    # chosen anew (the unsnapped cluster moved it by up to 3e-7 relative)
+    code, _, _, report = edge_report(d, n_sites, strength)
+    d_ops, c = oracles.bond_noise(code, report, strength)
+    flipped = qc.kl_report_from_compressions(report.compressions[::-1, ::-1])
+    c_flipped = np.concatenate([c[:, :1], c[:, :0:-1]], axis=1)[::-1]
+    want = qc.recovery_error(qc.logical_recovery_channel(report, d_ops, c))[0]
+    got = qc.recovery_error(qc.logical_recovery_channel(flipped, d_ops[::-1], c_flipped))[0]
     assert abs(got - want) <= 1e-10 * want
 
 
@@ -205,8 +194,7 @@ def test_completion_snap_merges_no_real_gap(d, n_sites, strength, bonds):
     code = vc.build(d, n_sites)
     bonds = range(1, n_sites + 1) if bonds else None
     report = qc.kl_decompose(vc.dense_isometry(code), vc.bond_error_stacks(code, bonds, strength))
-    t, _, _ = qc._recovery_kernel(report, "raw")
-    a = t.conj().T @ t
+    _, a, _, _ = qc._recovery_kernel(report, "raw")
     s = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
     damping, remainder = qc._completion_remainder(s)
     assert damping < 1.0
@@ -217,28 +205,28 @@ def test_completion_snap_merges_no_real_gap(d, n_sites, strength, bonds):
     assert remainder[~snapped].min() > 1e6 * bound
 
 
-def test_kl_decompose_accepts_operators_or_stacks():
+def test_kl_decompose_reads_square_stacks_as_stacks():
+    # on a square isometry a (d_Q, d_L) stack has the shape of a physical
+    # operator; a list of stacks must still mean the stacks themselves
+    u = qc.CodeIsometry(isometry=np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))[0])
+    stacks = ec.weight_one_pauli_stacks(u.isometry)
+    reference = qc.kl_decompose(u, np.stack(stacks, axis=1))
+    report = qc.kl_decompose(u, stacks)
+    for field in ("gram", "eigenvalues", "rotation", "residual_weights", "compressions"):
+        assert np.array_equal(getattr(report, field), getattr(reference, field))
+    assert report.first_order_distance == reference.first_order_distance
+
+
+def test_error_stacks_of_the_wrong_shape_are_rejected():
     code = ec.four_two_two_code()
-    paulis = ec.weight_one_paulis(4)
-    stacks = [p @ code.isometry for p in paulis]
-    reference = qc.kl_decompose(code, paulis)
-    for errors in (stacks, np.stack(stacks, axis=1)):
-        report = qc.kl_decompose(code, errors)
-        for field in ("gram", "eigenvalues", "rotation", "residual_weights", "error_stacks"):
-            assert np.array_equal(getattr(report, field), getattr(reference, field))
-        assert report.first_order_distance == reference.first_order_distance
-
-
-def test_logical_recovery_accepts_list_or_stacked_noise():
-    _, iso, stacks, report = edge_report(2, 4)
-    reference = qc.logical_recovery_channel(iso, report, stacks)
-    for noise in (report.error_stacks, np.stack(stacks, axis=1)):
-        q_ch = qc.logical_recovery_channel(iso, report, noise)
-        assert len(q_ch.kraus) == len(reference.kraus)
-        for a, b in zip(q_ch.kraus, reference.kraus):
-            assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        qc.logical_recovery_channel(iso, report, np.stack(stacks))
+    for errors in ([np.eye(16)], np.zeros((16, 3, 2)), [code.isometry, code.isometry[:, 0]]):
+        with pytest.raises(ValueError):
+            qc.kl_decompose(code, errors)
+    _, _, _, report = edge_report(2, 4)
+    d_ops, c = oracles.bond_noise(vc.build(2, 4), report)
+    for bad in ((d_ops[1:], c), (d_ops, c[:, 1:]), (d_ops, c[0])):
+        with pytest.raises(ValueError):
+            qc.logical_recovery_channel(report, *bad)
 
 
 @pytest.mark.parametrize(
@@ -251,8 +239,8 @@ def test_logical_recovery_accepts_list_or_stacked_noise():
 )
 def test_logical_recovery_matches_dense_composition(normalization, d, n_sites):
     code, iso, stacks, report = edge_report(d, n_sites)
-    thin = qc.logical_recovery_channel(iso, report, stacks, normalization)
-    recovery = qc.recovery_from_kl(iso, report, normalization)
+    thin = qc.logical_recovery_channel(report, *oracles.bond_noise(code, report), normalization)
+    recovery = qc.recovery_from_kl(iso, report, stacks, normalization)
     # realize the edge-bond insertion errors as physical edge operators
     w0, w = vc.bond_error_weights(code, [n_sites], 0.1)
     bulk = np.eye(code.site_dim**n_sites)
@@ -263,9 +251,22 @@ def test_logical_recovery_matches_dense_composition(normalization, d, n_sites):
     assert np.abs(choi_matrix(thin) - choi_matrix(dense)).max() < 1e-10
 
 
+def test_logical_recovery_allocates_no_physical_operand():
+    # vbs:3:5 bond: the d_Q x r d_L recovery factor T (98304 x 27) alone took 42.5 MB
+    code, _, _, report = edge_report(3, 5)
+    noise = oracles.bond_noise(code, report)
+    tracemalloc.start()
+    try:
+        qc.recovery_error(qc.logical_recovery_channel(report, *noise))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_first_order_distance_is_exact_for_raw_recovery():
     code, iso, stacks, report = edge_report(2, 5)
-    q_raw = qc.logical_recovery_channel(iso, report, stacks, "raw")
+    q_raw = qc.logical_recovery_channel(report, *oracles.bond_noise(code, report), "raw")
     dist = qc.recovery_error(q_raw)[0]
     assert abs(dist - report.first_order_distance) < 1e-9 * max(dist, 1e-30)
 
@@ -274,7 +275,7 @@ def test_recovered_state_matches_perturbative_form():
     # Q(sigma) = sigma + sum_kl B_kl sigma B_kl+ / eig_k for the bare
     # canonical recovery composed with its own trace-preserving family
     code, iso, stacks, report = edge_report(2, 4)
-    q_raw = qc.logical_recovery_channel(iso, report, stacks, "raw")
+    q_raw = qc.logical_recovery_channel(report, *oracles.bond_noise(code, report), "raw")
     rng = np.random.default_rng(14)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     sigma = m @ m.conj().T
@@ -293,8 +294,8 @@ def test_first_order_gap_shrinks_with_chain_length():
     # trace-preserving recovery distance falls off with N
     gaps = []
     for n in range(4, 9):
-        _, iso, stacks, report = edge_report(2, n)
-        q_ch = qc.logical_recovery_channel(iso, report, stacks)
+        code, iso, stacks, report = edge_report(2, n)
+        q_ch = qc.logical_recovery_channel(report, *oracles.bond_noise(code, report))
         dist = qc.recovery_error(q_ch)[0]
         gaps.append(abs(report.first_order_distance - dist))
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -322,7 +323,7 @@ def test_recovery_error_reference_values():
 
 def test_epsilon_exact_code_vanishes():
     code = ec.five_qubit_code()
-    assert qc.correctability_epsilon(code, ec.weight_one_paulis(5)) < 1e-12
+    assert qc.correctability_epsilon(code, ec.weight_one_pauli_stacks(code.isometry)) < 1e-12
 
 
 def test_epsilon_decreases_with_size_and_dimension():
@@ -427,7 +428,7 @@ def test_total_residual_weight_is_basis_free():
     stacks = vc.bond_error_stacks(code, list(range(1, 5)), strength=0.1)
     report = qc.kl_decompose(iso, stacks)
     total = report.residual_weights.sum()
-    m = qc.error_compressions(iso, report.error_stacks)
+    m = qc.error_compressions(iso, stacks)
     d_l = report.logical_dim
     traceless = m - np.einsum("ijaa->ij", m)[..., None, None] / d_l * np.eye(d_l)
     input_basis = np.sum(np.abs(traceless) ** 2)
@@ -611,7 +612,7 @@ def test_subsystem_trivial_gauge_reduces_to_kl():
     split = qc.SubsystemSplit(isometry=code.isometry, d_t=2, d_j=1)
     errors = ec.weight_one_paulis(5)
     _, resid = qc.subsystem_kl_check(split, errors)
-    report = qc.kl_decompose(code, errors)
+    report = qc.kl_decompose(code, [e @ code.isometry for e in errors])
     assert resid < np.sqrt(report.residual_weights.max()) + 1e-12
 
 
