@@ -18,7 +18,6 @@ from .qec_core import (
     kl_report_from_compressions,
     logical_operator_check,
     logical_recovery_channel,
-    recovered_logical_channel,
     recovery_error,
     recovery_from_kl,
     span_transform,

@@ -5,8 +5,8 @@ physical d_Q x d_Q operators: a family of K of them is one (d_Q, K, d_L)
 array, or a list of the stacks, so every sum over d_Q is a single matrix
 product.  That sum is made once, in :func:`error_compressions`; the report,
 the recovery and its logical channel read only the d_L-sized blocks
-V+ E_i+ E_j V after it.  :func:`recovery_from_kl` and
-:func:`recovered_logical_channel` are the physical-space oracles.
+V+ E_i+ E_j V after it.  :func:`recovery_from_kl` is the physical-space
+oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "kl_report_from_compressions",
     "kl_decompose",
     "recovery_from_kl",
-    "recovered_logical_channel",
     "logical_recovery_channel",
     "recovery_error",
     "correctability_epsilon",
@@ -336,23 +335,6 @@ def recovery_from_kl(
     kraus = code.isometry @ (x @ t_adj)
     if core is not None:
         kraus = np.concatenate([kraus, (np.eye(code.d_q) - (t @ core) @ t_adj)[None]])
-    return KrausChannel.from_kraus(kraus)
-
-
-def recovered_logical_channel(
-    code: CodeIsometry, noise: KrausChannel, recovery: KrausChannel
-) -> KrausChannel:
-    """Logical channel V+ R N V from explicit noise and recovery channels."""
-    if noise.in_dim != code.d_q or recovery.in_dim != noise.out_dim:
-        raise ValueError("channel dimensions do not chain with the code")
-    if recovery.out_dim != code.d_q:
-        raise ValueError("recovery must return to the physical space")
-    v = code.isometry
-    kraus = []
-    for nk in noise.kraus:
-        nv = nk @ v
-        for rk in recovery.kraus:
-            kraus.append(v.conj().T @ (rk @ nv))
     return KrausChannel.from_kraus(kraus)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import floor, isqrt
 
 import numpy as np
@@ -25,8 +26,8 @@ __all__ = [
 ]
 
 UNITARY_TOL = 1e-8
-# (L, d, d) complex stacks simulate_computation holds at its peak, rounded up
-# (tracemalloc reads 6.75 at d = 2, 6.56 at d = 3, 6.53 at d = 4)
+# (L, d, d) complex stacks simulate_computation may hold at its peak
+# (tracemalloc reads 5.75 at d = 2, 5.56 at d = 3, 5.46 at d = 4)
 SIM_PEAK_STACKS = 7
 TIE_DECIMALS = 12
 
@@ -116,9 +117,11 @@ def compose_error_bound(gate_distances) -> float:
 class SimTrajectory:
     """One seeded noisy-computation run at the logical level.
 
-    ``distances[l]`` is the phase-minimized distance between the noisy and
-    ideal cumulative products after step l+1; ``envelopes`` accumulates the
-    per-step error-gate distances, an upper bound on ``distances``.
+    ``noisy[l]`` and ``ideal[l]`` are the cumulative products after step
+    l+1.  ``distances[l]`` is the phase-minimized distance between them,
+    computed on first access and cached; ``final_distance`` reads only the
+    last step.  ``envelopes`` accumulates the per-step error-gate distances,
+    an upper bound on ``distances``.
     """
 
     seed: int
@@ -127,12 +130,18 @@ class SimTrajectory:
     gates: np.ndarray
     exponents: np.ndarray
     step_errors: np.ndarray
-    distances: np.ndarray
     envelopes: np.ndarray
+    noisy: np.ndarray
+    ideal: np.ndarray
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        return _phase_distances(self.noisy, self.ideal)
 
     @property
     def final_distance(self) -> float:
-        return float(self.distances[-1])
+        # the stacked kernel on a one-step stack: the bits of distances[-1]
+        return float(_phase_distances(self.noisy[-1:], self.ideal[-1:])[0])
 
 
 def _arc_distances(phases: np.ndarray) -> np.ndarray:
@@ -161,7 +170,8 @@ def _cumulative_products(seq: np.ndarray) -> np.ndarray:
     elementwise products, one loop over the blocks chains their totals into
     carries, and b more slab steps apply each block's carry: about 3 sqrt(L)
     batched steps in all.  Holds two (L, d, d) stacks besides ``seq``: the
-    buffer and the returned products.
+    buffer and the returned products; ``seq`` is released once copied in,
+    so a temporary argument is freed before they coexist.
     """
     length, d, _ = seq.shape
     b = isqrt(length)
@@ -173,6 +183,7 @@ def _cumulative_products(seq: np.ndarray) -> np.ndarray:
     if rem:
         blocks[full, :rem] = seq[full * b :]
         blocks[full, rem:] = np.eye(d)
+    del seq
     for j in range(1, b):
         buf[j] = (buf[j][:, :, None] * buf[j - 1][None]).sum(1)
     totals = blocks[:, -1]
@@ -206,17 +217,20 @@ def simulate_computation(
     Nothing loops over the L steps in Python: the decompositions run on
     (L, d, d) stacks, and the ideal and noisy cumulative products come from
     one blocked scan each (:func:`_cumulative_products`), about 3 sqrt(L)
-    batched steps.  At L = 1e5 and d = 2 a trajectory takes 0.7-1.0 s on a
-    2-core OpenBLAS machine; the two scans take about 0.05 s of it, and the
-    batched ``eigh``, ``eigvals`` and einsums the rest.
+    batched steps.  At L = 1e5 and d = 2 a trajectory takes about 0.5 s
+    on a 2-core OpenBLAS machine: the two batched ``eigh`` and their
+    einsums take most of it and the two scans about 0.03 s.  The per-step
+    distances are not part of that cost: they are computed only when
+    ``distances`` is read.
 
     At its peak, while the error gates are exponentiated, the run holds
-    ``SIM_PEAK_STACKS`` = 7 (L, d, d) complex stacks' worth of arrays: five
-    stacks (the gates, the generator sum, the eigenvectors, their conjugate
-    and the exponentials) plus the weights, exponents, eigenvalues and
-    phases, 1.75 stacks at d = 2 (6.75 in all under tracemalloc).  A length
-    whose 7 L d^2 amplitudes exceed :data:`qx.vbs_code.DENSE_STACK_CAP`
-    raises ValueError before any random draw (about 1.14e6 steps at d = 2).
+    about 5.75 (L, d, d) complex stacks' worth of arrays under tracemalloc
+    at d = 2 (5.56 at d = 3, 5.46 at d = 4): four stacks (the gates, the
+    eigenvectors, their conjugate and the exponentials) plus the
+    exponents, eigenvalues, phases and einsum buffers.  The budget keeps
+    ``SIM_PEAK_STACKS`` = 7: a length whose 7 L d^2 amplitudes exceed
+    :data:`qx.vbs_code.DENSE_STACK_CAP` raises ValueError before any random
+    draw (about 1.14e6 steps at d = 2).
     """
     if length < 1:
         raise ValueError("computation length must be at least 1")
@@ -252,9 +266,7 @@ def simulate_computation(
     )
     step_errors = _arc_distances(np.mod(error_eigs + np.pi, 2.0 * np.pi) - np.pi)
     noisy = _cumulative_products(gate_stack @ error_gates)  # steps G_l E_l
-    del error_gates  # before the ideal scan, or the peak passes SIM_PEAK_STACKS
-    ideal = _cumulative_products(gate_stack)
-    distances = _phase_distances(noisy, ideal)
+    del error_gates  # before the ideal scan, or that scan sets the peak
     return SimTrajectory(
         seed=seed,
         length=length,
@@ -262,8 +274,9 @@ def simulate_computation(
         gates=gate_stack,
         exponents=exponents,
         step_errors=step_errors,
-        distances=distances,
         envelopes=np.cumsum(step_errors),
+        noisy=noisy,
+        ideal=_cumulative_products(gate_stack),
     )
 
 

@@ -199,7 +199,13 @@ def _expi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(i h) and the eigenvalues of h, for a Hermitian h or a stack
     (..., n, n); the product v e^(iw) v+ is one einsum over the stack."""
     h = np.asarray(h, dtype=complex)
-    w, v = np.linalg.eigh((h + np.swapaxes(h.conj(), -1, -2)) / 2.0)
+    # symmetrized in place, so neither h nor the symmetric part outlives eigh
+    sym = np.swapaxes(np.conj(h), -1, -2)
+    sym += h
+    del h
+    sym /= 2.0
+    w, v = np.linalg.eigh(sym)
+    del sym
     return np.einsum("...ik,...k,...jk->...ij", v, np.exp(1j * w), v.conj()), w
 
 

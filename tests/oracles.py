@@ -1,6 +1,7 @@
 """Brute-force oracles: dense ones for the transfer contractions, a
-step-by-step product for the trajectory scan, and the einsum rotation of
-the KL report; and the bond error family written as its own noise."""
+step-by-step product for the trajectory scan, the einsum rotation of the
+KL report and the looped physical-space logical channel; and the bond
+error family written as its own noise."""
 
 from dataclasses import replace
 from itertools import product
@@ -8,6 +9,7 @@ from itertools import product
 import numpy as np
 
 from qx import vbs_code as vc
+from qx.quantum_ops import KrausChannel
 from qx.su_algebra import adjoint_generator
 
 
@@ -121,6 +123,23 @@ def einsum_rotated_report(report, compressions):
     return replace(
         report, residuals=residuals, residual_weights=weights, first_order_distance=first_order
     )
+
+
+def recovered_logical_channel(code, noise, recovery):
+    """Logical channel V+ R N V from explicit noise and recovery channels,
+    one physical-space product per Kraus pair: the reference for
+    ``logical_recovery_channel``."""
+    if noise.in_dim != code.d_q or recovery.in_dim != noise.out_dim:
+        raise ValueError("channel dimensions do not chain with the code")
+    if recovery.out_dim != code.d_q:
+        raise ValueError("recovery must return to the physical space")
+    v = code.isometry
+    kraus = []
+    for nk in noise.kraus:
+        nv = nk @ v
+        for rk in recovery.kraus:
+            kraus.append(v.conj().T @ (rk @ nv))
+    return KrausChannel.from_kraus(kraus)
 
 
 def bond_noise(code, report, strength=0.1):

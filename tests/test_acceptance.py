@@ -231,7 +231,7 @@ def test_criterion_4_exact_code_anchor():
     kl = qc.kl_decompose(code, errors)
     recovery = qc.recovery_from_kl(code, kl, errors)
     noise = ec.single_qubit_depolarizing(5, 0.25)
-    dist = qc.recovery_error(qc.recovered_logical_channel(code, noise, recovery))[0]
+    dist = qc.recovery_error(oracles.recovered_logical_channel(code, noise, recovery))[0]
     rng = make_generator(stable_seed(4, 0))
     collapse_worst = 0.0
     for _ in range(3):

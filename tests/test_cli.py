@@ -1,10 +1,13 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from qx import cli, qec_core
 from qx import exact_codes as ec
+from qx import quasi_universality as qu
 from qx import vbs_code as vc
 
 
@@ -171,7 +174,7 @@ def _dense_pauli1_report(iso, strength=0.1):
     report = qec_core.kl_decompose(iso, stacks)
     noise = ec.single_qubit_depolarizing(n_qubits, strength)
     recovery = qec_core.recovery_from_kl(iso, report, stacks)
-    q_ch = qec_core.recovered_logical_channel(iso, noise, recovery)
+    q_ch = oracles.recovered_logical_channel(iso, noise, recovery)
     report.exact_distance, report.diamond_bracket, _, _ = qec_core.recovery_error(q_ch)
     report.epsilon = qec_core.epsilon_from_report(report)
     return qec_core.format_kl_report(report).encode()
@@ -297,6 +300,46 @@ def test_simulate_command(tmp_path):
     assert lines[-2].startswith("mean,") and lines[-1].startswith("max,")
     _, again = run_cli(args, tmp_path, "sim2.csv")
     assert first == again
+
+
+def test_simulate_reads_only_the_last_step(tmp_path, monkeypatch):
+    sizes = []
+    phase_distances = qu._phase_distances
+
+    def spy(u, v):
+        sizes.append(len(u))
+        return phase_distances(u, v)
+
+    monkeypatch.setattr(qu, "_phase_distances", spy)
+    args = ["simulate", "--d", "2", "--n", "8", "--length", "500", "--trials", "3"]
+    code, _ = run_cli(args, tmp_path, "last.csv")
+    assert code == 0
+    assert sizes == [1, 1, 1]
+
+
+# sha256 of stdout captured at commit 013ecb7, where every per-step
+# distance was computed
+SIMULATE_PINS = [
+    (
+        ["--d", "2", "--n", "8", "--length", "100", "--trials", "200", "--seed", "7"],
+        "cbf5b21464a2be6fba112f00bfd81c1a2772a1cede16382dbd2164d552b1c650",
+    ),
+    (
+        ["--d", "3", "--n", "4", "--length", "2000", "--trials", "3"],
+        "9f5935315bb18ea89155f9ce7ee72e2ff10091354c986c185ff8d1ff49544078",
+    ),
+    (
+        ["--d", "4", "--n", "3", "--length", "1000", "--error-dist", "gaussian"],
+        "26548db07c0cce619acf38c4d9fca3b1798767eaf43d171662f0c7fdf932b443",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", SIMULATE_PINS, ids=["readme", "d3", "d4-gaussian"])
+def test_simulate_stdout_is_pinned(tmp_path, args, digest):
+    code, text = run_cli(["simulate"] + args, tmp_path, "pin.csv")
+    assert code == 0
+    assert hashlib.sha256(text).hexdigest() == digest
 
 
 def test_simulate_single_trial(tmp_path):

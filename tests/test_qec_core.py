@@ -117,7 +117,7 @@ def test_recovery_five_qubit_inverts_noise():
     tp, _ = cptp_residuals(recovery)
     assert tp < 1e-10
     noise = ec.single_qubit_depolarizing(5, 0.3)
-    q_ch = qc.recovered_logical_channel(code, noise, recovery)
+    q_ch = oracles.recovered_logical_channel(code, noise, recovery)
     dist, bracket, fid, _ = qc.recovery_error(q_ch)
     assert dist < 1e-10
     assert bracket[0] <= bracket[1]
@@ -247,7 +247,7 @@ def test_logical_recovery_matches_dense_composition(normalization, d, n_sites):
     noise_ops = [w0 * np.eye(iso.d_q)]
     noise_ops += [w * np.kron(bulk, g) for g in code.basis.generators]
     noise = KrausChannel.from_kraus(noise_ops)
-    dense = qc.recovered_logical_channel(iso, noise, recovery)
+    dense = oracles.recovered_logical_channel(iso, noise, recovery)
     assert np.abs(choi_matrix(thin) - choi_matrix(dense)).max() < 1e-10
 
 
@@ -304,7 +304,7 @@ def test_first_order_gap_shrinks_with_chain_length():
 def test_recovered_logical_channel_identity_case():
     code = qc.CodeIsometry(isometry=np.eye(3))
     ident = KrausChannel.from_kraus([np.eye(3)])
-    q_ch = qc.recovered_logical_channel(code, ident, ident)
+    q_ch = oracles.recovered_logical_channel(code, ident, ident)
     rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
     assert np.abs(apply_channel(q_ch, rho) - rho).max() < 1e-14
 

@@ -196,20 +196,38 @@ def test_cumulative_products_match_sequential_oracle(d):
         np.testing.assert_allclose(got, oracles.sequential_products(seq), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("scale", [0.0, 0.05])
-def test_simulation_matches_sequential_trajectory(scale):
-    d, length = 3, 40
-    gates = random_unitaries(np.random.default_rng(11), length, d)
-    traj = qu.simulate_computation(d, 8, length, seed=4, gates=list(gates), error_scale=scale)
+SEQUENTIAL_CASES = [
+    # (error scale, d, explicit gates, error distribution)
+    pytest.param(0.0, 3, True, "uniform", id="0.0"),
+    pytest.param(0.05, 3, True, "uniform", id="0.05"),
+    pytest.param(0.05, 3, True, "gaussian", id="0.05-gaussian"),
+] + [
+    pytest.param(0.05, d, False, dist, id=f"seeded-d{d}-{dist}")
+    for d in (2, 4)
+    for dist in ("uniform", "gaussian")
+]
+
+
+@pytest.mark.parametrize("scale, d, explicit, error_dist", SEQUENTIAL_CASES)
+def test_simulation_matches_sequential_trajectory(scale, d, explicit, error_dist):
+    length = 40
+    gates = random_unitaries(np.random.default_rng(11), length, d) if explicit else None
+    traj = qu.simulate_computation(
+        d, 8, length, seed=4, gates=None if gates is None else list(gates),
+        error_scale=scale, error_dist=error_dist,
+    )
+    if explicit:
+        assert np.array_equal(traj.gates, gates)
     basis = gell_mann_basis(d)
     errors = np.array([
         expi_hermitian(scale * np.tensordot(eps, basis.generators, axes=1))
         for eps in traj.exponents
     ])
-    ideal = oracles.sequential_products(gates)
-    noisy = oracles.sequential_products(gates @ errors)
+    ideal = oracles.sequential_products(traj.gates)
+    noisy = oracles.sequential_products(traj.gates @ errors)
     want = [qu.unitary_distance(n, i) for n, i in zip(noisy, ideal)]
-    assert np.array_equal(traj.gates, gates)
+    # the last step alone gives the same bits as the last of all steps
+    assert traj.final_distance == traj.distances[-1]
     np.testing.assert_allclose(traj.distances, want, rtol=1e-12, atol=1e-12)
 
 
