@@ -7,6 +7,10 @@ product.  That sum is made once, in :func:`error_compressions`; the report,
 the recovery and its logical channel read only the d_L-sized blocks
 V+ E_i+ E_j V after it.  :func:`recovery_from_kl` is the physical-space
 oracle.
+
+scipy is imported only by :func:`_adjoint_product`, the one BLAS call numpy
+lacks (a conjugate-transposed product without a conjugated copy), so the
+transfer route, the simulation and the algebra checks start without it.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
 
 from .quantum_ops import (
     KrausChannel,
@@ -74,7 +76,7 @@ class CodeIsometry:
         object.__setattr__(self, "isometry", v)
         if v.ndim != 2 or v.shape[0] < v.shape[1]:
             raise ValueError(f"isometry shape {v.shape} is not tall")
-        gram = v.conj().T @ v - np.eye(v.shape[1])
+        gram = _adjoint_product(v, v) - np.eye(v.shape[1])
         if np.abs(gram).max() > ISOMETRY_TOL:
             raise ValueError("columns are not orthonormal")
         if self.site_dims is not None:
@@ -136,8 +138,14 @@ def _adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     One zgemm on the transposed views as conj(a.T @ conj(b)); for C-ordered
     complex operands those views are Fortran-ordered, so neither operand is
-    conjugated or copied.
+    conjugated or copied.  scipy's BLAS is imported here, on the first call,
+    so that commands which never form a Gram product do not load it.  That
+    first call is the orthonormality check of :class:`CodeIsometry`, made
+    before any error stacks exist; imported beside the stacks, scipy raised
+    the peak RSS of a process repeating the dense ``kl`` route by 4 MB.
     """
+    import scipy.linalg.blas
+
     return scipy.linalg.blas.zgemm(1.0, a.T, b.T, trans_b=2).conj()
 
 
@@ -560,7 +568,8 @@ def subsystem_gate_factorization(u: np.ndarray, split: SubsystemSplit, tol: floa
         raise ValueError(f"gate leaks out of the code space (deviation {leak:.3e})")
     block = compressed.reshape(split.d_t, split.d_j, split.d_t, split.d_j)
     traced = np.einsum("tjsj->ts", block) / split.d_j
-    u_t, _ = scipy.linalg.polar(traced)
+    w, _, vh = np.linalg.svd(traced)
+    u_t = w @ vh  # the unitary polar factor
     deviation = float(
         np.linalg.norm(compressed - np.kron(u_t, np.eye(split.d_j)), 2)
     )

@@ -2,8 +2,10 @@ import ast
 import importlib
 import importlib.util
 import io
+import os
 import pkgutil
 import random
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -12,7 +14,8 @@ import pytest
 
 import qx
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 MODULES = ["qx"] + [f"qx.{info.name}" for info in pkgutil.iter_modules(qx.__path__)]
 
 
@@ -73,3 +76,62 @@ def test_traced_workload_records_every_layer(workload):
     totals = tracer.layer_totals()
     silent = [layer for layer in w.layers if not totals[layer]["calls"]]
     assert not silent, f"{workload} layers with no traced call: {silent}"
+
+
+def _fresh_python(code):
+    # this process has scipy already (test_su_algebra imports it), so the
+    # import checks run in a new interpreter
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_RUN_QUIETLY = """
+import contextlib, io, sys
+import qx, qx.cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert qx.cli.main(list(argv)) == 0, argv
+"""
+
+
+def test_commands_without_a_gram_product_do_not_import_scipy():
+    _fresh_python(_RUN_QUIETLY + """
+assert "scipy.linalg" not in sys.modules, "import qx.cli"
+run("algebra", "--d", "3")
+run("vbs", "--d", "2", "--n", "4")
+run("sweep", "--d-min", "2", "--d-max", "2", "--n-min", "3", "--n-max", "5")
+run("kl", "--code", "vbs:2:14", "--errors", "bond:all")
+run("simulate", "--d", "2", "--n", "4", "--length", "200")
+run("gates", "--eta", "0.001", "--target", "0.1")
+assert "scipy.linalg" not in sys.modules
+""")
+
+
+def test_dense_kl_imports_scipy():
+    # the control for the test above: the check does see an import
+    _fresh_python(_RUN_QUIETLY + """
+run("kl", "--code", "vbs:2:4", "--errors", "bond")
+assert "scipy.linalg" in sys.modules
+""")
+
+
+def test_scipy_is_imported_by_the_isometry_check():
+    # The dense kl route builds its CodeIsometry before the error stacks, so
+    # the isometry's orthonormality check makes the first Gram product and
+    # imports scipy (about 28 MB) while the heap is small.  Deferred to
+    # error_compressions, the import lands among the stacks: in a process
+    # that repeats `qx kl --code vbs:3:5 --errors bond`, as the kl_dense
+    # benchmark does, peak RSS then rose from 165 to 169 MB.
+    _fresh_python("""
+import sys
+from qx import vbs_code
+vbs_code.bond_error_compressions(vbs_code.build(3, 5))
+assert "scipy.linalg.blas" not in sys.modules
+vbs_code.dense_isometry(vbs_code.build(2, 3))
+assert "scipy.linalg.blas" in sys.modules
+""")

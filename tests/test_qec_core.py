@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from qx import exact_codes as ec
@@ -672,6 +673,39 @@ def test_subsystem_gate_factorization_rejects_nonunitary():
     split = ec.product_gauge_split()
     with pytest.raises(ValueError, match="not unitary"):
         qc.subsystem_gate_factorization(1.01 * np.eye(64), split)
+
+
+def _polar_cases():
+    split = ec.product_gauge_split()
+    u_t = expi_hermitian(np.array([[0.3, 0.1], [0.1, -0.2]]))
+    target = _encode_logical(ec.five_qubit_code(), u_t)
+    v = split.isometry
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    entangling = v @ cnot @ v.conj().T + np.eye(64) - v @ v.conj().T
+    yield "fixture-target", np.kron(target, np.eye(2)), split
+    yield "fixture-identity", np.eye(64), split
+    yield "fixture-entangling", entangling, split
+    # on an identity isometry with d_J = 2, a random unitary G has a generic
+    # non-unitary partial trace of size d_T
+    for d_t in range(2, 9):
+        rng = np.random.default_rng(100 + d_t)
+        for draw in range(3):
+            z = rng.normal(size=(2 * d_t, 2 * d_t)) + 1j * rng.normal(size=(2 * d_t, 2 * d_t))
+            g, _ = np.linalg.qr(z)
+            split = qc.SubsystemSplit(isometry=np.eye(2 * d_t), d_t=d_t, d_j=2)
+            yield f"random-{d_t}-{draw}", g, split
+
+
+POLAR_CASES = list(_polar_cases())
+
+
+@pytest.mark.parametrize("u, split", [c[1:] for c in POLAR_CASES], ids=[c[0] for c in POLAR_CASES])
+def test_subsystem_gate_factor_is_scipy_polar_bit_for_bit(u, split):
+    compressed = qc.logical_operator_check(u, split)[1]
+    block = compressed.reshape(split.d_t, split.d_j, split.d_t, split.d_j)
+    traced = np.einsum("tjsj->ts", block) / split.d_j
+    u_t, _ = qc.subsystem_gate_factorization(u, split)
+    assert np.array_equal(u_t, scipy.linalg.polar(traced)[0])
 
 
 def test_format_kl_report_stable():
