@@ -347,10 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
-        print(f"qx: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"qx: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 
 from .qec_core import CodeIsometry, SubsystemSplit
-from .quantum_ops import KrausChannel
+from .quantum_ops import KrausChannel, apply_on_site
 
 __all__ = [
     "PAULI",
@@ -43,11 +43,8 @@ def weight_one_pauli_stacks(isometry: np.ndarray) -> list[np.ndarray]:
     """The code-state stacks P_i V of :func:`weight_one_paulis`, in its order,
     each formed on one qubit axis of V without a 2^n x 2^n operator."""
     v = np.asarray(isometry, dtype=complex)
-    stacks = []
-    for site in range(v.shape[0].bit_length() - 1):
-        qubit = v.reshape(2**site, 2, -1)  # (qubits before, this qubit, the rest x d_L)
-        stacks += [np.einsum("ab,ibj->iaj", PAULI[c], qubit).reshape(v.shape) for c in "XYZ"]
-    return stacks
+    dims = (2,) * (v.shape[0].bit_length() - 1)
+    return [apply_on_site(v, dims, site, PAULI[c]) for site in range(len(dims)) for c in "XYZ"]
 
 
 def _stabilizer_isometry(n_qubits: int, stabilizers, logical_xs) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Correctability conditions, canonical recovery, and gate-structure checks.
 
-Errors enter only as code-state stacks E V of shape (d_Q, d_L), never as
-physical d_Q x d_Q operators: a family of K of them is one (d_Q, K, d_L)
-array, or a list of the stacks, so every sum over d_Q is a single matrix
-product.  That sum is made once, in :func:`error_compressions`; the report,
-the recovery and its logical channel read only the d_L-sized blocks
-V+ E_i+ E_j V after it.  :func:`recovery_from_kl` is the physical-space
-oracle.
+Errors enter only as code-state stacks E V of shape (d_Q, d_L): a family of
+K of them is one (d_Q, K, d_L) array, or a list of the stacks, so every sum
+over d_Q is a single matrix product.  That sum is made once, in
+:func:`error_compressions`; the report, the recovery, its logical channel
+and the subsystem check read only the d_L-sized blocks V+ E_i+ E_j V after
+it.  A transversal generator is applied to V one site at a time.  The only
+physical d_Q x d_Q arrays are the gates handed to
+:func:`logical_operator_check` and :func:`subsystem_gate_factorization`,
+:meth:`CodeIsometry.projector`, and the physical-space oracle
+:func:`recovery_from_kl`.
 
 scipy is imported only by :func:`_adjoint_product`, the one BLAS call numpy
 lacks (a conjugate-transposed product without a conjugated copy), so the
@@ -16,12 +19,12 @@ transfer route, the simulation and the algebra checks start without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
 from .quantum_ops import (
     KrausChannel,
+    apply_on_site,
     choi_matrix,
     entanglement_fidelity,
     omega_matrix,
@@ -443,12 +446,6 @@ def logical_operator_check(
     return deviation, compressed
 
 
-def _embed_site_operator(site_dims, site: int, op: np.ndarray) -> np.ndarray:
-    left = int(np.prod(site_dims[:site], initial=1))
-    right = int(np.prod(site_dims[site + 1 :], initial=1))
-    return np.kron(np.kron(np.eye(left), op), np.eye(right))
-
-
 def transversal_collapse_check(
     code: CodeIsometry, site_hamiltonians, coefficients, xi: float
 ):
@@ -458,8 +455,10 @@ def transversal_collapse_check(
     where h is the scalar part of V+ D V, logical_part its traceless
     remainder, collapse_deviation the norm of that remainder, and the last
     entry compares V+ exp(i xi D) V against exp(i xi h) exp(i xi logical_part).
-    Each H_j must be Hermitian and supported on its own tensor factor, so the
-    terms cannot overlap by construction.
+    Each H_j must be Hermitian and acts on tensor factor j alone, so the
+    terms commute and exp(i xi D) V = prod_j exp(i xi a_j H_j) V: the check
+    applies D and its exponential to the (d_Q, d_L) isometry one site at a
+    time, with d_j x d_j exponentials, and forms no d_Q x d_Q operator.
     """
     if code.site_dims is None:
         raise ValueError("code carries no site structure")
@@ -467,7 +466,8 @@ def transversal_collapse_check(
     coefficients = np.asarray(coefficients, dtype=float)
     if len(site_hamiltonians) != len(dims) or coefficients.shape != (len(dims),):
         raise ValueError("need one Hamiltonian and one coefficient per site")
-    total = np.zeros((code.d_q, code.d_q), dtype=complex)
+    v = code.isometry
+    moved, evolved = np.zeros_like(v), v
     for site, (ham, coeff) in enumerate(zip(site_hamiltonians, coefficients)):
         if ham is None or coeff == 0.0:
             continue
@@ -476,14 +476,14 @@ def transversal_collapse_check(
             raise ValueError(f"site {site} Hamiltonian shape {ham.shape} is wrong")
         if np.abs(ham - ham.conj().T).max() > 1e-12:
             raise ValueError(f"site {site} Hamiltonian is not Hermitian")
-        total += coeff * _embed_site_operator(dims, site, ham)
-    compressed = code.isometry.conj().T @ total @ code.isometry
+        moved += apply_on_site(v, dims, site, coeff * ham)
+        evolved = apply_on_site(evolved, dims, site, expi_hermitian(xi * coeff * ham))
+    compressed = v.conj().T @ moved
     h = float(np.real(np.trace(compressed) / code.d_l))
     logical_part = compressed - h * np.eye(code.d_l)
     collapse = float(np.linalg.norm(logical_part, 2))
-    evolved = code.isometry.conj().T @ expi_hermitian(xi * total) @ code.isometry
     factored = np.exp(1j * xi * h) * expi_hermitian(xi * logical_part)
-    factorization = float(np.linalg.norm(evolved - factored, 2))
+    factorization = float(np.linalg.norm(v.conj().T @ evolved - factored, 2))
     return h, logical_part, collapse, factorization
 
 
@@ -504,55 +504,23 @@ class SubsystemSplit(CodeIsometry):
             raise ValueError("degenerate split: factor dimensions do not match")
 
 
-def default_gauge_states(d_j: int) -> list[np.ndarray]:
-    """A tomography-complete set of d_J^2 pure gauge states."""
-    states = [np.eye(d_j, dtype=complex)[:, i] for i in range(d_j)]
-    for i in range(d_j):
-        for j in range(i + 1, d_j):
-            plus = np.zeros(d_j, dtype=complex)
-            plus[i] = plus[j] = 1.0 / sqrt(2.0)
-            states.append(plus)
-            imag = np.zeros(d_j, dtype=complex)
-            imag[i] = 1.0 / sqrt(2.0)
-            imag[j] = 1j / sqrt(2.0)
-            states.append(imag)
-    return states
-
-
-def subsystem_kl_check(split: SubsystemSplit, errors, gauge_states=None):
+def subsystem_kl_check(split: SubsystemSplit, errors):
     """Gauge-structure correctability check on a subsystem split.
 
-    Fits J_ij in V+ E_i+ E_j V = I_T x J_ij by partial trace over the logical
-    factor and reports the largest deviation from that product form; the
-    rectangular route through gauge states (effective errors T -> H must have
-    scalar pairwise compressions) is folded into the same residual.  Both
-    routes form all their products at once: (K d_T d_J)^2 and, for G gauge
-    states, (K G d_T)^2 amplitudes.
+    ``errors`` are code-state stacks E_i V, a list or one (d_Q, K, d_L)
+    array as in :func:`kl_decompose`.  The operator-QEC condition
+    P E_i+ E_j P = I_T x J_ij (Kribs, Laflamme & Poulin, PRL 94, 180501)
+    is tested on the compressions: J_ij is fitted by partial trace over the
+    logical factor, and the residual is the largest operator-norm deviation
+    of V+ E_i+ E_j V from I_T x J_ij.  Returns (J, residual), J of shape
+    (K, K, d_J, d_J).
     """
-    v = split.isometry
-    d_t, d_j = split.d_t, split.d_j
-    eye_t = np.eye(d_t)
-    ops = np.asarray(errors, dtype=complex)
-    m = error_compressions(split, (ops @ v).transpose(1, 0, 2))
-    k = m.shape[0]
+    m = error_compressions(split, errors)
+    k, d_t, d_j = m.shape[0], split.d_t, split.d_j
     block = m.reshape(k, k, d_t, d_j, d_t, d_j)
     j_ops = np.einsum("ijtatb->ijab", block) / d_t
-    gap = (block - np.einsum("ts,ijab->ijtasb", eye_t, j_ops)).reshape(m.shape)
-    residual = float(np.linalg.norm(gap, 2, axis=(-2, -1)).max())
-    if gauge_states is None:
-        gauge_states = default_gauge_states(d_j)
-    if len(gauge_states) < d_j * d_j:
-        raise ValueError(f"need at least {d_j * d_j} gauge states")
-    gauge = np.asarray(gauge_states, dtype=complex)
-    # effective errors E_i V (I_T x |g>), (d_Q, d_T) each, side by side
-    anchored = np.einsum("qtj,gj->qgt", v.reshape(split.d_q, d_t, d_j), gauge)
-    eff = (ops @ anchored.reshape(split.d_q, -1)).transpose(1, 0, 2).reshape(split.d_q, -1)
-    n = len(ops) * len(gauge)
-    prods = _adjoint_product(eff, eff).reshape(n, d_t, n, d_t).transpose(0, 2, 1, 3)
-    scalars = np.einsum("xyaa->xy", prods) / d_t
-    gaps = prods - scalars[..., None, None] * eye_t
-    residual = max(residual, float(np.linalg.norm(gaps, 2, axis=(-2, -1)).max()))
-    return j_ops, residual
+    gap = (block - np.einsum("ts,ijab->ijtasb", np.eye(d_t), j_ops)).reshape(m.shape)
+    return j_ops, float(np.linalg.norm(gap, 2, axis=(-2, -1)).max())
 
 
 def subsystem_gate_factorization(u: np.ndarray, split: SubsystemSplit, tol: float = 1e-10):

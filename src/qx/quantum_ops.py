@@ -22,6 +22,7 @@ __all__ = [
     "trace_distance",
     "entanglement_fidelity",
     "partial_trace",
+    "apply_on_site",
 ]
 
 TP_TOL = 1e-10
@@ -174,3 +175,15 @@ def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
         tensor = np.trace(tensor, axis1=ax, axis2=ax + tensor.ndim // 2)
     kept_dim = prod(dims[k] for k in keep)
     return tensor.reshape(kept_dim, kept_dim)
+
+
+def apply_on_site(states: np.ndarray, dims, site: int, op: np.ndarray) -> np.ndarray:
+    """``op`` applied to tensor factor ``site`` of the first axis of a
+    (d_Q, ...) array, where d_Q = prod(dims); the other axes ride along, so
+    a code isometry V (d_Q, d_L) gives the stack (I x op x I) V."""
+    states = np.asarray(states)
+    dims = [int(d) for d in dims]
+    if prod(dims) != states.shape[0]:
+        raise ValueError(f"site dimensions {dims} do not multiply to {states.shape[0]}")
+    factor = states.reshape(prod(dims[:site]), dims[site], -1)  # (before, site, rest)
+    return np.einsum("ab,ibj->iaj", op, factor).reshape(states.shape)

@@ -28,7 +28,7 @@ __all__ = [
 UNITARY_TOL = 1e-8
 # (L, d, d) complex stacks simulate_computation may hold at its peak
 # (tracemalloc reads 5.75 at d = 2, 5.56 at d = 3, 5.46 at d = 4)
-SIM_PEAK_STACKS = 7
+SIM_PEAK_STACKS = 6
 TIE_DECIMALS = 12
 
 
@@ -227,10 +227,10 @@ def simulate_computation(
     about 5.75 (L, d, d) complex stacks' worth of arrays under tracemalloc
     at d = 2 (5.56 at d = 3, 5.46 at d = 4): four stacks (the gates, the
     eigenvectors, their conjugate and the exponentials) plus the
-    exponents, eigenvalues, phases and einsum buffers.  The budget keeps
-    ``SIM_PEAK_STACKS`` = 7: a length whose 7 L d^2 amplitudes exceed
+    exponents, eigenvalues, phases and einsum buffers.  The budget counts
+    ``SIM_PEAK_STACKS`` = 6: a length whose 6 L d^2 amplitudes exceed
     :data:`qx.vbs_code.DENSE_STACK_CAP` raises ValueError before any random
-    draw (about 1.14e6 steps at d = 2).
+    draw (about 1.33e6 steps at d = 2).
     """
     if length < 1:
         raise ValueError("computation length must be at least 1")

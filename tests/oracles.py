@@ -1,7 +1,7 @@
-"""Brute-force oracles: dense ones for the transfer contractions, a
-step-by-step product for the trajectory scan, the einsum rotation of the
-KL report and the looped physical-space logical channel; and the bond
-error family written as its own noise."""
+"""Brute-force oracles: dense ones for the transfer contractions and the
+transversal collapse check, a step-by-step product for the trajectory
+scan, the einsum rotation of the KL report and the looped physical-space
+logical channel; and the bond error family written as its own noise."""
 
 from dataclasses import replace
 from itertools import product
@@ -10,7 +10,7 @@ import numpy as np
 
 from qx import vbs_code as vc
 from qx.quantum_ops import KrausChannel
-from qx.su_algebra import adjoint_generator
+from qx.su_algebra import adjoint_generator, expi_hermitian
 
 
 def explicit_state(code, alpha, insertions=()):
@@ -56,6 +56,26 @@ def apply_site_operator(state, dims, axis, op):
     tensor = np.asarray(state).reshape(dims)
     moved = np.tensordot(np.asarray(op, dtype=complex), tensor, axes=(1, axis))
     return np.moveaxis(moved, 0, axis).reshape(-1)
+
+
+def dense_collapse_check(code, site_hamiltonians, coefficients, xi):
+    """The four values of ``transversal_collapse_check`` with the generator
+    D = sum_j a_j H_j built as a d_Q x d_Q operator from Kronecker products
+    and exponentiated whole."""
+    dims = code.site_dims
+    total = np.zeros((code.d_q, code.d_q), dtype=complex)
+    for site, (ham, coeff) in enumerate(zip(site_hamiltonians, coefficients)):
+        left = np.eye(int(np.prod(dims[:site])))
+        right = np.eye(int(np.prod(dims[site + 1 :])))
+        total += coeff * np.kron(np.kron(left, ham), right)
+    v = code.isometry
+    compressed = v.conj().T @ total @ v
+    h = float(np.real(np.trace(compressed) / code.d_l))
+    logical_part = compressed - h * np.eye(code.d_l)
+    evolved = v.conj().T @ expi_hermitian(xi * total) @ v
+    factored = np.exp(1j * xi * h) * expi_hermitian(xi * logical_part)
+    factorization = float(np.linalg.norm(evolved - factored, 2))
+    return h, logical_part, float(np.linalg.norm(logical_part, 2)), factorization
 
 
 def dense_site_overlap(code, alpha, beta, site_ops):

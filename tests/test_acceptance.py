@@ -422,7 +422,7 @@ def test_criterion_9_span_non_contractivity():
 
 def test_criterion_10_subsystem_checks():
     split = ec.product_gauge_split()
-    errors = [np.kron(e, np.eye(2)) for e in ec.weight_one_paulis(5)]
+    errors = ec.weight_one_pauli_stacks(split.isometry)[:15]
     _, residual = qc.subsystem_kl_check(split, errors)
     base = ec.five_qubit_code()
     rng = make_generator(stable_seed(10))

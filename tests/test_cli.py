@@ -277,8 +277,8 @@ def test_kl_dense_route_memory_bound(tmp_path):
 
 @pytest.mark.filterwarnings("error")
 def test_simulate_length_bounded_by_stack_size(tmp_path, monkeypatch, capsys):
-    # 7 stacks of 30 * 2 * 2 amplitudes fit a cap of 840; 31 steps do not
-    monkeypatch.setattr(vc, "DENSE_STACK_CAP", 840)
+    # SIM_PEAK_STACKS stacks of 30 * 2 * 2 amplitudes fit the cap; 31 steps do not
+    monkeypatch.setattr(vc, "DENSE_STACK_CAP", qu.SIM_PEAK_STACKS * 30 * 4)
     args = ["simulate", "--d", "2", "--n", "8", "--trials", "2", "--seed", "3"]
     code, text = run_cli(args + ["--length", "30"], tmp_path, "ok.csv")
     assert code == 0 and text.decode().startswith("trial,final_distance\n")

@@ -228,6 +228,8 @@ def test_error_stacks_of_the_wrong_shape_are_rejected():
     for bad in ((d_ops[1:], c), (d_ops, c[:, 1:]), (d_ops, c[0])):
         with pytest.raises(ValueError):
             qc.logical_recovery_channel(report, *bad)
+    with pytest.raises(ValueError):
+        qc.subsystem_kl_check(ec.product_gauge_split(), [np.eye(64)])
 
 
 @pytest.mark.parametrize(
@@ -580,6 +582,65 @@ def _dense_transversal(site_gen, edge_gen, n_sites, xi=0.4):
     return np.kron(out, expi_hermitian(xi * edge_gen))
 
 
+def _random_hamiltonians(rng, dims):
+    hams = []
+    for d in dims:
+        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        hams.append((m + m.conj().T) / 2)
+    return hams
+
+
+def _random_code(rng, n_qubits, d_l):
+    raw = rng.normal(size=(2**n_qubits, d_l)) + 1j * rng.normal(size=(2**n_qubits, d_l))
+    return qc.CodeIsometry(isometry=np.linalg.qr(raw)[0], site_dims=(2,) * n_qubits)
+
+
+@pytest.mark.parametrize("name", ["five_qubit", "vbs:2:4", "random-6"])
+def test_collapse_check_matches_dense_generator(name):
+    rng = np.random.default_rng(29)
+    code = {
+        "five_qubit": ec.five_qubit_code,
+        "vbs:2:4": lambda: vc.dense_isometry(vc.build(2, 4)),
+        "random-6": lambda: _random_code(rng, 6, 3),
+    }[name]()
+    hams = _random_hamiltonians(rng, code.site_dims)
+    coefficients = rng.normal(size=len(hams))
+    got = qc.transversal_collapse_check(code, hams, coefficients, 0.3)
+    want = oracles.dense_collapse_check(code, hams, coefficients, 0.3)
+    assert abs(got[0] - want[0]) < 1e-12
+    assert np.abs(got[1] - want[1]).max() < 1e-12
+    assert abs(got[2] - want[2]) < 1e-12
+    assert abs(got[3] - want[3]) < 1e-12
+
+
+def test_collapse_check_allocates_no_physical_operator():
+    # a d_Q x d_Q operator at 10 qubits is 16 MB; V is 32 KB
+    rng = np.random.default_rng(31)
+    code = _random_code(rng, 10, 2)
+    hams = _random_hamiltonians(rng, code.site_dims)
+    coefficients = rng.normal(size=10)
+    qc.transversal_collapse_check(code, hams, coefficients, 0.2)
+    tracemalloc.start()
+    try:
+        qc.transversal_collapse_check(code, hams, coefficients, 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_weight_one_pauli_stacks_match_site_oracle():
+    rng = np.random.default_rng(37)
+    n = 4
+    v = _random_code(rng, n, 3).isometry
+    stacks = ec.weight_one_pauli_stacks(v)
+    for index, stack in enumerate(stacks):
+        pauli = ec.PAULI["XYZ"[index % 3]]
+        for col in range(v.shape[1]):
+            want = oracles.apply_site_operator(v[:, col], (2,) * n, index // 3, pauli)
+            assert np.array_equal(stack[:, col], want)
+
+
 def test_collapse_check_validation():
     code = ec.five_qubit_code()
     bad = [np.array([[0.0, 1.0], [0.0, 0.0]])] + [np.zeros((2, 2))] * 4
@@ -591,7 +652,7 @@ def test_collapse_check_validation():
 
 def test_subsystem_product_fixture():
     split = ec.product_gauge_split()
-    errors = [np.kron(e, np.eye(2)) for e in ec.weight_one_paulis(5)]
+    errors = ec.weight_one_pauli_stacks(split.isometry)[:15]
     j_ops, resid = qc.subsystem_kl_check(split, errors)
     assert resid < 1e-12
     for i in range(len(errors)):
@@ -603,7 +664,7 @@ def test_subsystem_product_fixture():
 def test_subsystem_gauge_error():
     split = ec.product_gauge_split()
     gauge_x = np.kron(np.eye(32), ec.PAULI["X"])
-    j_ops, resid = qc.subsystem_kl_check(split, [gauge_x, np.eye(64)])
+    j_ops, resid = qc.subsystem_kl_check(split, [gauge_x @ split.isometry, split.isometry])
     assert resid < 1e-12
     assert np.abs(j_ops[1, 0] - ec.PAULI["X"]).max() < 1e-12
 
@@ -611,10 +672,21 @@ def test_subsystem_gauge_error():
 def test_subsystem_trivial_gauge_reduces_to_kl():
     code = ec.five_qubit_code()
     split = qc.SubsystemSplit(isometry=code.isometry, d_t=2, d_j=1)
-    errors = ec.weight_one_paulis(5)
+    errors = ec.weight_one_pauli_stacks(code.isometry)
     _, resid = qc.subsystem_kl_check(split, errors)
-    report = qc.kl_decompose(code, [e @ code.isometry for e in errors])
+    report = qc.kl_decompose(code, errors)
     assert resid < np.sqrt(report.residual_weights.max()) + 1e-12
+
+
+def test_subsystem_non_product_family():
+    # V+ (XXXXX x Z) V = X_L x Z_J: the gauge part is not I_T x J, and the
+    # partial-trace fit J = 0 leaves a residual of norm one
+    split = ec.product_gauge_split()
+    xz = np.kron(ec.pauli_string("XXXXX"), ec.PAULI["Z"])
+    _, resid = qc.subsystem_kl_check(split, [split.isometry, xz @ split.isometry])
+    assert abs(resid - 1.0) < 1e-12
+    stacked = np.stack([split.isometry, xz @ split.isometry], axis=1)
+    assert qc.subsystem_kl_check(split, stacked)[1] == resid
 
 
 def test_subsystem_gate_factorization():

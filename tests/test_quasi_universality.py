@@ -248,8 +248,8 @@ def test_simulation_rejects_bad_explicit_gates():
 
 @pytest.mark.filterwarnings("error")
 def test_simulation_length_bounded_by_stack_budget(monkeypatch):
-    # the budget counts SIM_PEAK_STACKS (L, d, d) stacks: 7 * 30 * 4 = 840
-    monkeypatch.setattr(qu.vbs_code, "DENSE_STACK_CAP", 840)
+    # the budget counts SIM_PEAK_STACKS (L, d, d) stacks of 30 * 2 * 2 amplitudes
+    monkeypatch.setattr(qu.vbs_code, "DENSE_STACK_CAP", qu.SIM_PEAK_STACKS * 30 * 4)
     assert qu.simulate_computation(2, 8, 30, seed=1).length == 30
     with pytest.raises(ValueError, match="budget"):
         qu.simulate_computation(2, 8, 31, seed=1)
@@ -257,9 +257,10 @@ def test_simulation_length_bounded_by_stack_budget(monkeypatch):
         qu.simulate_computation(3, 8, 30, seed=1)
 
 
-def test_simulation_peak_within_stated_stack_count():
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_simulation_peak_within_stated_stack_count(d):
     # long enough that numpy's fixed ~0.1 MB of buffers does not count
-    d, length = 2, 20000
+    length = 20000
     qu.simulate_computation(d, 8, length, seed=3)
     tracemalloc.start()
     try:
