@@ -120,14 +120,16 @@ def _error_family(code: CodeIsometry, stacks) -> np.ndarray:
     """Code-state stacks E_i V as one (d_Q, K, d_L) array.
 
     ``stacks`` is either such an array, returned without a copy, or a
-    sequence of (d_Q, d_L) stacks.  Reshaped to (d_Q, K*d_L) the array holds
-    the stacks side by side.
+    sequence of (d_Q, d_L) stacks; K = 0 is an error.  Reshaped to
+    (d_Q, K*d_L) the array holds the stacks side by side.
     """
     shape = (code.d_q, code.d_l)
     stacked = isinstance(stacks, np.ndarray) and stacks.ndim == 3
     for got in [stacks.shape[::2]] if stacked else map(np.shape, stacks):
         if got != shape:
             raise ValueError(f"error stack shape {got} is not (d_Q, d_L) = {shape}")
+    if not (stacks.shape[1] if stacked else len(stacks)):
+        raise ValueError("error list must not be empty")
     if stacked:
         return np.ascontiguousarray(stacks, dtype=complex)
     family = np.empty((code.d_q, len(stacks), code.d_l), dtype=complex)
@@ -239,10 +241,7 @@ def kl_decompose(code: CodeIsometry, errors, cutoff_rel: float = CUTOFF_REL) -> 
     Nothing with a d_Q axis outlives the call: a caller that passes a list
     it holds nowhere else frees the stacks here.
     """
-    m = error_compressions(code, errors)
-    if not len(m):
-        raise ValueError("error list must not be empty")
-    return kl_report_from_compressions(m, cutoff_rel=cutoff_rel)
+    return kl_report_from_compressions(error_compressions(code, errors), cutoff_rel=cutoff_rel)
 
 
 def _completion_remainder(s: np.ndarray) -> tuple[float, np.ndarray]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from math import floor, isqrt
@@ -27,9 +28,12 @@ __all__ = [
 
 UNITARY_TOL = 1e-8
 # (L, d, d) complex stacks simulate_computation may hold at its peak
-# (tracemalloc reads 5.75 at d = 2, 5.56 at d = 3, 5.46 at d = 4)
-SIM_PEAK_STACKS = 6
+# (tracemalloc reads 4.64 at d = 2, 4.57 at d = 3, 4.56 at d = 4)
+SIM_PEAK_STACKS = 5
 TIE_DECIMALS = 12
+# steps per call of a per-step kernel (_over_chunks).  2048 to 8192 time
+# alike; the smallest keeps each worker's scratch smallest
+CHUNK_STEPS = 2048
 
 
 def unitary_distance(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
@@ -136,7 +140,13 @@ class SimTrajectory:
 
     @cached_property
     def distances(self) -> np.ndarray:
-        return _phase_distances(self.noisy, self.ideal)
+        distances = np.empty(self.length)
+
+        def chunk(s: slice) -> None:
+            distances[s] = _phase_distances(self.noisy[s], self.ideal[s])
+
+        _over_chunks(chunk, self.length)
+        return distances
 
     @property
     def final_distance(self) -> float:
@@ -158,6 +168,39 @@ def _phase_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     unitaries (..., d, d), from the eigenphases of v+ u."""
     relative = np.einsum("...ba,...bc->...ac", v.conj(), u)
     return _arc_distances(np.angle(np.linalg.eigvals(relative)))
+
+
+def _over_chunks(kernel, length: int) -> None:
+    """Call ``kernel(s)`` on the consecutive ``CHUNK_STEPS``-long slices s
+    of range(length), on up to one thread per usable CPU.
+
+    numpy's linalg gufuncs and most einsum and ufunc loops release the GIL,
+    and each of their per-matrix calls gives the same bits whatever batch it
+    is in, so a kernel that writes only its own slices of preallocated
+    arrays gives results independent of the chunk and worker counts.  The
+    workers number at most the usable CPUs and length / (3 CHUNK_STEPS):
+    their chunks in flight then span at most a third of the length, so
+    kernels whose scratch is a few chunk stacks (under 4 in
+    :func:`simulate_computation`) add at most 1.25 (L, d, d) stacks
+    whatever the CPU count.  One worker runs the slices inline, in order;
+    more run on threads joined before return, and a kernel's exception
+    re-raises here.  Kernels call no function that perfbench's tracer
+    wraps: its one call stack belongs to the calling thread.
+    """
+    slices = [slice(i, min(i + CHUNK_STEPS, length)) for i in range(0, length, CHUNK_STEPS)]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(len(slices), cpus, length // (3 * CHUNK_STEPS))
+    if workers <= 1:
+        for s in slices:
+            kernel(s)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # not on the import path of qx.cli
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(kernel, slices))
 
 
 def _cumulative_products(seq: np.ndarray) -> np.ndarray:
@@ -214,23 +257,31 @@ def simulate_computation(
     sequence or, when omitted, a seeded special-unitary stream; identical
     seeds and parameters reproduce identical trajectories.
 
-    Nothing loops over the L steps in Python: the decompositions run on
-    (L, d, d) stacks, and the ideal and noisy cumulative products come from
-    one blocked scan each (:func:`_cumulative_products`), about 3 sqrt(L)
-    batched steps.  At L = 1e5 and d = 2 a trajectory takes about 0.5 s
-    on a 2-core OpenBLAS machine: the two batched ``eigh`` and their
-    einsums take most of it and the two scans about 0.03 s.  The per-step
-    distances are not part of that cost: they are computed only when
-    ``distances`` is read.
+    Nothing loops over the L steps in Python.  The per-step work (the gate
+    and error exponentials, ``step_errors`` and the step products G_l E_l)
+    runs in fixed ``CHUNK_STEPS``-step chunks on up to one thread per
+    usable CPU (:func:`_over_chunks`); the random draws stay serial, so no
+    result depends on the chunk or worker count.  The ideal and noisy
+    cumulative products come from one blocked scan each
+    (:func:`_cumulative_products`), about 3 sqrt(L) batched steps.  At
+    L = 1e5 and d = 2 a trajectory takes about 0.5 s on a 2-vCPU OpenBLAS
+    machine (0.7 s on one thread), most of it in the batched ``eigh``, and
+    the two scans about 0.05 s.  The per-step distances are not part of
+    that cost: they are computed, in chunks too, only when ``distances``
+    is read (about 0.18 s more).
 
-    At its peak, while the error gates are exponentiated, the run holds
-    about 5.75 (L, d, d) complex stacks' worth of arrays under tracemalloc
-    at d = 2 (5.56 at d = 3, 5.46 at d = 4): four stacks (the gates, the
-    eigenvectors, their conjugate and the exponentials) plus the
-    exponents, eigenvalues, phases and einsum buffers.  The budget counts
-    ``SIM_PEAK_STACKS`` = 6: a length whose 6 L d^2 amplitudes exceed
+    At its peak, in the ideal scan, the run holds about 4.64 (L, d, d)
+    complex stacks' worth of arrays under tracemalloc at d = 2 (4.57 at
+    d = 3, 4.56 at d = 4): the gates, the noisy products, the scan's buffer
+    and its result, plus the exponents, ``step_errors`` and ``envelopes``.
+    The step stack is released after the noisy scan.  While the chunks run
+    the run holds about 2.9 stacks plus 3.75 chunk stacks of scratch per
+    worker; :func:`_over_chunks` keeps workers times ``CHUNK_STEPS`` within
+    L / 3, so that phase stays below about 4.2 stacks on any CPU count
+    (64 CPUs at L = 20000 read the same peak as one).  The budget counts
+    ``SIM_PEAK_STACKS`` = 5: a length whose 5 L d^2 amplitudes exceed
     :data:`qx.vbs_code.DENSE_STACK_CAP` raises ValueError before any random
-    draw (about 1.33e6 steps at d = 2).
+    draw (about 1.6e6 steps at d = 2).
     """
     if length < 1:
         raise ValueError("computation length must be at least 1")
@@ -244,9 +295,10 @@ def simulate_computation(
     basis = gell_mann_basis(d)
     scale = eta(d, n_sites) if error_scale is None else float(error_scale)
     rng = make_generator(seed)
+    weights = None
     if gates is None:
         weights = rng.normal(0.0, 1.0, size=(length, basis.size))
-        gate_stack, _ = _expi_eigh(np.einsum("lk,kij->lij", weights, basis.generators))
+        gate_stack = np.empty((length, d, d), dtype=complex)
     else:
         try:
             gate_stack = np.asarray(gates, dtype=complex)
@@ -261,12 +313,25 @@ def simulate_computation(
         exponents = rng.uniform(-1.0, 1.0, size=(length, basis.size))
     else:
         exponents = rng.normal(0.0, 1.0, size=(length, basis.size))
-    error_gates, error_eigs = _expi_eigh(
-        scale * np.einsum("lk,kij->lij", exponents, basis.generators)
-    )
-    step_errors = _arc_distances(np.mod(error_eigs + np.pi, 2.0 * np.pi) - np.pi)
-    noisy = _cumulative_products(gate_stack @ error_gates)  # steps G_l E_l
-    del error_gates  # before the ideal scan, or that scan sets the peak
+    steps = np.empty((length, d, d), dtype=complex)  # G_l E_l
+    step_errors = np.empty(length)
+
+    def algebra(coefficients: np.ndarray) -> np.ndarray:
+        # sum_k c_k t^k; einsum would cast the real rows to complex in
+        # buffered passes, about 3x slower for the same bits
+        return np.einsum("lk,kij->lij", coefficients.astype(complex), basis.generators)
+
+    def step(s: slice) -> None:
+        if weights is not None:
+            gate_stack[s] = _expi_eigh(algebra(weights[s]))[0]
+        error_gates, error_eigs = _expi_eigh(scale * algebra(exponents[s]))
+        step_errors[s] = _arc_distances(np.mod(error_eigs + np.pi, 2.0 * np.pi) - np.pi)
+        np.matmul(gate_stack[s], error_gates, out=steps[s])
+
+    _over_chunks(step, length)
+    del weights
+    noisy = _cumulative_products(steps)
+    del steps  # before the ideal scan, or that scan sets the peak
     return SimTrajectory(
         seed=seed,
         length=length,

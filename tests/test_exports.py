@@ -112,6 +112,26 @@ assert "scipy.linalg" not in sys.modules
 """)
 
 
+def test_thread_pool_is_imported_only_by_multi_chunk_work():
+    # qx.quasi_universality imports concurrent.futures on the first run
+    # that spreads its chunks over more than one worker, so `import qx.cli`
+    # stays as it was
+    _fresh_python("""
+import os
+import sys
+import qx.cli
+assert "concurrent.futures" not in sys.modules, "import qx.cli"
+from qx import quasi_universality as qu
+os.sched_getaffinity = lambda pid: set(range(2))
+qu.simulate_computation(2, 8, qu.CHUNK_STEPS, seed=1)
+assert "concurrent.futures" not in sys.modules, "one chunk"
+qu.simulate_computation(2, 8, 6 * qu.CHUNK_STEPS - 1, seed=1)
+assert "concurrent.futures" not in sys.modules, "one worker"
+qu.simulate_computation(2, 8, 6 * qu.CHUNK_STEPS, seed=1)
+assert "concurrent.futures" in sys.modules
+""")
+
+
 def test_dense_kl_imports_scipy():
     # the control for the test above: the check does see an import
     _fresh_python(_RUN_QUIETLY + """

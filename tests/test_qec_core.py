@@ -232,6 +232,14 @@ def test_error_stacks_of_the_wrong_shape_are_rejected():
         qc.subsystem_kl_check(ec.product_gauge_split(), [np.eye(64)])
 
 
+def test_empty_error_list_is_named():
+    split = ec.product_gauge_split()
+    for errors in ([], np.empty((split.d_q, 0, split.d_l), dtype=complex)):
+        for check in (qc.kl_decompose, qc.error_compressions, qc.subsystem_kl_check):
+            with pytest.raises(ValueError, match="error list must not be empty"):
+                check(split, errors)
+
+
 @pytest.mark.parametrize(
     "normalization, d, n_sites",
     [

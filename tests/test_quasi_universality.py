@@ -1,4 +1,7 @@
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -246,6 +249,84 @@ def test_simulation_rejects_bad_explicit_gates():
     assert qu.simulate_computation(2, 8, 6, seed=0, gates=near).length == 6
 
 
+TRAJECTORY_ARRAYS = ("gates", "exponents", "step_errors", "envelopes", "noisy", "ideal", "distances")
+
+
+def chunked_trajectory(monkeypatch, chunk, d, length, explicit, error_dist, seed=4):
+    # up to 8 workers, likely more than there are cores, switching threads
+    # as often as the interpreter allows
+    monkeypatch.setattr(qu, "CHUNK_STEPS", chunk)
+    monkeypatch.setattr(qu.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    gates = random_unitaries(np.random.default_rng(seed), length, d) if explicit else None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        traj = qu.simulate_computation(d, 8, length, seed=seed, gates=gates, error_dist=error_dist)
+        return [getattr(traj, name) for name in TRAJECTORY_ARRAYS] + [traj.final_distance]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def assert_chunk_invariant(monkeypatch, chunk, d, length, explicit, error_dist, seed=4):
+    got = chunked_trajectory(monkeypatch, chunk, d, length, explicit, error_dist, seed)
+    # the reference runs inline: one chunk, no worker thread
+    want = chunked_trajectory(monkeypatch, length, d, length, explicit, error_dist, seed)
+    for name, a, b in zip(TRAJECTORY_ARRAYS + ("final_distance",), got, want):
+        assert np.array_equal(a, b), (name, chunk, d, length)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, qu.CHUNK_STEPS], ids=["1", "7", "default"])
+@pytest.mark.parametrize("d, explicit, error_dist", [
+    (2, False, "uniform"), (3, True, "gaussian"), (4, False, "gaussian"), (4, True, "uniform"),
+])
+def test_simulation_does_not_depend_on_the_chunking(monkeypatch, chunk, d, explicit, error_dist):
+    # one short of a chunk, one chunk, a one-step last chunk, several
+    # chunks, and enough of them for all 8 workers
+    for length in [chunk - 1, chunk, chunk + 1, 3 * chunk + 5, 24 * chunk + 5]:
+        if length >= 1:
+            assert_chunk_invariant(monkeypatch, chunk, d, length, explicit, error_dist)
+
+
+def test_chunk_threads_are_bounded_and_joined(monkeypatch):
+    monkeypatch.setattr(qu, "CHUNK_STEPS", 16)
+    monkeypatch.setattr(qu.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
+    idents = set()
+    expi_eigh = qu._expi_eigh
+
+    def recording_expi_eigh(h):
+        idents.add(threading.get_ident())
+        return expi_eigh(h)
+
+    monkeypatch.setattr(qu, "_expi_eigh", recording_expi_eigh)
+    before = threading.active_count()
+    # 64 "CPUs": three chunks are a third of their length, so one worker
+    # runs them inline
+    qu.simulate_computation(2, 8, 3 * 16, seed=1)
+    assert pools == [] and idents == {threading.get_ident()}
+    idents.clear()
+    qu.simulate_computation(2, 8, 9 * 16, seed=1)  # nine chunks, three workers
+    assert pools == [3]
+    assert 1 <= len(idents) <= 3
+    assert threading.active_count() == before
+
+    def failing(s):
+        if s.start == 16:
+            raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        qu._over_chunks(failing, 10 * 16)
+    assert pools == [3, 3]
+    assert threading.active_count() == before
+
+
 @pytest.mark.filterwarnings("error")
 def test_simulation_length_bounded_by_stack_budget(monkeypatch):
     # the budget counts SIM_PEAK_STACKS (L, d, d) stacks of 30 * 2 * 2 amplitudes
@@ -269,6 +350,14 @@ def test_simulation_peak_within_stated_stack_count(d):
     finally:
         tracemalloc.stop()
     assert peak <= qu.SIM_PEAK_STACKS * length * d * d * 16
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_simulation_peak_holds_for_any_cpu_count(monkeypatch, d):
+    # the worker count follows the length, not just the CPUs: 64 of them
+    # still give three workers at L = 20000
+    monkeypatch.setattr(qu.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    test_simulation_peak_within_stated_stack_count(d)
 
 
 def test_trajectory_csv_format():
