@@ -165,6 +165,8 @@ def _parse_bonds(spec: str, code) -> list[int]:
 
 
 def cmd_kl(args) -> int:
+    if not 0.0 <= args.cutoff < 1.0:
+        raise UsageError(f"cutoff {args.cutoff} is outside [0, 1)")
     selector = args.code
     noise = None  # (D, c) for logical_recovery_channel, on the routes that have it
     if selector.startswith("vbs:"):
@@ -211,15 +213,15 @@ def cmd_kl(args) -> int:
         n_qubits = int(iso.d_q).bit_length() - 1
         if 2**n_qubits != iso.d_q:
             raise UsageError("pauli1 errors need a qubit-factorable physical space")
-        # the route allocates the 3n stacks P_i V, then V and them as one array
+        # the route allocates the 3n stacks P_i V, then one family copy of V and them
         amplitudes = (6 * n_qubits + 1) * iso.d_q * iso.d_l
         if amplitudes > vbs_code.DENSE_STACK_CAP:
             raise UsageError(f"pauli1 on a {iso.d_q}x{iso.d_l} isometry needs {amplitudes} "
                              f"amplitudes, over the budget of {vbs_code.DENSE_STACK_CAP}")
         weights = exact_codes.depolarizing_weights(n_qubits, args.strength)
-        joint = np.stack([iso.isometry] + exact_codes.weight_one_pauli_stacks(iso.isometry), 1)
-        # one compression of [V | P_i V]: M over the Paulis, and D_i = V+ P_i V
-        m = qec_core.error_compressions(iso, joint)
+        stacks = [iso.isometry] + exact_codes.weight_one_pauli_stacks(iso.isometry)
+        # one compression of the family V, P_i V: M over the Paulis, and D_i = V+ P_i V
+        m = qec_core.error_compressions(iso, stacks)
         report = qec_core.kl_report_from_compressions(m[1:, 1:], cutoff_rel=args.cutoff)
         noise = m[0, 1:], np.diag(weights)
     if noise is not None:

@@ -1,8 +1,8 @@
 """Correctability conditions, canonical recovery, and gate-structure checks.
 
 Errors enter only as code-state stacks E V of shape (d_Q, d_L): a family of
-K of them is one (d_Q, K, d_L) array, or a list of the stacks, so every sum
-over d_Q is a single matrix product.  That sum is made once, in
+K of them is a sequence of the stacks, copied once side by side so that
+every sum over d_Q is a single matrix product.  That sum is made once, in
 :func:`error_compressions`; the report, the recovery, its logical channel
 and the subsystem check read only the d_L-sized blocks V+ E_i+ E_j V after
 it.  A transversal generator is applied to V one site at a time.  The only
@@ -107,43 +107,41 @@ def detect_condition(code: CodeIsometry, errors) -> list[tuple[complex, float]]:
     traceless remainder of V+ E_i V; the error is exactly detected when the
     residual vanishes.
     """
+    d_l = code.d_l
     family = _error_family(code, errors)
-    k, d_l = family.shape[1], code.d_l
-    flat = family.reshape(code.d_q, k * d_l)
-    compressed = _adjoint_product(code.isometry, flat).reshape(d_l, k, d_l).swapaxes(0, 1)
+    compressed = _adjoint_product(code.isometry, family).reshape(d_l, -1, d_l).swapaxes(0, 1)
     e = np.trace(compressed, axis1=1, axis2=2) / d_l
     residuals = np.linalg.norm(compressed - e[:, None, None] * np.eye(d_l), 2, axis=(-2, -1))
     return [(complex(ei), float(r)) for ei, r in zip(e, residuals)]
 
 
 def _error_family(code: CodeIsometry, stacks) -> np.ndarray:
-    """Code-state stacks E_i V as one (d_Q, K, d_L) array.
+    """Code-state stacks E_i V side by side, as one (d_Q, K*d_L) operand.
 
-    ``stacks`` is either such an array, returned without a copy, or a
-    sequence of (d_Q, d_L) stacks; K = 0 is an error.  Reshaped to
-    (d_Q, K*d_L) the array holds the stacks side by side.
+    ``stacks`` is a sequence of K (d_Q, d_L) stacks, a list or an array whose
+    first axis runs over the errors; K = 0 is an error.  Each stack.T is
+    copied once into a (K, d_L, d_Q) row buffer, whose Fortran-ordered
+    transpose is returned; the copies of Fortran-ordered views, as
+    :func:`qx.vbs_code.bond_error_stacks` gives, are contiguous.
     """
     shape = (code.d_q, code.d_l)
-    stacked = isinstance(stacks, np.ndarray) and stacks.ndim == 3
-    for got in [stacks.shape[::2]] if stacked else map(np.shape, stacks):
+    for got in map(np.shape, stacks):
         if got != shape:
             raise ValueError(f"error stack shape {got} is not (d_Q, d_L) = {shape}")
-    if not (stacks.shape[1] if stacked else len(stacks)):
+    if not len(stacks):
         raise ValueError("error list must not be empty")
-    if stacked:
-        return np.ascontiguousarray(stacks, dtype=complex)
-    family = np.empty((code.d_q, len(stacks), code.d_l), dtype=complex)
-    for i, stack in enumerate(stacks):
-        family[:, i] = stack
-    return family
+    rows = np.empty((len(stacks), code.d_l, code.d_q), dtype=complex)
+    for row, stack in zip(rows, stacks):
+        row.T[...] = stack
+    return rows.reshape(-1, code.d_q).T
 
 
 def _adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a+ b for (n, p) and (n, m) arrays.
 
-    One zgemm on the transposed views as conj(a.T @ conj(b)); for C-ordered
-    complex operands those views are Fortran-ordered, so neither operand is
-    conjugated or copied.  scipy's BLAS is imported here, on the first call,
+    One zgemm that conjugate-transposes ``a`` itself; Fortran-ordered complex
+    operands, such as the family of :func:`_error_family`, are neither
+    conjugated nor copied.  scipy's BLAS is imported here, on the first call,
     so that commands which never form a Gram product do not load it.  That
     first call is the orthonormality check of :class:`CodeIsometry`, made
     before any error stacks exist; imported beside the stacks, scipy raised
@@ -151,15 +149,14 @@ def _adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     import scipy.linalg.blas
 
-    return scipy.linalg.blas.zgemm(1.0, a.T, b.T, trans_b=2).conj()
+    return scipy.linalg.blas.zgemm(1.0, a, b, trans_a=2)
 
 
 def error_compressions(code: CodeIsometry, errors) -> np.ndarray:
     """Tensor M[i, j] = V+ E_i+ E_j V of shape (K, K, d_L, d_L)."""
     family = _error_family(code, errors)
-    d_q, k, d_l = family.shape
-    flat = family.reshape(d_q, k * d_l)
-    return _adjoint_product(flat, flat).reshape(k, d_l, k, d_l).transpose(0, 2, 1, 3)
+    k, d_l = len(errors), code.d_l
+    return _adjoint_product(family, family).reshape(k, d_l, k, d_l).transpose(0, 2, 1, 3)
 
 
 @dataclass
@@ -236,7 +233,7 @@ def kl_report_from_compressions(
 
 
 def kl_decompose(code: CodeIsometry, errors, cutoff_rel: float = CUTOFF_REL) -> KLReport:
-    """Quasi-correctability report of a list of error stacks on a code.
+    """Quasi-correctability report of a sequence of error stacks on a code.
 
     Nothing with a d_Q axis outlives the call: a caller that passes a list
     it holds nowhere else frees the stacks here.
@@ -340,7 +337,7 @@ def recovery_from_kl(
             "use logical_recovery_channel instead"
         )
     w, _, x, core = _recovery_kernel(report, normalization)
-    t = _error_family(code, errors).reshape(code.d_q, -1) @ np.kron(w.T, np.eye(code.d_l))
+    t = _error_family(code, errors) @ np.kron(w.T, np.eye(code.d_l))
     t_adj = t.conj().T
     kraus = code.isometry @ (x @ t_adj)
     if core is not None:
@@ -506,8 +503,8 @@ class SubsystemSplit(CodeIsometry):
 def subsystem_kl_check(split: SubsystemSplit, errors):
     """Gauge-structure correctability check on a subsystem split.
 
-    ``errors`` are code-state stacks E_i V, a list or one (d_Q, K, d_L)
-    array as in :func:`kl_decompose`.  The operator-QEC condition
+    ``errors`` is a sequence of code-state stacks E_i V, as in
+    :func:`kl_decompose`.  The operator-QEC condition
     P E_i+ E_j P = I_T x J_ij (Kribs, Laflamme & Poulin, PRL 94, 180501)
     is tested on the compressions: J_ij is fitted by partial trace over the
     logical factor, and the residual is the largest operator-norm deviation

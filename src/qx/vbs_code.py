@@ -59,8 +59,8 @@ __all__ = [
 DENSE_CAP = 2_000_000
 # amplitudes in one batched encode_dense call, and in the K error stacks
 # E_i V that the dense kl route allocates; that route holds them twice at
-# its peak (the list and its stacked copy inside kl_decompose), and nothing
-# after kl_decompose has a d_Q axis
+# its peak (the list and its one family copy inside kl_decompose), and
+# nothing after kl_decompose has a d_Q axis
 DENSE_STACK_CAP = 32_000_000
 
 BUILD_TOL = 1e-12
@@ -236,7 +236,7 @@ def encode_dense(code: VbsCode, logical, insertions=()) -> np.ndarray:
 def dense_isometry(code: VbsCode):
     """Dense encodings of the logical basis as a code isometry."""
     states = encode_dense(code, np.eye(code.d))
-    return CodeIsometry(isometry=np.ascontiguousarray(states.T), site_dims=code.site_dims)
+    return CodeIsometry(isometry=states.T, site_dims=code.site_dims)
 
 
 def edge_state(code: VbsCode, alpha: int, n: int) -> tuple[np.ndarray, np.ndarray]:

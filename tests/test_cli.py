@@ -247,6 +247,20 @@ def test_kl_bad_selector(capsys):
         assert err.startswith("qx: ") and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_kl_cutoff_outside_unit_interval_exits_2(tmp_path, capsys):
+    # 1 and above retain no mode, a negative cutoff retains zero modes
+    for cutoff in ("2", "1", "-1", "nan"):
+        args = ["kl", "--code", "vbs:2:4", "--errors", "bond", "--cutoff", cutoff]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qx: ") and "cutoff" in err and err.count("\n") == 1
+    code, text = run_cli(
+        ["kl", "--code", "vbs:2:4", "--errors", "bond", "--cutoff", "0"], tmp_path, "zero.txt"
+    )
+    assert code == 0 and b"cutoff: 0\n" in text
+
+
 def test_kl_dense_route_bounded_by_stack_size(tmp_path, monkeypatch):
     # vbs:2:3 stacks hold 4 * 54 * 2 = 432 amplitudes for bond and
     # 10 * 54 * 2 = 1080 for bond:all; a cap between them splits the routes
@@ -338,6 +352,41 @@ SIMULATE_PINS = [
 @pytest.mark.parametrize("args, digest", SIMULATE_PINS, ids=["readme", "d3", "d4-gaussian"])
 def test_simulate_stdout_is_pinned(tmp_path, args, digest):
     code, text = run_cli(["simulate"] + args, tmp_path, "pin.csv")
+    assert code == 0
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+# sha256 of stdout captured at commit 0cc951d, before the error family had
+# one layout
+KL_PINS = [
+    (
+        ["--code", "vbs:2:4", "--errors", "bond"],
+        "0bce841004f099d52cd84e14c4c47e69de610ab13619dca51032474fc1af09a9",
+    ),
+    (
+        ["--code", "vbs:3:5", "--errors", "bond", "--strength", "0.27"],
+        "83bde4125b9c9ebd1b3d71d4c31bb6d985eaddaf5cc8a3417b5b2b4b034e64ee",
+    ),
+    (
+        ["--code", "vbs:2:8", "--errors", "bond:all"],
+        "20b980174374a2a981369972e086cdf86eca7e2df1e00fee51c133ee7378a2cb",
+    ),
+    (
+        ["--code", "five_one_three"],
+        "7be74638a4d9ed8a4fb484fba5558410b4f5f56602d17387a011b1f3f7f1eebe",
+    ),
+    (
+        ["--code", "four_two_two", "--strength", "0.2"],
+        "d35d6ab33af8c673f662c6d9db5bd6696d61761177800af0620ab089c476d5b6",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", KL_PINS, ids=["vbs2-4", "vbs3-5", "vbs2-8-all", "513", "422"]
+)
+def test_kl_stdout_is_pinned(tmp_path, args, digest):
+    code, text = run_cli(["kl"] + args, tmp_path, "pin.txt")
     assert code == 0
     assert hashlib.sha256(text).hexdigest() == digest
 

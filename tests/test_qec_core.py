@@ -211,7 +211,7 @@ def test_kl_decompose_reads_square_stacks_as_stacks():
     # operator; a list of stacks must still mean the stacks themselves
     u = qc.CodeIsometry(isometry=np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))[0])
     stacks = ec.weight_one_pauli_stacks(u.isometry)
-    reference = qc.kl_decompose(u, np.stack(stacks, axis=1))
+    reference = qc.kl_decompose(u, np.stack(stacks))
     report = qc.kl_decompose(u, stacks)
     for field in ("gram", "eigenvalues", "rotation", "residual_weights", "compressions"):
         assert np.array_equal(getattr(report, field), getattr(reference, field))
@@ -220,7 +220,13 @@ def test_kl_decompose_reads_square_stacks_as_stacks():
 
 def test_error_stacks_of_the_wrong_shape_are_rejected():
     code = ec.four_two_two_code()
-    for errors in ([np.eye(16)], np.zeros((16, 3, 2)), [code.isometry, code.isometry[:, 0]]):
+    # a (d_Q, K, d_L) array with K = 3 is not a sequence of K stacks
+    for errors in (
+        [np.eye(16)],
+        np.zeros((16, 3, 2)),
+        [code.isometry, code.isometry[:, 0]],
+        np.stack([code.isometry] * 3, axis=1),
+    ):
         with pytest.raises(ValueError):
             qc.kl_decompose(code, errors)
     _, _, _, report = edge_report(2, 4)
@@ -234,7 +240,7 @@ def test_error_stacks_of_the_wrong_shape_are_rejected():
 
 def test_empty_error_list_is_named():
     split = ec.product_gauge_split()
-    for errors in ([], np.empty((split.d_q, 0, split.d_l), dtype=complex)):
+    for errors in ([], np.empty((0, split.d_q, split.d_l), dtype=complex)):
         for check in (qc.kl_decompose, qc.error_compressions, qc.subsystem_kl_check):
             with pytest.raises(ValueError, match="error list must not be empty"):
                 check(split, errors)
@@ -395,7 +401,7 @@ def _random_compressions(k, d_l, seed, d_q=12):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     iso, _ = np.linalg.qr(gaussian(d_q, d_l))
-    stacks = gaussian(d_q, k, d_l) / np.sqrt(d_q * k)
+    stacks = gaussian(d_q, k, d_l).transpose(1, 0, 2) / np.sqrt(d_q * k)
     return qc.error_compressions(qc.CodeIsometry(isometry=iso), stacks)
 
 
@@ -693,7 +699,7 @@ def test_subsystem_non_product_family():
     xz = np.kron(ec.pauli_string("XXXXX"), ec.PAULI["Z"])
     _, resid = qc.subsystem_kl_check(split, [split.isometry, xz @ split.isometry])
     assert abs(resid - 1.0) < 1e-12
-    stacked = np.stack([split.isometry, xz @ split.isometry], axis=1)
+    stacked = np.stack([split.isometry, xz @ split.isometry])
     assert qc.subsystem_kl_check(split, stacked)[1] == resid
 
 

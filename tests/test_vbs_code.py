@@ -442,9 +442,16 @@ def test_bond_error_compressions_match_dense_stacks(d, n_sites):
     code = vc.build(d, n_sites)
     bonds = list(range(1, n_sites + 1))
     stacks = vc.bond_error_stacks(code, bonds, strength=0.2)
-    dense = qc.error_compressions(vc.dense_isometry(code), stacks)
+    iso = vc.dense_isometry(code)
+    dense = qc.error_compressions(iso, stacks)
     transfer = vc.bond_error_compressions(code, bonds, strength=0.2)
     assert np.abs(dense - transfer).max() < 1e-12
+    # the Fortran-ordered views, C-ordered copies of them and their stack
+    # are one family format and give the same M bit for bit
+    assert all(s.flags.f_contiguous and not s.flags.c_contiguous for s in stacks)
+    copies = [np.ascontiguousarray(s) for s in stacks]
+    for family in (copies, np.stack(copies)):
+        assert np.array_equal(qc.error_compressions(iso, family), dense)
 
 
 def test_dense_and_transfer_reports_agree_to_relative_precision():
