@@ -84,19 +84,16 @@ def cmd_algebra(args) -> int:
 
 def _closed_form_residuals(code) -> tuple[float, float]:
     """Max deviations of transfer contraction from the detection and
-    correlation closed forms, over all generators and bond pairs."""
-    g = code.basis.generators
+    correlation closed forms, over all generators and bond pairs, read from
+    the one pass of vbs_code.insertion_overlaps: one closed form per batch."""
     a = np.arange(code.site_dim)
-    n_sites = code.n_sites
-    det = 0.0
-    for bond in range(n_sites + 1):
-        got = vbs_code.edge_overlap(code, ket_insertions=[(bond, g)])
-        want = vbs_code.detection_closed_form(code, a, bond)
-        det = max(det, float(np.abs(got - want).max()))
-    corr = 0.0
-    for m in range(n_sites):
-        for n in range(m + 1, n_sites + 1):
-            got = vbs_code.edge_overlap(code, ket_insertions=[(n, g[None, :]), (m, g[:, None])])
+    det = corr = 0.0
+    for m, n, got in vbs_code.insertion_overlaps(code):
+        if m is None:
+            want = vbs_code.detection_closed_form(code, a, n[:, None, None, None])
+            det = max(det, float(np.abs(got - want).max()))
+        else:
+            n = n[:, None, None, None, None]
             want = vbs_code.correlation_closed_form(code, a[:, None], a[None, :], m, n)
             corr = max(corr, float(np.abs(got - want).max()))
     return det, corr

@@ -8,7 +8,10 @@ by chi = -1/(d**2 - 1).
 
 Expectation values are available along two independent routes: transfer
 contraction (cost linear in N, any N) and dense brute-force encoding
-(bounded by an amplitude cap).  Bond bookkeeping: bond n+ sits between
+(bounded by an amplitude cap).  The closed-form check of every single and
+pair insertion is one downward transfer pass with O(N^2) transfer steps,
+run in batches of pairs that hold at least one pair each
+(:func:`insertion_overlaps`).  Bond bookkeeping: bond n+ sits between
 sites n and n+1, so an operator inserted at bond n is separated from the
 logical ket by n channel applications; bond N is the edge site itself and
 bond 0 is adjacent to the logical ket.
@@ -31,11 +34,13 @@ __all__ = [
     "VbsCode",
     "DENSE_CAP",
     "DENSE_STACK_CAP",
+    "PAIR_BATCH_CAP",
     "build",
     "eta",
     "transfer_apply",
     "transfer_power",
     "edge_overlap",
+    "insertion_overlaps",
     "encode_dense",
     "dense_isometry",
     "edge_state",
@@ -62,6 +67,9 @@ DENSE_CAP = 2_000_000
 # its peak (the list and its one family copy inside kl_decompose), and
 # nothing after kl_decompose has a d_Q axis
 DENSE_STACK_CAP = 32_000_000
+# amplitudes in one batch of pair insertions in insertion_overlaps (128 KiB);
+# a batch holds at least one pair, so a large-d code holds one at a time
+PAIR_BATCH_CAP = 2**13
 
 BUILD_TOL = 1e-12
 
@@ -142,7 +150,15 @@ def eta(d: int, n_sites: int) -> float:
 
 def transfer_apply(code: VbsCode, x: np.ndarray) -> np.ndarray:
     """One application of the transfer channel to an operator or a stack
-    (..., d, d), as one matmul with the code's superoperator."""
+    (..., d, d), as one matmul with the code's superoperator.
+
+    A lone operator is a single row, which numpy sends through zgemv, and a
+    stack goes through zgemm, so the last bits of an operator can differ
+    from those of the same operator inside a stack.  Contractions that must
+    agree bitwise transfer the same rows the same way:
+    :func:`insertion_overlaps` transfers the identity row alone, as
+    :func:`edge_overlap` does.
+    """
     x = np.asarray(x)
     return (x.reshape(-1, code.d * code.d) @ code.transfer).reshape(x.shape)
 
@@ -192,6 +208,45 @@ def edge_overlap(code: VbsCode, bra_insertions=(), ket_insertions=()) -> np.ndar
     return c
 
 
+def insertion_overlaps(code: VbsCode):
+    """Every single and pair generator insertion, in one downward transfer
+    pass.
+
+    Yields (m, n, overlaps).  A pair batch has a bond m and an array n of
+    consecutive bonds above it, with overlaps[k, a, b] the logical matrix of
+    t^b at bond n[k] and t^a at bond m.  The last item has m = None, n =
+    0..N and overlaps[n, b] the matrix of t^b at bond n.  Every matrix is
+    bitwise the :func:`edge_overlap` of the same insertions.
+
+    The identity row is transferred alone, as in :func:`edge_overlap`, and
+    the single-insertion rows together, one transfer per bond.  Pair (m, n)
+    branches off row n when the pass reaches bond m and then needs only its
+    m remaining steps, so the pass costs O(N^2) transfer steps.  A batch
+    holds at most ``PAIR_BATCH_CAP`` amplitudes but always at least one
+    pair, and is made only when the pass reaches its bond m.
+    """
+    d, q, n_sites = code.d, code.site_dim, code.n_sites
+    g = code.basis.generators
+    # vec(X) @ right[:, a] = vec(X t^a), vec row-major
+    right = np.einsum("il,akj->ikalj", np.eye(d), g).reshape(d * d, q * d * d)
+    per_batch = max(1, PAIR_BATCH_CAP // (q * q * d * d))
+    c = np.eye(d, dtype=complex)
+    rows = np.empty((n_sites + 1, q, d, d), dtype=complex)
+    for m in range(n_sites, -1, -1):
+        rows[m] = c @ g
+        for lo in range(m + 1, n_sites + 1, per_batch):
+            hi = min(lo + per_batch, n_sites + 1)
+            # pairs[k, b, a] = rows[lo + k, b] @ t^a
+            pairs = rows[lo:hi].reshape(-1, d * d) @ right
+            for _ in range(m):
+                pairs = transfer_apply(code, pairs)
+            yield m, np.arange(lo, hi), pairs.reshape(hi - lo, q, q, d, d).swapaxes(1, 2)
+        if m > 0:
+            rows[m:] = transfer_apply(code, rows[m:])
+            c = transfer_apply(code, c)
+    yield None, np.arange(n_sites + 1), rows
+
+
 def encode_dense(code: VbsCode, logical, insertions=()) -> np.ndarray:
     """Dense state vectors of encoded (optionally decorated) logical inputs.
 
@@ -224,10 +279,12 @@ def encode_dense(code: VbsCode, logical, insertions=()) -> np.ndarray:
         )
     # (..., strings so far, d): the site strings flattened, site 1 slowest
     tensor = vec[..., None, :]
+    # (tensor @ kraus_rows)[..., (i, b)] = sum_g A^i_bg tensor[..., g]
+    kraus_rows = code.kraus.reshape(-1, code.d).T
     for bond in range(code.n_sites + 1):
         if bond > 0:
-            tensor = np.einsum("ibg,...g->...ib", code.kraus, tensor)
-            tensor = tensor.reshape(*tensor.shape[:-3], -1, code.d)
+            tensor = tensor @ kraus_rows
+            tensor = tensor.reshape(*tensor.shape[:-2], -1, code.d)
         if bond in grouped:
             tensor = tensor @ grouped[bond].swapaxes(-1, -2)
     return tensor.reshape(*tensor.shape[:-2], -1)
@@ -270,18 +327,21 @@ def bulk_state(code: VbsCode, alpha: int, n: int) -> np.ndarray:
     return np.einsum("ab,jbc,ica->ij", sigma, code.kraus, code.kraus)
 
 
-def detection_closed_form(code: VbsCode, a, bond: int) -> np.ndarray:
+def detection_closed_form(code: VbsCode, a, bond) -> np.ndarray:
     """Closed-form logical matrix chi^n t^a for a single bond insertion;
-    an index array ``a`` gives the stack of matrices."""
+    an index array ``a`` gives the stack of matrices, and a bond array
+    shaped to broadcast against it, such as (N + 1, 1, 1, 1), one stack per
+    bond."""
     return code.chi**bond * code.basis.generators[a]
 
 
-def correlation_closed_form(code: VbsCode, a, b, m: int, n: int) -> np.ndarray:
+def correlation_closed_form(code: VbsCode, a, b, m: int, n) -> np.ndarray:
     """Closed-form logical matrix for the two-bond insertion.
 
     chi^(n-m) delta_ab I / (2d) + chi^n h_bac t^c / 2 with
     h_bac = d_bac + i f_bac.  Index arrays ``a`` and ``b`` broadcast to a
-    stack of matrices.
+    stack of matrices; an array ``n`` shaped to broadcast against that
+    stack gives one stack per bond from a single h_bac t^c product.
     """
     basis = code.basis
     h = basis.d_sym[b, a, :] + 1j * basis.f[b, a, :]

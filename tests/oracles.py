@@ -1,7 +1,8 @@
 """Brute-force oracles: dense ones for the transfer contractions and the
-transversal collapse check, a step-by-step product for the trajectory
-scan, the einsum rotation of the KL report and the looped physical-space
-logical channel; and the bond error family written as its own noise."""
+transversal collapse check, the insertion-by-insertion closed-form check,
+a step-by-step product for the trajectory scan, the einsum rotation of the
+KL report and the looped physical-space logical channel; and the bond error
+family written as its own noise."""
 
 from dataclasses import replace
 from itertools import product
@@ -49,6 +50,27 @@ def dense_overlap(code, alpha, beta, bra_insertions=(), ket_insertions=()):
     bra = vc.encode_dense(code, alpha, insertions=bra_insertions)
     ket = vc.encode_dense(code, beta, insertions=ket_insertions)
     return complex(np.vdot(bra, ket))
+
+
+def pairwise_closed_form_residuals(code):
+    """The two floats of ``cli._closed_form_residuals`` with every single
+    and pair insertion contracted from the edge on its own by
+    ``edge_overlap``: O(N^3) transfer steps, one closed form per insertion."""
+    g = code.basis.generators
+    a = np.arange(code.site_dim)
+    n_sites = code.n_sites
+    det = 0.0
+    for bond in range(n_sites + 1):
+        got = vc.edge_overlap(code, ket_insertions=[(bond, g)])
+        want = vc.detection_closed_form(code, a, bond)
+        det = max(det, float(np.abs(got - want).max()))
+    corr = 0.0
+    for m in range(n_sites):
+        for n in range(m + 1, n_sites + 1):
+            got = vc.edge_overlap(code, ket_insertions=[(n, g[None, :]), (m, g[:, None])])
+            want = vc.correlation_closed_form(code, a[:, None], a[None, :], m, n)
+            corr = max(corr, float(np.abs(got - want).max()))
+    return det, corr
 
 
 def apply_site_operator(state, dims, axis, op):

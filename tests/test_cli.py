@@ -77,12 +77,44 @@ def test_sweep_text_format(tmp_path):
     assert text.decode().startswith("d: 2\nN: 3\n")
 
 
-def test_vbs_command(tmp_path):
-    code, text = run_cli(["vbs", "--d", "2", "--n", "4"], tmp_path, "vbs.txt")
+@pytest.mark.parametrize(
+    "d, n_sites, eta",
+    [(2, 4, -5 / 81), (2, 40, -1 / 160), (3, 20, -1 / 180)],
+    ids=["2-4", "2-40", "3-20"],
+)
+def test_vbs_command(tmp_path, d, n_sites, eta):
+    # eta = (chi/N)(1 - chi^N)/(1 - chi); at N = 40 and 20 chi^N is below 1e-18
+    code, text = run_cli(["vbs", "--d", str(d), "--n", str(n_sites)], tmp_path, "vbs.txt")
     assert code == 0
     body = dict(line.split(": ") for line in text.decode().strip().split("\n"))
-    assert float(body["eta"]) == pytest.approx(-5 / 81, rel=1e-11)
+    assert float(body["eta"]) == pytest.approx(eta, rel=1e-11)
     assert float(body["max_detect_closedform_residual"]) < 1e-10
+    assert float(body["max_corr_closedform_residual"]) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "d, n_sites", [(d, n) for d in (2, 3, 4) for n in (3, 4, 5, 6)] + [(2, 40), (3, 20), (6, 5)]
+)
+def test_closed_form_pass_matches_pairwise_oracle(d, n_sites):
+    # the benchmark sweep grid and three large points: the one transfer pass
+    # gives exactly the floats of contracting every insertion on its own
+    code = vc.build(d, n_sites)
+    assert cli._closed_form_residuals(code) == oracles.pairwise_closed_form_residuals(code)
+
+
+def test_closed_form_pass_memory_bound():
+    # vbs:8:4 runs one pair of 63 * 63 * 64 amplitudes per batch; a batch of
+    # every pair at a bond reads about 3.5x the oracle's peak
+    code = vc.build(8, 4)
+    peaks = []
+    for check in (oracles.pairwise_closed_form_residuals, cli._closed_form_residuals):
+        tracemalloc.start()
+        try:
+            check(code)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_kl_five_qubit(tmp_path):

@@ -524,6 +524,28 @@ def test_edge_overlap_stacks_match_scalar_calls():
                 assert np.abs(mixed[a, b] - want).max() < 1e-14
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_insertion_overlaps_are_edge_overlaps(d):
+    # batches of pairs split below N - m pairs at d = 4 (two per batch) and
+    # d = 5 (one), not at d = 2 or 3
+    split = False
+    for n_sites in range(1, 7):
+        code = vc.build(d, n_sites)
+        g = code.basis.generators
+        seen = []
+        for m, bonds, overlaps in vc.insertion_overlaps(code):
+            assert len(overlaps) == len(bonds)
+            split |= m is not None and len(bonds) < n_sites - m
+            for n, got in zip(bonds, overlaps):
+                ins = [(n, g)] if m is None else [(n, g[None, :]), (m, g[:, None])]
+                assert np.array_equal(got, vc.edge_overlap(code, ket_insertions=ins))
+                seen.append((m, int(n)))
+        pairs = [(m, n) for m in range(n_sites) for n in range(m + 1, n_sites + 1)]
+        singles = [(None, n) for n in range(n_sites + 1)]
+        assert len(seen) == len(pairs + singles) and set(seen) == set(pairs + singles)
+    assert split == (d >= 4)
+
+
 def test_closed_forms_accept_index_arrays():
     code = vc.build(3, 5)
     idx = np.arange(code.site_dim)
