@@ -10,7 +10,6 @@ from .qec_core import (
     CodeIsometry,
     KLReport,
     SubsystemSplit,
-    correctability_epsilon,
     detect_condition,
     epsilon_from_report,
     format_kl_report,
@@ -59,6 +58,7 @@ from .vbs_code import (
     VbsCode,
     bond_error_compressions,
     bond_error_stacks,
+    bond_noise,
     build,
     bulk_state,
     correlation_closed_form,

@@ -9,7 +9,6 @@ byte-identical output.  Exit codes: 0 success, 1 a numerical check failed,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -165,7 +164,7 @@ def cmd_kl(args) -> int:
     if not 0.0 <= args.cutoff < 1.0:
         raise UsageError(f"cutoff {args.cutoff} is outside [0, 1)")
     selector = args.code
-    noise = None  # (D, c) for logical_recovery_channel, on the routes that have it
+    channel = None  # the recovered logical channel, on the routes that have it
     if selector.startswith("vbs:"):
         parts = selector.split(":")
         if len(parts) != 3:
@@ -187,10 +186,8 @@ def cmd_kl(args) -> int:
                 vbs_code.bond_error_stacks(code, bonds, args.strength),
                 cutoff_rel=args.cutoff,
             )
-            # the noise is the error family itself, whose first member is w0 I
-            w0, _ = vbs_code.bond_error_weights(code, bonds, args.strength)
-            k = report.error_count
-            noise = report.compressions[0] / w0, np.eye(k, k + 1, 1)
+            noise = vbs_code.bond_noise(code, report.compressions, args.strength)
+            channel = qec_core.logical_recovery_channel(report, *noise)
         else:
             report = qec_core.kl_report_from_compressions(
                 vbs_code.bond_error_compressions(code, bonds, args.strength),
@@ -220,12 +217,8 @@ def cmd_kl(args) -> int:
         # one compression of the family V, P_i V: M over the Paulis, and D_i = V+ P_i V
         m = qec_core.error_compressions(iso, stacks)
         report = qec_core.kl_report_from_compressions(m[1:, 1:], cutoff_rel=args.cutoff)
-        noise = m[0, 1:], np.diag(weights)
-    if noise is not None:
-        q_ch = qec_core.logical_recovery_channel(report, *noise)
-        report.exact_distance, report.diamond_bracket, _, _ = qec_core.recovery_error(q_ch)
-    report.epsilon = qec_core.epsilon_from_report(report)
-    _emit(qec_core.format_kl_report(report), args.output)
+        channel = qec_core.logical_recovery_channel(report, m[0, 1:], np.diag(weights))
+    _emit(qec_core.format_kl_report(report, channel), args.output)
     return 0
 
 
@@ -257,10 +250,6 @@ def cmd_gates(args) -> int:
         accuracy = abs(vbs_code.eta(args.d, args.n))
     else:
         raise UsageError("give either --eta or both --d and --n")
-    if not (math.isfinite(accuracy) and accuracy > 0.0):
-        raise UsageError("accuracy must be finite and positive")
-    if args.target < args.synthesis_error:
-        raise UsageError("target budget is below the synthesis error")
     count = quasi_universality.max_gate_count(
         args.target, accuracy, args.synthesis_error
     )

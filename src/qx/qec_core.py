@@ -43,7 +43,6 @@ __all__ = [
     "recovery_from_kl",
     "logical_recovery_channel",
     "recovery_error",
-    "correctability_epsilon",
     "epsilon_from_report",
     "span_transform",
     "logical_operator_check",
@@ -80,7 +79,7 @@ class CodeIsometry:
         if v.ndim != 2 or v.shape[0] < v.shape[1]:
             raise ValueError(f"isometry shape {v.shape} is not tall")
         gram = _adjoint_product(v, v) - np.eye(v.shape[1])
-        if np.abs(gram).max() > ISOMETRY_TOL:
+        if not np.abs(gram).max() <= ISOMETRY_TOL:
             raise ValueError("columns are not orthonormal")
         if self.site_dims is not None:
             dims = tuple(int(d) for d in self.site_dims)
@@ -159,7 +158,7 @@ def error_compressions(code: CodeIsometry, errors) -> np.ndarray:
     return _adjoint_product(family, family).reshape(k, d_l, k, d_l).transpose(0, 2, 1, 3)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KLReport:
     """Quasi-correctability decomposition of an error family on a code.
 
@@ -186,9 +185,6 @@ class KLReport:
     first_order_distance: float
     cutoff: float
     compressions: np.ndarray
-    exact_distance: float | None = None
-    diamond_bracket: tuple[float, float] | None = None
-    epsilon: float | None = None
 
 
 def kl_report_from_compressions(
@@ -408,11 +404,6 @@ def epsilon_from_report(report: KLReport) -> float:
     return trace_distance(choi_resid, np.zeros_like(choi_resid))
 
 
-def correctability_epsilon(code: CodeIsometry, errors) -> float:
-    """Trace-distance correctability measure of an error list on a code."""
-    return epsilon_from_report(kl_decompose(code, errors))
-
-
 def span_transform(errors, y: np.ndarray) -> list[np.ndarray]:
     """New error family F_l = sum_i y[l, i] E_i over the span of the inputs."""
     y = np.asarray(y, dtype=complex)
@@ -470,7 +461,7 @@ def transversal_collapse_check(
         ham = np.asarray(ham, dtype=complex)
         if ham.shape != (dims[site], dims[site]):
             raise ValueError(f"site {site} Hamiltonian shape {ham.shape} is wrong")
-        if np.abs(ham - ham.conj().T).max() > 1e-12:
+        if not np.abs(ham - ham.conj().T).max() <= 1e-12:
             raise ValueError(f"site {site} Hamiltonian is not Hermitian")
         moved += apply_on_site(v, dims, site, coeff * ham)
         evolved = apply_on_site(evolved, dims, site, expi_hermitian(xi * coeff * ham))
@@ -548,9 +539,11 @@ def _fmt_vector(v) -> str:
     return "[" + ", ".join(_fmt_float(x) for x in v) + "]"
 
 
-def format_kl_report(report: KLReport) -> str:
+def format_kl_report(report: KLReport, channel: KrausChannel | None = None) -> str:
     """Stable key-value rendering of a report, 12 significant digits; every
-    line is O(K), and the K x K matrices stay on the report."""
+    line is O(K), and the K x K matrices stay on the report.  The distances
+    are those of ``channel``, the recovered logical channel, and nan without."""
+    dist, bracket = (np.nan, (np.nan, np.nan)) if channel is None else recovery_error(channel)[:2]
     lines = [
         f"error_count: {report.error_count}",
         f"logical_dim: {report.logical_dim}",
@@ -558,15 +551,9 @@ def format_kl_report(report: KLReport) -> str:
         f"cutoff: {_fmt_float(report.cutoff)}",
         f"eigenvalues: {_fmt_vector(report.eigenvalues)}",
         f"first_order_distance: {_fmt_float(report.first_order_distance)}",
-        "exact_distance: "
-        + ("nan" if report.exact_distance is None else _fmt_float(report.exact_distance)),
-        "diamond_bracket: "
-        + (
-            "[nan, nan]"
-            if report.diamond_bracket is None
-            else _fmt_vector(report.diamond_bracket)
-        ),
-        "epsilon: " + ("nan" if report.epsilon is None else _fmt_float(report.epsilon)),
+        f"exact_distance: {_fmt_float(dist)}",
+        f"diamond_bracket: {_fmt_vector(bracket)}",
+        f"epsilon: {_fmt_float(epsilon_from_report(report))}",
         f"max_residual_weight: {_fmt_float(report.residual_weights.max())}",
         f"total_residual_weight: {_fmt_float(report.residual_weights.sum())}",
     ]

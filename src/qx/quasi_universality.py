@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from math import floor, isqrt
+from math import floor, isfinite, isqrt
 
 import numpy as np
 
@@ -100,11 +100,14 @@ def cell_assign(table: GateCellTable, u: np.ndarray) -> int:
 def max_gate_count(target: float, accuracy: float, synthesis_error: float = 0.0) -> int:
     """Largest gate count m with m * accuracy within the target budget,
     floor((target - synthesis_error) / accuracy)."""
-    if accuracy <= 0.0:
-        raise ValueError("accuracy must be positive")
-    if synthesis_error < 0.0 or target < synthesis_error:
-        raise ValueError("target budget must be at least the synthesis error")
-    return int(floor((target - synthesis_error) / accuracy))
+    if not (isfinite(accuracy) and accuracy > 0.0):
+        raise ValueError("accuracy must be finite and positive")
+    if not (isfinite(target) and 0.0 <= synthesis_error <= target):
+        raise ValueError("need a finite target and 0 <= synthesis error <= target")
+    count = (target - synthesis_error) / accuracy
+    if not isfinite(count):
+        raise ValueError("gate count (target - synthesis error) / accuracy is not finite")
+    return int(floor(count))
 
 
 def compose_error_bound(gate_distances) -> float:

@@ -59,6 +59,7 @@ __all__ = [
     "bond_error_weights",
     "bond_error_stacks",
     "bond_error_compressions",
+    "bond_noise",
 ]
 
 DENSE_CAP = 2_000_000
@@ -574,3 +575,13 @@ def bond_error_compressions(
             if j > i:
                 m[rows[j], rows[i]] = m[rows[i], rows[j]].conj().transpose(1, 0, 3, 2)
     return m
+
+
+def bond_noise(code: VbsCode, compressions, strength: float):
+    """(D, c) of the bond error family as its own noise, for
+    :func:`qx.qec_core.logical_recovery_channel`: the first error is w0 I,
+    so D_j = V+ E_j V = M[0, j] / w0 for the family's compressions M, and
+    c = [0 | I]."""
+    w0, _ = bond_error_weights(code, [code.n_sites], strength)
+    k = len(compressions)
+    return compressions[0] / w0, np.eye(k, k + 1, 1)

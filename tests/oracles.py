@@ -182,12 +182,3 @@ def recovered_logical_channel(code, noise, recovery):
         for rk in recovery.kraus:
             kraus.append(v.conj().T @ (rk @ nv))
     return KrausChannel.from_kraus(kraus)
-
-
-def bond_noise(code, report, strength=0.1):
-    """(D, c) of a bond error family on ``code`` as its own noise, for
-    ``logical_recovery_channel``: the first error is w0 I, so
-    D_j = V+ E_j V = M[0, j] / w0, and c = [0 | I]."""
-    w0, _ = vc.bond_error_weights(code, [code.n_sites], strength)
-    k = report.error_count
-    return report.compressions[0] / w0, np.eye(k, k + 1, 1)

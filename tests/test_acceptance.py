@@ -261,7 +261,7 @@ def _edge_model_metrics(d, n_sites, strength=0.1):
     stacks = vc.bond_error_stacks(code, strength=strength)
     kl = qc.kl_decompose(iso, stacks)
     eps = qc.epsilon_from_report(kl)
-    q_ch = qc.logical_recovery_channel(kl, *oracles.bond_noise(code, kl, strength))
+    q_ch = qc.logical_recovery_channel(kl, *vc.bond_noise(code, kl.compressions, strength))
     dist = qc.recovery_error(q_ch)[0]
     return eps, dist, kl.first_order_distance
 
@@ -407,7 +407,7 @@ def test_criterion_9_span_non_contractivity():
     base_eps = qc.epsilon_from_report(base)
     y = np.eye(4, dtype=complex)
     y[1, 1] = 10.0
-    scaled_eps = qc.correctability_epsilon(iso, qc.span_transform(stacks, y))
+    scaled_eps = qc.epsilon_from_report(qc.kl_decompose(iso, qc.span_transform(stacks, y)))
     rng = make_generator(stable_seed(9))
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     unitary, _ = np.linalg.qr(raw)

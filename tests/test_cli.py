@@ -175,6 +175,14 @@ def test_kl_isometry_file_roundtrip(tmp_path):
     assert code == 2
 
 
+def test_kl_nan_isometry_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.mat"
+    path.write_text("2 1\nnan 0\n0 0\n", encoding="ascii")
+    assert cli.main(["kl", "--code", f"file:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qx: ") and err.count("\n") == 1 and "orthonormal" in err
+
+
 def test_kl_qubit_file_code(tmp_path):
     from qx.exact_codes import four_two_two_code
 
@@ -207,9 +215,7 @@ def _dense_pauli1_report(iso, strength=0.1):
     noise = ec.single_qubit_depolarizing(n_qubits, strength)
     recovery = qec_core.recovery_from_kl(iso, report, stacks)
     q_ch = oracles.recovered_logical_channel(iso, noise, recovery)
-    report.exact_distance, report.diamond_bracket, _, _ = qec_core.recovery_error(q_ch)
-    report.epsilon = qec_core.epsilon_from_report(report)
-    return qec_core.format_kl_report(report).encode()
+    return qec_core.format_kl_report(report, q_ch).encode()
 
 
 def _kl_fields(text):
@@ -411,11 +417,17 @@ KL_PINS = [
         ["--code", "four_two_two", "--strength", "0.2"],
         "d35d6ab33af8c673f662c6d9db5bd6696d61761177800af0620ab089c476d5b6",
     ),
+    # the transfer route, above DENSE_CAP, captured at commit 14f6d8b
+    (
+        ["--code", "vbs:2:13", "--errors", "bond", "--strength", "0.1"],
+        "73e10d6d18df2ca8e622fba5a7e0c8964add08f124f295e224b10f487a378c12",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "args, digest", KL_PINS, ids=["vbs2-4", "vbs3-5", "vbs2-8-all", "513", "422"]
+    "args, digest", KL_PINS,
+    ids=["vbs2-4", "vbs3-5", "vbs2-8-all", "513", "422", "vbs2-13-transfer"],
 )
 def test_kl_stdout_is_pinned(tmp_path, args, digest):
     code, text = run_cli(["kl"] + args, tmp_path, "pin.txt")
@@ -462,6 +474,15 @@ def test_gates_usage_errors(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "qx: accuracy must be finite and positive\n"
+    # a non-finite budget or gate count is a usage error, not a traceback
+    for flags in (["--eta", "0.001", "--target", "inf"],
+                  ["--eta", "1e-320", "--target", "1"],
+                  ["--eta", "0.001", "--target", "nan"],
+                  ["--eta", "0.001", "--target", "0.1", "--synthesis-error", "nan"]):
+        assert cli.main(["gates"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qx: ") and captured.err.count("\n") == 1
 
 
 def test_usage_exit_code_for_unknown_command():

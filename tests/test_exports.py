@@ -56,7 +56,7 @@ def _perfbench_module(name):
     return module
 
 
-@pytest.mark.parametrize("workload", ["kl_dense", "kl_transfer"])
+@pytest.mark.parametrize("workload", ["sweep", "kl_transfer", "kl_dense", "simulate"])
 def test_traced_workload_records_every_layer(workload):
     # one tiny operation under perfbench's own tracer: every layer the
     # workload lists must record a call, or its traced self-test fails

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,9 @@ def test_code_isometry_validation():
         qc.CodeIsometry(isometry=np.array([[1.0, 0.0], [0.0, 0.5]]))
     with pytest.raises(ValueError):
         qc.CodeIsometry(isometry=np.eye(4)[:, :2], site_dims=(3, 2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="orthonormal"):
+            qc.CodeIsometry(isometry=[[bad], [0.0]])
 
 
 def test_detect_condition_identity_and_fixtures():
@@ -179,7 +183,7 @@ def test_exact_distance_independent_of_summation_order(d, n_sites, strength):
     # differently, with the Gram eigenbasis inside each degenerate group
     # chosen anew (the unsnapped cluster moved it by up to 3e-7 relative)
     code, _, _, report = edge_report(d, n_sites, strength)
-    d_ops, c = oracles.bond_noise(code, report, strength)
+    d_ops, c = vc.bond_noise(code, report.compressions, strength)
     flipped = qc.kl_report_from_compressions(report.compressions[::-1, ::-1])
     c_flipped = np.concatenate([c[:, :1], c[:, :0:-1]], axis=1)[::-1]
     want = qc.recovery_error(qc.logical_recovery_channel(report, d_ops, c))[0]
@@ -230,7 +234,7 @@ def test_error_stacks_of_the_wrong_shape_are_rejected():
         with pytest.raises(ValueError):
             qc.kl_decompose(code, errors)
     _, _, _, report = edge_report(2, 4)
-    d_ops, c = oracles.bond_noise(vc.build(2, 4), report)
+    d_ops, c = vc.bond_noise(vc.build(2, 4), report.compressions, 0.1)
     for bad in ((d_ops[1:], c), (d_ops, c[:, 1:]), (d_ops, c[0])):
         with pytest.raises(ValueError):
             qc.logical_recovery_channel(report, *bad)
@@ -256,7 +260,8 @@ def test_empty_error_list_is_named():
 )
 def test_logical_recovery_matches_dense_composition(normalization, d, n_sites):
     code, iso, stacks, report = edge_report(d, n_sites)
-    thin = qc.logical_recovery_channel(report, *oracles.bond_noise(code, report), normalization)
+    d_ops, c = vc.bond_noise(code, report.compressions, 0.1)
+    thin = qc.logical_recovery_channel(report, d_ops, c, normalization)
     recovery = qc.recovery_from_kl(iso, report, stacks, normalization)
     # realize the edge-bond insertion errors as physical edge operators
     w0, w = vc.bond_error_weights(code, [n_sites], 0.1)
@@ -271,7 +276,7 @@ def test_logical_recovery_matches_dense_composition(normalization, d, n_sites):
 def test_logical_recovery_allocates_no_physical_operand():
     # vbs:3:5 bond: the d_Q x r d_L recovery factor T (98304 x 27) alone took 42.5 MB
     code, _, _, report = edge_report(3, 5)
-    noise = oracles.bond_noise(code, report)
+    noise = vc.bond_noise(code, report.compressions, 0.1)
     tracemalloc.start()
     try:
         qc.recovery_error(qc.logical_recovery_channel(report, *noise))
@@ -283,7 +288,8 @@ def test_logical_recovery_allocates_no_physical_operand():
 
 def test_first_order_distance_is_exact_for_raw_recovery():
     code, iso, stacks, report = edge_report(2, 5)
-    q_raw = qc.logical_recovery_channel(report, *oracles.bond_noise(code, report), "raw")
+    noise = vc.bond_noise(code, report.compressions, 0.1)
+    q_raw = qc.logical_recovery_channel(report, *noise, "raw")
     dist = qc.recovery_error(q_raw)[0]
     assert abs(dist - report.first_order_distance) < 1e-9 * max(dist, 1e-30)
 
@@ -292,7 +298,8 @@ def test_recovered_state_matches_perturbative_form():
     # Q(sigma) = sigma + sum_kl B_kl sigma B_kl+ / eig_k for the bare
     # canonical recovery composed with its own trace-preserving family
     code, iso, stacks, report = edge_report(2, 4)
-    q_raw = qc.logical_recovery_channel(report, *oracles.bond_noise(code, report), "raw")
+    noise = vc.bond_noise(code, report.compressions, 0.1)
+    q_raw = qc.logical_recovery_channel(report, *noise, "raw")
     rng = np.random.default_rng(14)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     sigma = m @ m.conj().T
@@ -312,7 +319,7 @@ def test_first_order_gap_shrinks_with_chain_length():
     gaps = []
     for n in range(4, 9):
         code, iso, stacks, report = edge_report(2, n)
-        q_ch = qc.logical_recovery_channel(report, *oracles.bond_noise(code, report))
+        q_ch = qc.logical_recovery_channel(report, *vc.bond_noise(code, report.compressions, 0.1))
         dist = qc.recovery_error(q_ch)[0]
         gaps.append(abs(report.first_order_distance - dist))
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -340,7 +347,8 @@ def test_recovery_error_reference_values():
 
 def test_epsilon_exact_code_vanishes():
     code = ec.five_qubit_code()
-    assert qc.correctability_epsilon(code, ec.weight_one_pauli_stacks(code.isometry)) < 1e-12
+    report = qc.kl_decompose(code, ec.weight_one_pauli_stacks(code.isometry))
+    assert qc.epsilon_from_report(report) < 1e-12
 
 
 def test_epsilon_decreases_with_size_and_dimension():
@@ -348,11 +356,11 @@ def test_epsilon_decreases_with_size_and_dimension():
     for n in (3, 4, 5, 6):
         code = vc.build(2, n)
         iso = vc.dense_isometry(code)
-        values.append(qc.correctability_epsilon(iso, vc.bond_error_stacks(code)))
+        values.append(qc.epsilon_from_report(qc.kl_decompose(iso, vc.bond_error_stacks(code))))
     assert all(a > b for a, b in zip(values, values[1:]))
     c3 = vc.build(3, 4)
-    eps3 = qc.correctability_epsilon(
-        vc.dense_isometry(c3), vc.bond_error_stacks(c3)
+    eps3 = qc.epsilon_from_report(
+        qc.kl_decompose(vc.dense_isometry(c3), vc.bond_error_stacks(c3))
     )
     assert eps3 < values[1]
 
@@ -466,7 +474,6 @@ def test_format_kl_report_is_linear_in_error_count():
         report = qc.kl_report_from_compressions(
             vc.bond_error_compressions(code, list(range(1, n_sites + 1)), strength=0.1)
         )
-        report.epsilon = qc.epsilon_from_report(report)
         texts.append(qc.format_kl_report(report))
     assert _report_fields(texts[0]).keys() == _report_fields(texts[1]).keys()
     assert len(texts[1].encode()) < 4096
@@ -490,7 +497,7 @@ def test_span_transform_row_scaling_increases_epsilon():
     y = np.eye(4, dtype=complex)
     y[1, 1] = 10.0
     scaled = qc.span_transform(stacks, y)
-    assert qc.correctability_epsilon(iso, scaled) > base_eps
+    assert qc.epsilon_from_report(qc.kl_decompose(iso, scaled)) > base_eps
 
 
 def test_span_transform_unitary_leaves_first_order_invariant():
@@ -662,6 +669,9 @@ def test_collapse_check_validation():
         qc.transversal_collapse_check(code, bad, np.ones(5), 0.1)
     with pytest.raises(ValueError):
         qc.transversal_collapse_check(code, [np.eye(2)] * 4, np.ones(4), 0.1)
+    nan = [np.full((2, 2), np.nan)] + [np.zeros((2, 2))] * 4
+    with pytest.raises(ValueError, match="Hermitian"):
+        qc.transversal_collapse_check(code, nan, np.ones(5), 0.1)
 
 
 def test_subsystem_product_fixture():
@@ -795,8 +805,7 @@ def test_subsystem_gate_factor_is_scipy_polar_bit_for_bit(u, split):
 
 
 def test_format_kl_report_stable():
-    _, _, _, report = edge_report(2, 3)
-    report.epsilon = qc.epsilon_from_report(report)
+    code, _, _, report = edge_report(2, 3)
     text = qc.format_kl_report(report)
     assert text.startswith("error_count: 4\n")
     for key in (
@@ -811,3 +820,12 @@ def test_format_kl_report_stable():
     ):
         assert f"{key}:" in text
     assert text == qc.format_kl_report(report)
+    assert "exact_distance: nan\ndiamond_bracket: [nan, nan]\n" in text
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.cutoff = 0.0
+    channel = qc.logical_recovery_channel(report, *vc.bond_noise(code, report.compressions, 0.1))
+    dist, bracket, _, _ = qc.recovery_error(channel)
+    fields = _report_fields(qc.format_kl_report(report, channel))
+    assert fields["exact_distance"] == qc._fmt_float(dist)
+    assert fields["diamond_bracket"] == qc._fmt_vector(bracket)
+    assert fields["epsilon"] == qc._fmt_float(qc.epsilon_from_report(report))

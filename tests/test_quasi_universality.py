@@ -119,6 +119,9 @@ def test_max_gate_count():
         qu.max_gate_count(0.01, 0.001, synthesis_error=0.02)
     with pytest.raises(ValueError):
         qu.max_gate_count(0.1, 0.0)
+    for args in [(np.inf, 0.001), (np.nan, 0.001), (0.1, 0.001, np.nan), (1.0, 1e-320)]:
+        with pytest.raises(ValueError):
+            qu.max_gate_count(*args)
 
 
 def test_compose_error_bound():
