@@ -167,7 +167,7 @@ def cmd_kl(args) -> int:
     channel = None  # the recovered logical channel, on the routes that have it
     if selector.startswith("vbs:"):
         parts = selector.split(":")
-        if len(parts) != 3:
+        if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
             raise UsageError(f"bad code selector {selector!r}")
         code = vbs_code.build(int(parts[1]), int(parts[2]))
         if not args.errors.startswith("bond"):
@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, MemoryError) as exc:
         print(f"qx: {exc}", file=sys.stderr)
         return 2
 

@@ -54,16 +54,11 @@ __all__ = [
 
 ISOMETRY_TOL = 1e-12
 CUTOFF_REL = 1e-12
-COMPLETION_TOL = 1e-10
 DENSE_RECOVERY_CAP = 4096
 
 
 class DegenerateNoiseError(RuntimeError):
     """All noise eigenvalues fell below the cutoff."""
-
-
-class CompletionError(RuntimeError):
-    """The recovery completion operand failed to be positive semidefinite."""
 
 
 @dataclass(frozen=True)
@@ -243,19 +238,24 @@ def _completion_remainder(s: np.ndarray) -> tuple[float, np.ndarray]:
 
     Quasi residuals can push the top of sum R+R = T+T above one, where the
     square-root completion would not exist: every R_k is then damped by the
-    common factor 1/sqrt(s_max), and the remainder is (s_max - s) / s_max.
-    Symmetry makes the top of T+T an exactly degenerate cluster (24 modes
-    at vbs:3:5 bond) that rounding splits: ``eigh`` is backward stable, so
-    by Weyl's inequality each computed eigenvalue of the n x n operand is off
-    by at most c n eps s_max.  Every remainder within 64 n eps (c = 32 on
-    both ends of a gap) is set to exactly 0; its square root (up to ~1e-7)
-    would otherwise enter the completion.
+    common factor 1/sqrt(top) with top = s_max, and otherwise top = 1; the
+    remainder is (top - s) / top on both branches.  Symmetry makes the top
+    of T+T an exactly degenerate cluster (24 modes at vbs:3:5 bond) that
+    rounding splits: ``eigh`` is backward stable, so by Weyl's inequality
+    each computed eigenvalue of the n x n operand is off by at most
+    c n eps s_max.  Every remainder within bound = 64 n eps (c = 32 on both
+    ends of a gap) is set to exactly 0; its square root (up to ~1e-7) would
+    otherwise enter the completion.  The same bound decides the branch:
+    damping happens iff s_max > 1 + bound.  The remainder is then never
+    negative: a damped one is (s_max - s) / s_max >= 0, and an undamped
+    1 - s is at least -bound, since s_max <= 1 + bound (a float) and 1 - s
+    rounds exactly for s near 1; the snap sets it to 0.
     """
-    top = s.max()
-    damping = 1.0 / np.sqrt(top) if top > 1.0 + COMPLETION_TOL else 1.0
-    remainder = (top - s) / top if damping < 1.0 else 1.0 - s
-    remainder[np.abs(remainder) <= 64 * len(s) * np.finfo(float).eps] = 0.0
-    return damping, remainder
+    bound = 64 * len(s) * np.finfo(float).eps
+    top = s.max() if s.max() > 1.0 + bound else 1.0
+    remainder = (top - s) / top
+    remainder[np.abs(remainder) <= bound] = 0.0
+    return 1.0 / np.sqrt(top), remainder
 
 
 def _recovery_kernel(report: KLReport, normalization: str):
@@ -293,11 +293,7 @@ def _recovery_kernel(report: KLReport, normalization: str):
         x = ((y * s**-0.5) @ y.conj().T).reshape(r, d_l, r * d_l)
         return w, gram, x, (y / s) @ y.conj().T
     damping, remainder = _completion_remainder(s)
-    if remainder.min() < -COMPLETION_TOL:
-        raise CompletionError(
-            f"completion operand has eigenvalue {remainder.min():.3e} below zero"
-        )
-    coeff = (1.0 - np.sqrt(np.clip(remainder, 0.0, None))) / s
+    coeff = (1.0 - np.sqrt(remainder)) / s
     return w, gram, damping * selector, (y * coeff) @ y.conj().T
 
 

@@ -73,7 +73,7 @@ def build_gate_cell_table(
     Identical (dim, accuracy, n_samples, seed) rebuild the identical table.
     The identity is always the first representative.
     """
-    if accuracy <= 0.0:
+    if not accuracy > 0.0:
         raise ValueError("accuracy must be positive")
     basis = gell_mann_basis(dim)
     rng = make_generator(seed)
@@ -114,7 +114,7 @@ def compose_error_bound(gate_distances) -> float:
     """Subadditive accumulation bound: the sum of per-gate distances."""
     total = 0.0
     for x in gate_distances:
-        if x < 0.0:
+        if not x >= 0.0:
             raise ValueError("distances must be nonnegative")
         total += float(x)
     return total

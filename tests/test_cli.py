@@ -283,6 +283,23 @@ def test_kl_bad_selector(capsys):
         assert cli.main(["kl", "--code", "vbs:2:3", "--errors", spec]) == 2
         err = capsys.readouterr().err
         assert err.startswith("qx: ") and err.count("\n") == 1
+    for selector in ["vbs:2:x", "vbs:x:3", "vbs::3"]:
+        assert cli.main(["kl", "--code", selector]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qx: bad code selector") and err.count("\n") == 1
+
+
+def test_refused_allocation_exits_2(monkeypatch, capsys):
+    # exit 1 means a numerical check failed; a refused allocation is a
+    # usage limit, reported in one line
+    def refuse(d, n_sites):
+        raise MemoryError("Unable to allocate 16.0 TiB for an array")
+
+    monkeypatch.setattr(vc, "build", refuse)
+    for args in (["vbs", "--d", "100", "--n", "1"], ["kl", "--code", "vbs:100:1"]):
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "qx: Unable to allocate 16.0 TiB for an array\n"
 
 
 @pytest.mark.filterwarnings("error")

@@ -210,6 +210,24 @@ def test_completion_snap_merges_no_real_gap(d, n_sites, strength, bonds):
     assert remainder[~snapped].min() > 1e6 * bound
 
 
+@pytest.mark.parametrize("strength", [0.1, 0.27])
+@pytest.mark.parametrize("d, n_min, n_max", [(2, 10, 24), (3, 6, 14), (4, 4, 10)])
+def test_canonical_distance_keeps_its_parity_law(d, n_min, n_max, strength):
+    # D / |chi|^N has one constant for even N and one for odd N; the ranges
+    # run past where the top of T+T overshoots one by less than 1e-10
+    # (vbs:2:21, vbs:3:13, vbs:4:9), and stop before vbs:3:15, whose
+    # overshoot (~3e-14) the transfer route no longer resolves
+    ratio = {}
+    for n in range(n_min, n_max + 1):
+        code = vc.build(d, n)
+        m = vc.bond_error_compressions(code, None, strength)
+        d_ops, c = vc.bond_noise(code, m, strength)
+        channel = qc.logical_recovery_channel(qc.kl_report_from_compressions(m), d_ops, c)
+        ratio[n] = qc.recovery_error(channel)[0] / abs(code.chi) ** n
+    for n in range(n_min + 2, n_max + 1):
+        assert abs(ratio[n] / ratio[n - 2] - 1.0) <= 1e-2, (n, ratio[n], ratio[n - 2])
+
+
 def test_kl_decompose_reads_square_stacks_as_stacks():
     # on a square isometry a (d_Q, d_L) stack has the shape of a physical
     # operator; a list of stacks must still mean the stacks themselves

@@ -106,6 +106,9 @@ def test_gate_cell_table_determinism_and_refinement():
         assert np.abs(x - y).max() == 0.0
     fine = qu.build_gate_cell_table(2, 0.45, 400, seed=11)
     assert len(fine.representatives) > len(coarse_a.representatives)
+    for accuracy in (0.0, -0.1, np.nan):
+        with pytest.raises(ValueError, match="accuracy must be positive"):
+            qu.build_gate_cell_table(2, accuracy, 20, seed=1)
 
 
 def test_max_gate_count():
@@ -127,8 +130,9 @@ def test_max_gate_count():
 def test_compose_error_bound():
     assert qu.compose_error_bound([0.25, 0.25]) == 0.5
     assert qu.compose_error_bound([]) == 0.0
-    with pytest.raises(ValueError):
-        qu.compose_error_bound([-0.1])
+    for distances in ([-0.1], [0.1, np.nan]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            qu.compose_error_bound(distances)
 
 
 def test_compose_error_bound_monte_carlo():
