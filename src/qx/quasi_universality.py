@@ -10,7 +10,10 @@ from math import floor, isfinite, isqrt
 import numpy as np
 
 from .rng import make_generator
-from .su_algebra import _expi_eigh, check_unitary, gell_mann_basis, random_special_unitary
+from .su_algebra import (
+    _batch_last, _expi_batch_last, _product, check_unitary, gell_mann_basis,
+    random_special_unitary,
+)
 from . import vbs_code
 from .vbs_code import eta
 
@@ -28,11 +31,15 @@ __all__ = [
 
 UNITARY_TOL = 1e-8
 # (L, d, d) complex stacks simulate_computation may hold at its peak
-# (tracemalloc reads 4.64 at d = 2, 4.57 at d = 3, 4.56 at d = 4)
+# (tracemalloc reads 4.39 at d = 2, 4.46 at d = 3, 4.50 at d = 4 in the
+# ideal scan, and up to 4.80, 4.71, 4.74 while the chunks run)
 SIM_PEAK_STACKS = 5
 TIE_DECIMALS = 12
-# steps per call of a per-step kernel (_over_chunks).  2048 to 8192 time
-# alike; the smallest keeps each worker's scratch smallest
+# steps per call of a per-step kernel (_over_chunks).  4096 runs the d = 2
+# simulate kernel about 30% faster (it makes about 330 numpy calls per chunk
+# whatever its length), but each worker thread's malloc arena keeps the
+# high-water mark of its chunk scratch, so peak RSS rises by 1.4 MB at
+# L = 1e5; 2048 keeps it below where the eigh kernel had it
 CHUNK_STEPS = 2048
 
 
@@ -125,10 +132,12 @@ class SimTrajectory:
     """One seeded noisy-computation run at the logical level.
 
     ``noisy[l]`` and ``ideal[l]`` are the cumulative products after step
-    l+1.  ``distances[l]`` is the phase-minimized distance between them,
-    computed on first access and cached; ``final_distance`` reads only the
-    last step.  ``envelopes`` accumulates the per-step error-gate distances,
-    an upper bound on ``distances``.
+    l+1.  ``distances[l]`` is the phase-minimized distance between them;
+    ``step_errors[l]`` is the distance of the error gate E_l from the
+    identity, read off the eigenvalues of its exponent, and ``envelopes``
+    accumulates them, an upper bound on ``distances``.  All three are
+    computed in chunks on first access and cached; ``final_distance`` reads
+    only the last step.
     """
 
     seed: int
@@ -136,10 +145,26 @@ class SimTrajectory:
     error_scale: float
     gates: np.ndarray
     exponents: np.ndarray
-    step_errors: np.ndarray
-    envelopes: np.ndarray
     noisy: np.ndarray
     ideal: np.ndarray
+
+    @cached_property
+    def step_errors(self) -> np.ndarray:
+        generators = _generator_parts(gell_mann_basis(self.gates.shape[-1]))
+        step_errors = np.empty(self.length)
+
+        def chunk(s: slice) -> None:
+            h = np.empty((s.stop - s.start,) + self.gates.shape[1:], dtype=complex)
+            _batch_last(h)[...] = _algebra(generators, self.error_scale * self.exponents[s])
+            eigs = np.linalg.eigvalsh(h)
+            step_errors[s] = _arc_distances(np.mod(eigs + np.pi, 2.0 * np.pi) - np.pi)
+
+        _over_chunks(chunk, self.length)
+        return step_errors
+
+    @cached_property
+    def envelopes(self) -> np.ndarray:
+        return np.cumsum(self.step_errors)
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -155,6 +180,24 @@ class SimTrajectory:
     def final_distance(self) -> float:
         # the stacked kernel on a one-step stack: the bits of distances[-1]
         return float(_phase_distances(self.noisy[-1:], self.ideal[-1:])[0])
+
+
+def _generator_parts(basis) -> np.ndarray:
+    """The generators t^k as (q, 2, d, d, 1) real and imaginary parts, ready
+    to broadcast against a batch."""
+    return np.stack((basis.generators.real, basis.generators.imag), axis=1)[..., None]
+
+
+def _algebra(generators: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """sum_k c_k t^k for each row c of an (L, q) array, batch-last as
+    (2, d, d, L) parts; summed term by term in order of k, so each matrix
+    has the same bits whatever the batch (a BLAS product would take a
+    different kernel for a one-column batch)."""
+    columns = np.ascontiguousarray(coefficients.T)
+    out = generators[0] * columns[0]
+    for g, c in zip(generators[1:], columns[1:]):
+        out += g * c
+    return out
 
 
 def _arc_distances(phases: np.ndarray) -> np.ndarray:
@@ -177,17 +220,17 @@ def _over_chunks(kernel, length: int) -> None:
     """Call ``kernel(s)`` on the consecutive ``CHUNK_STEPS``-long slices s
     of range(length), on up to one thread per usable CPU.
 
-    numpy's linalg gufuncs and most einsum and ufunc loops release the GIL,
-    and each of their per-matrix calls gives the same bits whatever batch it
-    is in, so a kernel that writes only its own slices of preallocated
-    arrays gives results independent of the chunk and worker counts.  The
-    workers number at most the usable CPUs and length / (3 CHUNK_STEPS):
-    their chunks in flight then span at most a third of the length, so
-    kernels whose scratch is a few chunk stacks (under 4 in
-    :func:`simulate_computation`) add at most 1.25 (L, d, d) stacks
-    whatever the CPU count.  One worker runs the slices inline, in order;
-    more run on threads joined before return, and a kernel's exception
-    re-raises here.  Kernels call no function that perfbench's tracer
+    numpy's linalg gufuncs and ufunc loops release the GIL, and each of
+    their per-matrix calls, and each real elementwise operation, gives the
+    same bits whatever batch it is in, so a kernel that writes only its own
+    slices of preallocated arrays gives results independent of the chunk
+    and worker counts.  The workers number at most the usable CPUs and
+    length / (3 CHUNK_STEPS): their chunks in flight then span at most a
+    third of the length, so kernels whose scratch is a few chunk stacks
+    (about 5.4 in :func:`simulate_computation`) add at most a third of that
+    in (L, d, d) stacks whatever the CPU count.  One worker runs the slices
+    inline, in order; more run on threads joined before return, and a
+    kernel's exception re-raises here.  Kernels call no function that perfbench's tracer
     wraps: its one call stack belongs to the calling thread.
     """
     slices = [slice(i, min(i + CHUNK_STEPS, length)) for i in range(0, length, CHUNK_STEPS)]
@@ -261,27 +304,32 @@ def simulate_computation(
     seeds and parameters reproduce identical trajectories.
 
     Nothing loops over the L steps in Python.  The per-step work (the gate
-    and error exponentials, ``step_errors`` and the step products G_l E_l)
-    runs in fixed ``CHUNK_STEPS``-step chunks on up to one thread per
-    usable CPU (:func:`_over_chunks`); the random draws stay serial, so no
-    result depends on the chunk or worker count.  The ideal and noisy
-    cumulative products come from one blocked scan each
-    (:func:`_cumulative_products`), about 3 sqrt(L) batched steps.  At
-    L = 1e5 and d = 2 a trajectory takes about 0.5 s on a 2-vCPU OpenBLAS
-    machine (0.7 s on one thread), most of it in the batched ``eigh``, and
-    the two scans about 0.05 s.  The per-step distances are not part of
-    that cost: they are computed, in chunks too, only when ``distances``
-    is read (about 0.18 s more).
+    and error exponentials and the step products G_l E_l) runs in fixed
+    ``CHUNK_STEPS``-step chunks on up to one thread per usable CPU
+    (:func:`_over_chunks`), batch-last and with elementwise real operations
+    only (:func:`qx.su_algebra._expi_batch_last`), so it makes no LAPACK
+    call per matrix; the random draws stay serial, so no result depends on
+    the chunk or worker count.  The ideal and noisy cumulative products
+    come from one blocked scan each (:func:`_cumulative_products`), about
+    3 sqrt(L) batched steps.  At L = 1e5 and d = 2 a trajectory takes about
+    0.3 s on a 2-vCPU OpenBLAS machine (0.26 s on one thread), the two
+    scans about 0.05 s of it.  ``distances``, ``step_errors`` and
+    ``envelopes`` are not part of that cost: they are computed, in chunks
+    too, only when read (about 0.15 s for the distances and 0.11 s for the
+    step errors, from eigvalsh of the exponents).
 
-    At its peak, in the ideal scan, the run holds about 4.64 (L, d, d)
-    complex stacks' worth of arrays under tracemalloc at d = 2 (4.57 at
-    d = 3, 4.56 at d = 4): the gates, the noisy products, the scan's buffer
-    and its result, plus the exponents, ``step_errors`` and ``envelopes``.
-    The step stack is released after the noisy scan.  While the chunks run
-    the run holds about 2.9 stacks plus 3.75 chunk stacks of scratch per
-    worker; :func:`_over_chunks` keeps workers times ``CHUNK_STEPS`` within
-    L / 3, so that phase stays below about 4.2 stacks on any CPU count
-    (64 CPUs at L = 20000 read the same peak as one).  The budget counts
+    At its peak, in the ideal scan, the run holds about 4.39 (L, d, d)
+    complex stacks' worth of arrays under tracemalloc at d = 2 (4.46 at
+    d = 3, 4.50 at d = 4): the gates, the noisy products, the scan's buffer
+    and its result, plus the exponents.  The step stack is released after
+    the noisy scan.  While the chunks run the run holds the gates, the
+    steps, the weights and the exponents, 2.75 to 2.94 stacks, plus about
+    5.4 chunk stacks of scratch per worker: the exponent, its square, two
+    Horner buffers and a product's scratch.  :func:`_over_chunks` keeps
+    workers times ``CHUNK_STEPS`` within L / 3, so that phase stays below
+    about 4.8 stacks on any CPU count once L spans a few chunks (64 CPUs
+    read 4.65, 4.56 and 4.56 at L = 20000 and d = 2, 3, 4; two workers at
+    L = 6 CHUNK_STEPS, whose chunks span L / 3, read 4.80, 4.71, 4.74).  The budget counts
     ``SIM_PEAK_STACKS`` = 5: a length whose 5 L d^2 amplitudes exceed
     :data:`qx.vbs_code.DENSE_STACK_CAP` raises ValueError before any random
     draw (about 1.6e6 steps at d = 2).
@@ -312,24 +360,22 @@ def simulate_computation(
         if len(gate_stack) < length:
             raise ValueError(f"need {length} gates, got {len(gate_stack)}")
         gate_stack = check_unitary(gate_stack, d, ndim=3, tol=UNITARY_TOL)[:length]
+        gate_stack = np.ascontiguousarray(gate_stack)  # the chunks view it batch-last
     if error_dist == "uniform":
         exponents = rng.uniform(-1.0, 1.0, size=(length, basis.size))
     else:
         exponents = rng.normal(0.0, 1.0, size=(length, basis.size))
     steps = np.empty((length, d, d), dtype=complex)  # G_l E_l
-    step_errors = np.empty(length)
-
-    def algebra(coefficients: np.ndarray) -> np.ndarray:
-        # sum_k c_k t^k; einsum would cast the real rows to complex in
-        # buffered passes, about 3x slower for the same bits
-        return np.einsum("lk,kij->lij", coefficients.astype(complex), basis.generators)
+    generators = _generator_parts(basis)
 
     def step(s: slice) -> None:
         if weights is not None:
-            gate_stack[s] = _expi_eigh(algebra(weights[s]))[0]
-        error_gates, error_eigs = _expi_eigh(scale * algebra(exponents[s]))
-        step_errors[s] = _arc_distances(np.mod(error_eigs + np.pi, 2.0 * np.pi) - np.pi)
-        np.matmul(gate_stack[s], error_gates, out=steps[s])
+            _batch_last(gate_stack[s])[...] = _expi_batch_last(_algebra(generators, weights[s]))
+        error_gates = _expi_batch_last(_algebra(generators, scale * exponents[s]))
+        # into a contiguous buffer: accumulating in the strided view is 2x slower
+        product = np.empty(error_gates.shape)
+        _product(_batch_last(gate_stack[s]), error_gates, product)
+        _batch_last(steps[s])[...] = product
 
     _over_chunks(step, length)
     del weights
@@ -341,8 +387,6 @@ def simulate_computation(
         error_scale=scale,
         gates=gate_stack,
         exponents=exponents,
-        step_errors=step_errors,
-        envelopes=np.cumsum(step_errors),
         noisy=noisy,
         ideal=_cumulative_products(gate_stack),
     )

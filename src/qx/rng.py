@@ -23,11 +23,22 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
+def _word(x: int) -> int:
+    x = int(x)
+    if not 0 <= x <= _MASK:
+        raise ValueError(f"seed value {x} is outside [0, 2**64)")
+    return x
+
+
 def stable_seed(base: int, *indices: int) -> int:
-    """Fold a base seed and any number of integer indices into a 64-bit seed."""
-    h = splitmix64(int(base) & _MASK)
+    """Fold a base seed and any number of integer indices into a 64-bit seed.
+
+    Each must lie in [0, 2**64): masking a value outside would alias it to
+    another (-3 to 2**64 - 3), so it raises ValueError instead.
+    """
+    h = splitmix64(_word(base))
     for idx in indices:
-        h = splitmix64(h ^ (int(idx) & _MASK))
+        h = splitmix64(h ^ _word(idx))
     return h
 
 

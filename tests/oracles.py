@@ -1,8 +1,9 @@
-"""Brute-force oracles: dense ones for the transfer contractions and the
-transversal collapse check, the insertion-by-insertion closed-form check,
-a step-by-step product for the trajectory scan, the einsum rotation of the
-KL report and the looped physical-space logical channel; and the bond error
-family written as its own noise."""
+"""Brute-force oracles: the eigendecomposition exponential, dense ones for
+the transfer contractions and the transversal collapse check, the
+insertion-by-insertion closed-form check, a step-by-step product for the
+trajectory scan, the einsum rotation of the KL report and the looped
+physical-space logical channel; and the bond error family written as its
+own noise."""
 
 from dataclasses import replace
 from itertools import product
@@ -11,7 +12,16 @@ import numpy as np
 
 from qx import vbs_code as vc
 from qx.quantum_ops import KrausChannel
-from qx.su_algebra import adjoint_generator, expi_hermitian
+from qx.su_algebra import adjoint_generator
+
+
+def expi_reference(h):
+    """exp(i h) for a Hermitian h or a stack (..., n, n) of them, as
+    v e^(iw) v+ from eigh of the Hermitian part: the reference for the
+    Taylor exponential of ``qx.su_algebra.expi_hermitian``."""
+    h = np.asarray(h, dtype=complex)
+    w, v = np.linalg.eigh((h + np.swapaxes(h.conj(), -1, -2)) / 2.0)
+    return np.einsum("...ik,...k,...jk->...ij", v, np.exp(1j * w), v.conj())
 
 
 def explicit_state(code, alpha, insertions=()):
@@ -83,7 +93,7 @@ def apply_site_operator(state, dims, axis, op):
 def dense_collapse_check(code, site_hamiltonians, coefficients, xi):
     """The four values of ``transversal_collapse_check`` with the generator
     D = sum_j a_j H_j built as a d_Q x d_Q operator from Kronecker products
-    and exponentiated whole."""
+    and exponentiated whole, by :func:`expi_reference`."""
     dims = code.site_dims
     total = np.zeros((code.d_q, code.d_q), dtype=complex)
     for site, (ham, coeff) in enumerate(zip(site_hamiltonians, coefficients)):
@@ -94,8 +104,8 @@ def dense_collapse_check(code, site_hamiltonians, coefficients, xi):
     compressed = v.conj().T @ total @ v
     h = float(np.real(np.trace(compressed) / code.d_l))
     logical_part = compressed - h * np.eye(code.d_l)
-    evolved = v.conj().T @ expi_hermitian(xi * total) @ v
-    factored = np.exp(1j * xi * h) * expi_hermitian(xi * logical_part)
+    evolved = v.conj().T @ expi_reference(xi * total) @ v
+    factored = np.exp(1j * xi * h) * expi_reference(xi * logical_part)
     factorization = float(np.linalg.norm(evolved - factored, 2))
     return h, logical_part, float(np.linalg.norm(logical_part, 2)), factorization
 

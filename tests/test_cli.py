@@ -468,6 +468,21 @@ def test_simulate_rejects_nonpositive_trials(capsys):
         assert err.startswith("qx: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--d", "2", "--n", "8", "--length", "5", "--trials", "2"],
+    ["algebra", "--d", "2"],
+], ids=["simulate", "algebra"])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, command):
+    # masked to 64 bits, 2**64 would print the rows of seed 0 and -3 those of 2**64 - 3
+    for seed in (str(2**64), "-3", "-1"):
+        code, text = run_cli(command + ["--seed", seed], tmp_path, "seed.txt")
+        assert code == 2 and text == b""
+        err = capsys.readouterr().err
+        assert err == f"qx: seed value {seed} is outside [0, 2**64)\n"
+    code, _ = run_cli(command + ["--seed", str(2**64 - 1)], tmp_path, "top.txt")
+    assert code == 0
+
+
 def test_gates_command(tmp_path):
     code, text = run_cli(["gates", "--eta", "0.001", "--target", "0.1"], tmp_path, "g1")
     assert code == 0 and text.decode().strip() == "100"

@@ -306,13 +306,13 @@ def test_chunk_threads_are_bounded_and_joined(monkeypatch):
 
     monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
     idents = set()
-    expi_eigh = qu._expi_eigh
+    expi_batch_last = qu._expi_batch_last
 
-    def recording_expi_eigh(h):
+    def recording_expi_batch_last(h):
         idents.add(threading.get_ident())
-        return expi_eigh(h)
+        return expi_batch_last(h)
 
-    monkeypatch.setattr(qu, "_expi_eigh", recording_expi_eigh)
+    monkeypatch.setattr(qu, "_expi_batch_last", recording_expi_batch_last)
     before = threading.active_count()
     # 64 "CPUs": three chunks are a third of their length, so one worker
     # runs them inline

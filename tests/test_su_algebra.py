@@ -176,3 +176,22 @@ def test_expi_hermitian_stack_matches_each_matrix():
     for hi, ui in zip(h, stacked):
         assert np.array_equal(ui, expi_hermitian(hi))
         assert np.abs(ui - scipy.linalg.expm(1j * hi)).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expi_hermitian_rejects_non_finite(bad):
+    h = np.zeros((3, 2, 2), dtype=complex)
+    h[1, 0, 1] = h[1, 1, 0] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        expi_hermitian(h)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        expi_hermitian(np.diag([0.0, 1j * bad]))
+
+
+def test_expi_hermitian_of_zero_is_identity_exactly():
+    for n in range(1, 6):
+        u = expi_hermitian(np.zeros((3, n, n)))
+        assert np.array_equal(u, np.broadcast_to(np.eye(n), u.shape))
+    assert expi_hermitian(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+    with pytest.raises(ValueError, match="square"):
+        expi_hermitian(np.zeros((2, 3)))
