@@ -439,12 +439,23 @@ KL_PINS = [
         ["--code", "vbs:2:13", "--errors", "bond", "--strength", "0.1"],
         "73e10d6d18df2ca8e622fba5a7e0c8964add08f124f295e224b10f487a378c12",
     ),
+    # transfer route, bond:all, captured at commit 3edc10a before the
+    # report was solved one sign sector at a time
+    (
+        ["--code", "vbs:3:10", "--errors", "bond:all"],
+        "3e7cd7ae705b01ac4993fbf4f431e50f9407126fdec9b49910370b11fd1248e8",
+    ),
+    (
+        ["--code", "vbs:4:6", "--errors", "bond:all"],
+        "53243f01a37d309c5e3e88db476862473873c4ec7f20b9bfd8264c574cbed0f6",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "args, digest", KL_PINS,
-    ids=["vbs2-4", "vbs3-5", "vbs2-8-all", "513", "422", "vbs2-13-transfer"],
+    ids=["vbs2-4", "vbs3-5", "vbs2-8-all", "513", "422", "vbs2-13-transfer",
+         "vbs3-10-all-transfer", "vbs4-6-all-transfer"],
 )
 def test_kl_stdout_is_pinned(tmp_path, args, digest):
     code, text = run_cli(["kl"] + args, tmp_path, "pin.txt")
