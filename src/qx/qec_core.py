@@ -9,7 +9,9 @@ it.  A transversal generator is applied to V one site at a time.  The only
 physical d_Q x d_Q arrays are the gates handed to
 :func:`logical_operator_check` and :func:`subsystem_gate_factorization`,
 :meth:`CodeIsometry.projector`, and the physical-space oracle
-:func:`recovery_from_kl`.
+:func:`recovery_from_kl`.  Given Z2 charges under which M is exactly
+block sparse, the report solves its Gram and ``epsilon`` eigenproblems
+one sector at a time; without them it stays unstructured.
 
 scipy is imported only by :func:`_adjoint_product`, the one BLAS call numpy
 lacks (a conjugate-transposed product without a conjugated copy), so the
@@ -165,7 +167,9 @@ class KLReport:
     aggregate (1/2 d_L) sum_kl weights[k, l] / eig[k] over retained modes.
     ``compressions`` is the tensor M[i, j] = V+ E_i+ E_j V the report was
     built from, held without a copy; with ``residuals`` it is all that the
-    recovery reads, whichever route made it.
+    recovery reads, whichever route made it.  ``sectors`` is None, or the
+    label of each row (k, a), k-major, of the residual Choi matrix of
+    :func:`epsilon_from_report`, which vanishes exactly between labels.
     """
 
     error_count: int
@@ -180,18 +184,54 @@ class KLReport:
     first_order_distance: float
     cutoff: float
     compressions: np.ndarray
+    sectors: np.ndarray | None = None
+
+
+def _sector_groups(labels: np.ndarray) -> list[np.ndarray]:
+    """Positions of each value of ``labels``, one (m, s) array per sector
+    size s whose rows are the m sectors of that size; plain sorting, as
+    ``np.unique`` imports ``numpy.ma``."""
+    order = labels.argsort(kind="stable")
+    ranked = labels[order]
+    bounds = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(labels)]
+    starts: dict[int, list[int]] = {}
+    for lo, hi in zip(bounds, bounds[1:]):
+        starts.setdefault(hi - lo, []).append(lo)
+    return [order[np.array(firsts)[:, None] + np.arange(s)] for s, firsts in starts.items()]
 
 
 def kl_report_from_compressions(
-    compressions: np.ndarray, cutoff_rel: float = CUTOFF_REL
+    compressions: np.ndarray, cutoff_rel: float = CUTOFF_REL, charges=None
 ) -> KLReport:
-    """Build the quasi-correctability report from V+ E_i+ E_j V tensors."""
+    """Build the quasi-correctability report from V+ E_i+ E_j V tensors.
+
+    ``charges`` = (c, l), the Z2 bitmasks of the K errors and of the d_L
+    logical basis states (:func:`qx.vbs_code.bond_error_charges`), splits
+    the problem into sectors: M_ij[a, b] must vanish exactly unless
+    c_i ^ l_a == c_j ^ l_b, or ValueError is raised.  The Gram matrix is
+    then diagonalized per charge, one ``eigh`` per sector size, so the
+    rotation and the residuals are exactly zero across sectors, and
+    ``sectors`` holds the label c_k ^ l_a of each residual Choi row.
+    """
     m = np.asarray(compressions, dtype=complex)
     k, _, d_l, _ = m.shape
     gram = np.einsum("ijaa->ij", m) / d_l
     gram = (gram + gram.conj().T) / 2.0
-    eigvals, vecs = np.linalg.eigh(gram)
-    order = np.argsort(eigvals)[::-1]
+    sectors = None
+    if charges is None:
+        eigvals, vecs = np.linalg.eigh(gram)
+        order = np.argsort(eigvals)[::-1]
+    else:
+        error_charges, logical_charges = map(np.asarray, charges)
+        labels = error_charges[:, None] ^ logical_charges
+        if np.any(m, where=labels[:, None, :, None] != labels[None, :, None, :]):
+            raise ValueError("the compressions do not vanish across the charge sectors")
+        eigvals, vecs = np.empty(k), np.zeros((k, k), dtype=complex)
+        for idx in _sector_groups(error_charges):
+            rows, cols = idx[:, :, None], idx[:, None, :]
+            eigvals[idx], vecs[rows, cols] = np.linalg.eigh(gram[rows, cols])
+        order = np.argsort(-eigvals, kind="stable")
+        sectors = labels[order].ravel()
     eigvals = eigvals[order]
     rotation = vecs[:, order].T
     cutoff = cutoff_rel * max(eigvals.max(), 0.0)
@@ -220,6 +260,7 @@ def kl_report_from_compressions(
         first_order_distance=first_order,
         cutoff=float(cutoff),
         compressions=m,
+        sectors=sectors,
     )
 
 
@@ -391,13 +432,23 @@ def epsilon_from_report(report: KLReport) -> float:
     differ by the Choi matrix of the residual map alone, formed in the
     rotated environment basis (the value is invariant under that rotation),
     so epsilon is half its trace norm (its trace distance from zero), with
-    no O(1) part to cancel.
+    no O(1) part to cancel.  With ``report.sectors`` that Choi matrix is
+    exactly block diagonal, and epsilon is the sum over its blocks (Beny &
+    Oreshkov, PRL 104, 120501), equal sizes stacked into one call.
     """
     k = report.error_count
     d_l = report.logical_dim
     # Choi of rho -> sum_kl tr(rho B_kl) |k><l| : entry ((k,a),(l,b)) = B_kl[b,a]/d_L.
-    choi_resid = report.residuals.transpose(0, 3, 1, 2).reshape(k * d_l, k * d_l) / d_l
-    return trace_distance(choi_resid, np.zeros_like(choi_resid))
+    if report.sectors is None:
+        choi_resid = report.residuals.transpose(0, 3, 1, 2).reshape(k * d_l, k * d_l) / d_l
+        return trace_distance(choi_resid, np.zeros_like(choi_resid))
+    total = 0.0
+    for idx in _sector_groups(report.sectors):
+        mode, a = np.divmod(idx, d_l)
+        blocks = report.residuals[mode[:, :, None], mode[:, None, :], a[:, None, :], a[:, :, None]]
+        blocks /= d_l
+        total += trace_distance(blocks, np.zeros_like(blocks)).sum()
+    return float(total)
 
 
 def span_transform(errors, y: np.ndarray) -> list[np.ndarray]:

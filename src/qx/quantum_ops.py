@@ -133,15 +133,17 @@ def choi_matrix(ch: KrausChannel) -> np.ndarray:
     return c / d
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the trace norm of rho - sigma, for Hermitian inputs."""
+def trace_distance(rho: np.ndarray, sigma: np.ndarray):
+    """Half the trace norm of rho - sigma, for Hermitian inputs; stacks
+    (..., n, n) give an array, each entry with the bits of its matrix alone."""
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.shape != sigma.shape or rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
         raise ValueError(f"incompatible shapes {rho.shape} and {sigma.shape}")
     diff = rho - sigma
-    diff = (diff + diff.conj().T) / 2.0
-    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
+    diff = (diff + diff.conj().swapaxes(-1, -2)) / 2.0
+    dist = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+    return float(dist) if rho.ndim == 2 else dist
 
 
 def entanglement_fidelity(ch: KrausChannel) -> tuple[float, float]:

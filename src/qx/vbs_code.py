@@ -59,13 +59,15 @@ __all__ = [
     "bond_error_weights",
     "bond_error_stacks",
     "bond_error_compressions",
+    "bond_error_charges",
     "bond_noise",
 ]
 
 DENSE_CAP = 2_000_000
-# amplitudes in one batched encode_dense call, and in the K error stacks
-# E_i V that the dense kl route allocates; that route holds them twice at
-# its peak (the list and its one family copy inside kl_decompose), and
+# amplitudes in one batched encode_dense call, in the K error stacks
+# E_i V that the dense kl route allocates, and in the K^2 d^2 entries of
+# bond_error_compressions; the dense route holds its stacks twice at its
+# peak (the list and its one family copy inside kl_decompose), and
 # nothing after kl_decompose has a d_Q axis
 DENSE_STACK_CAP = 32_000_000
 # amplitudes in one batch of pair insertions in insertion_overlaps (128 KiB);
@@ -562,6 +564,12 @@ def bond_error_compressions(
     """Compression tensor M[i, j] = V+ E_i+ E_j V for the bond error family,
     contracted entirely by transfer so any N is reachable."""
     bonds = _bond_list(code, bonds)
+    k = 1 + len(bonds) * code.site_dim
+    if k * k * code.d * code.d > DENSE_STACK_CAP:
+        raise ValueError(
+            f"bond error compressions need {k * k * code.d * code.d} amplitudes, "
+            f"over the budget of {DENSE_STACK_CAP}"
+        )
     w0, w = bond_error_weights(code, bonds, strength)
     families = [(0, w0 * np.eye(code.d)[None])]
     families += [(n, w * code.basis.generators) for n in bonds]
@@ -575,6 +583,19 @@ def bond_error_compressions(
             if j > i:
                 m[rows[j], rows[i]] = m[rows[i], rows[j]].conj().transpose(1, 0, 3, 2)
     return m
+
+
+def bond_error_charges(code: VbsCode, bonds=None) -> tuple[np.ndarray, np.ndarray]:
+    """Z2 bitmask charges (errors (K,), logical basis (d,)) of the bond error
+    family under the sign matrices S = diag(+-1), which act transversally on
+    the code: M_ij[a, b] is nonzero only if c_i ^ (1<<a) == c_j ^ (1<<b),
+    the sectors of :func:`qx.qec_core.kl_report_from_compressions`.  A
+    generator on the pair (j, k) has charge (1<<j) ^ (1<<k), read from its
+    off-diagonal support; the identity and the diagonal ones have 0."""
+    bonds = _bond_list(code, bonds)
+    bits = 1 << np.arange(code.d)
+    support = (code.basis.generators != 0) & ~np.eye(code.d, dtype=bool)
+    return np.concatenate([[0], np.tile(support.any(axis=-1) @ bits, len(bonds))]), bits
 
 
 def bond_noise(code: VbsCode, compressions, strength: float):

@@ -847,3 +847,89 @@ def test_format_kl_report_stable():
     assert fields["exact_distance"] == qc._fmt_float(dist)
     assert fields["diamond_bracket"] == qc._fmt_vector(bracket)
     assert fields["epsilon"] == qc._fmt_float(qc.epsilon_from_report(report))
+
+
+def _sector_and_plain_reports(d, n, bonds, strength):
+    code = vc.build(d, n)
+    m = vc.bond_error_compressions(code, bonds, strength)
+    charges = vc.bond_error_charges(code, bonds)
+    return qc.kl_report_from_compressions(m, charges=charges), qc.kl_report_from_compressions(m)
+
+
+def _report_gaps(got, want):
+    """Relative gaps of the basis-free report values: eigenvalues entrywise."""
+    pairs = [
+        (got.eigenvalues, want.eigenvalues),
+        (got.first_order_distance, want.first_order_distance),
+        (got.residual_weights.sum(), want.residual_weights.sum()),
+        (qc.epsilon_from_report(got), qc.epsilon_from_report(want)),
+    ]
+    return [float(np.max(np.abs(np.subtract(g, w)) / np.abs(w))) for g, w in pairs]
+
+
+@pytest.mark.parametrize("d, n_max", [(2, 8), (3, 8), (4, 6), (5, 4)])
+@pytest.mark.parametrize("strength", [0.1, 0.27])
+def test_sector_report_matches_the_unsectored_report(d, n_max, strength):
+    for n in range(1, n_max + 1):
+        # bond keeps fewer digits: epsilon is 2.5e-8 at vbs:3:8
+        for bonds, tol in ((list(range(1, n + 1)), 1e-12), ([1], 1e-12), ([n], 1e-9)):
+            sector, plain = _sector_and_plain_reports(d, n, bonds, strength)
+            assert max(_report_gaps(sector, plain)) <= tol, (n, bonds)
+            assert sector.env_size == plain.env_size and plain.sectors is None
+
+
+def test_sector_report_is_exactly_block_sparse():
+    code = vc.build(3, 4)
+    bonds = [1, 2, 3, 4]
+    errors, logical = vc.bond_error_charges(code, bonds)
+    report = qc.kl_report_from_compressions(
+        vc.bond_error_compressions(code, bonds), charges=(errors, logical)
+    )
+    k, d_l = report.error_count, report.logical_dim
+    modes = report.sectors.reshape(k, d_l) ^ logical  # the charge of each mode, d_L times
+    assert (modes == modes[:, :1]).all()
+    assert not np.any(report.rotation, where=modes[:, :1] != errors)
+    labels = report.sectors
+    choi = report.residuals.transpose(0, 3, 1, 2).reshape(k * d_l, k * d_l)
+    assert not np.any(choi, where=labels[:, None] != labels)
+    # Gram sectors of sizes 1 + 2N and 2N; 2^(d-1) Choi sectors
+    assert np.bincount(modes[:, 0]).tolist() == [9, 0, 0, 8, 0, 8, 8]
+    assert len(set(labels.tolist())) == 4
+    assert np.array_equal(np.sort(report.eigenvalues)[::-1], report.eigenvalues)
+    # the sector epsilon against the SVD trace norm of the whole Choi matrix
+    want = 0.5 * np.linalg.svd(choi / d_l, compute_uv=False).sum()
+    assert abs(qc.epsilon_from_report(report) - want) <= 1e-12 * want
+
+
+def test_charges_that_do_not_split_the_compressions_raise():
+    code = vc.build(2, 3)
+    m = vc.bond_error_compressions(code)
+    errors, logical = vc.bond_error_charges(code)
+    with pytest.raises(ValueError, match="sector"):
+        qc.kl_report_from_compressions(m, charges=(np.roll(errors, 1), logical))
+    with pytest.raises(ValueError, match="sector"):
+        qc.kl_report_from_compressions(m, charges=(errors, np.ones_like(logical)))
+    tampered = m.copy()
+    tampered[0, 1, 0, 0] = tampered[1, 0, 0, 0] = 1e-300
+    with pytest.raises(ValueError, match="sector"):
+        qc.kl_report_from_compressions(tampered, charges=(errors, logical))
+
+
+@pytest.mark.parametrize("strength", [0.1, 0.27])
+@pytest.mark.parametrize(
+    "d, n, bonds",
+    [(2, 4, "bond"), (2, 8, "all"), (3, 3, "all"), (3, 5, "bond"), (2, 6, [2]), (4, 3, "all")],
+)
+def test_sector_transfer_route_matches_the_dense_route(d, n, bonds, strength):
+    # two independent routes: sectors on transfer contractions, and the
+    # unstructured report of the dense stacks
+    bonds = [n] if bonds == "bond" else list(range(1, n + 1)) if bonds == "all" else bonds
+    code = vc.build(d, n)
+    dense = qc.kl_decompose(vc.dense_isometry(code), vc.bond_error_stacks(code, bonds, strength))
+    sector = qc.kl_report_from_compressions(
+        vc.bond_error_compressions(code, bonds, strength),
+        charges=vc.bond_error_charges(code, bonds),
+    )
+    assert dense.sectors is None and sector.sectors is not None
+    gaps = _report_gaps(sector, dense)
+    assert max(gaps[:2] + gaps[3:]) <= 1e-11, gaps

@@ -230,3 +230,17 @@ def test_cptp_residuals():
     empty = KrausChannel(kraus=(), in_dim=2, out_dim=2)
     tp_e, un_e = cptp_residuals(empty)
     assert abs(tp_e - 1.0) < 1e-14 and abs(un_e - 1.0) < 1e-14
+
+
+def test_trace_distance_of_a_stack_has_the_bits_of_each_matrix():
+    rng = np.random.default_rng(5)
+    for shape in [(1, 4), (6, 3), (2, 3, 5)]:
+        a = rng.normal(size=shape + shape[-1:]) + 1j * rng.normal(size=shape + shape[-1:])
+        b = rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape)
+        stacked = trace_distance(a, b)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == shape[:-1]
+        for idx in np.ndindex(shape[:-1]):
+            single = trace_distance(a[idx], b[idx])
+            assert type(single) is float and single == stacked[idx]
+    with pytest.raises(ValueError):
+        trace_distance(np.zeros(3), np.zeros(3))

@@ -570,3 +570,48 @@ def test_site_overlap_internal_check_raises_on_tampering():
             chi=code.chi,
         )
         vc.site_operator_overlaps(broken, 0, 0, 1, 2)
+
+
+def _sector_mask(code, bonds):
+    """True on the entries of M[i, j, a, b] whose sign charges differ."""
+    errors, logical = vc.bond_error_charges(code, bonds)
+    labels = errors[:, None] ^ logical
+    return labels[:, None, :, None] != labels[None, :, None, :]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_bond_compressions_vanish_exactly_across_sign_sectors(d):
+    for n in (1, 2, 3, 5, 8):
+        for bonds in ([n], list(range(1, n + 1)), [n // 2], list(range(n + 1))):
+            code = vc.build(d, n)
+            m = vc.bond_error_compressions(code, bonds)
+            mask = _sector_mask(code, bonds)
+            assert mask.any() and not np.any(m, where=mask), (d, n, bonds)
+
+
+def test_bond_error_charges_follow_the_generator_support():
+    code = vc.build(4, 3)
+    errors, logical = vc.bond_error_charges(code, [1, 3])
+    assert errors.shape == (1 + 2 * 15,) and errors[0] == 0
+    for a, g in enumerate(code.basis.generators):
+        j, k = np.nonzero(g)
+        # S t S = s_j s_k t for every nonzero entry (j, k) and sign matrix S
+        assert set((1 << j) ^ (1 << k)) == {errors[1 + a]} == {errors[16 + a]}
+    assert np.array_equal(logical, [1, 2, 4, 8])
+    # 1 + d(d-1)/2 Gram sectors
+    assert len(set(errors.tolist())) == 1 + 4 * 3 // 2
+
+
+def test_bond_compressions_budget_refuses_before_allocating(monkeypatch):
+    code = vc.build(3, 4)
+    k = 1 + 4 * code.site_dim
+    monkeypatch.setattr(vc, "DENSE_STACK_CAP", k * k * 9)
+    assert vc.bond_error_compressions(code, range(1, 5)).shape == (k, k, 3, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("contracted past the budget")
+
+    monkeypatch.setattr(vc, "DENSE_STACK_CAP", k * k * 9 - 1)
+    monkeypatch.setattr(vc, "edge_overlap", refuse)
+    with pytest.raises(ValueError, match="budget"):
+        vc.bond_error_compressions(code, range(1, 5))
