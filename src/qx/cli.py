@@ -20,10 +20,6 @@ from .rng import make_generator, stable_seed
 
 STRICT_TOL = 1e-12
 CLOSED_FORM_TOL = 1e-10
-# smallest d at which a sweep point's KL report is solved by sign sector:
-# inside a sweep the sector bookkeeping cost 0.1-0.3 ms per point at
-# d = 2, 3 and saved 0.2 ms of 7 at d = 4, but 3.6 ms of 33 at d = 5
-SECTOR_MIN_D = 5
 
 SWEEP_HEADER = (
     "d,N,chi,eta,max_detect_closedform_residual,max_corr_closedform_residual,"
@@ -109,8 +105,7 @@ def _sweep_point(d: int, n: int, strength: float) -> dict:
     det, corr = _closed_form_residuals(code)
     iterated, _ = vbs_code.edge_state(code, 0, n)
     report = qec_core.kl_report_from_compressions(
-        vbs_code.bond_error_compressions(code, strength=strength),
-        charges=vbs_code.bond_error_charges(code) if d >= SECTOR_MIN_D else None,
+        vbs_code.bond_error_compressions(code, strength=strength)
     )
     values = [
         d,

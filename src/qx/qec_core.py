@@ -167,9 +167,8 @@ class KLReport:
     aggregate (1/2 d_L) sum_kl weights[k, l] / eig[k] over retained modes.
     ``compressions`` is the tensor M[i, j] = V+ E_i+ E_j V the report was
     built from, held without a copy; with ``residuals`` it is all that the
-    recovery reads, whichever route made it.  ``sectors`` is None, or the
-    label of each row (k, a), k-major, of the residual Choi matrix of
-    :func:`epsilon_from_report`, which vanishes exactly between labels.
+    recovery reads, whichever route made it.  ``sectors`` is None or labels
+    each residual Choi row (k, a), k-major; that matrix is 0 between labels.
     """
 
     error_count: int
@@ -205,13 +204,12 @@ def kl_report_from_compressions(
 ) -> KLReport:
     """Build the quasi-correctability report from V+ E_i+ E_j V tensors.
 
-    ``charges`` = (c, l), the Z2 bitmasks of the K errors and of the d_L
-    logical basis states (:func:`qx.vbs_code.bond_error_charges`), splits
-    the problem into sectors: M_ij[a, b] must vanish exactly unless
-    c_i ^ l_a == c_j ^ l_b, or ValueError is raised.  The Gram matrix is
-    then diagonalized per charge, one ``eigh`` per sector size, so the
-    rotation and the residuals are exactly zero across sectors, and
-    ``sectors`` holds the label c_k ^ l_a of each residual Choi row.
+    ``charges`` = (c, l), Z2 bitmasks of the K errors and the d_L logical
+    states (:func:`qx.vbs_code.bond_error_charges`): M_ij[a, b] must vanish
+    unless c_i ^ l_a == c_j ^ l_b (else ValueError), and the Gram matrix is
+    diagonalized per charge, one ``eigh`` per sector size, so the rotation
+    and residuals are exactly zero across sectors; ``sectors`` labels each
+    residual Choi row c_k ^ l_a.
     """
     m = np.asarray(compressions, dtype=complex)
     k, _, d_l, _ = m.shape

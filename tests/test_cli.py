@@ -543,18 +543,3 @@ def test_kl_transfer_route_over_budget_exits_2(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("qx: ") and err.count("\n") == 1 and "budget" in err
 
-
-def test_sweep_sector_epsilon_matches_the_unsectored_report(tmp_path, monkeypatch):
-    # from SECTOR_MIN_D the sweep solves its report by sign sector
-    args = ["sweep", "--d-min", "4", "--d-max", "5", "--n-min", "2", "--n-max", "3", "--format", "csv"]
-    sector_d, columns = cli.SECTOR_MIN_D, {}
-    assert sector_d <= 5
-    for min_d in (sector_d, 99):
-        monkeypatch.setattr(cli, "SECTOR_MIN_D", min_d)
-        code, text = run_cli(args, tmp_path, f"sweep{min_d}.csv")
-        assert code == 0
-        rows = [line.split(",") for line in text.decode().split()]
-        columns[min_d] = [float(row[rows[0].index("epsilon")]) for row in rows[1:]]
-    assert len(columns[99]) == 4
-    for got, want in zip(columns[sector_d], columns[99]):
-        assert abs(got - want) <= 1e-12 * want
