@@ -449,13 +449,28 @@ KL_PINS = [
         ["--code", "vbs:4:6", "--errors", "bond:all"],
         "53243f01a37d309c5e3e88db476862473873c4ec7f20b9bfd8264c574cbed0f6",
     ),
+    # transfer route, captured at commit e2270e0 before the cross-bond
+    # blocks of the compression tensor came from one insertion pass
+    (
+        ["--code", "vbs:2:14", "--errors", "bond:all"],
+        "b638fe59a4be2b7405bf46f93564e00877e64836b4aa5d736ed24305967a5315",
+    ),
+    (
+        ["--code", "vbs:5:4", "--errors", "bond:all", "--strength", "0.27"],
+        "1687203e09f13cfa25a4bb54eda8a52a989dce6230180b288ba089e85b2c9b39",
+    ),
+    (
+        ["--code", "vbs:3:9", "--errors", "bond:4"],
+        "987cc2eabf6ef1e1b0502b8143f1a08fb3e6f10db9ddba5d294c87f1efd07e6e",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "args, digest", KL_PINS,
     ids=["vbs2-4", "vbs3-5", "vbs2-8-all", "513", "422", "vbs2-13-transfer",
-         "vbs3-10-all-transfer", "vbs4-6-all-transfer"],
+         "vbs3-10-all-transfer", "vbs4-6-all-transfer", "vbs2-14-all-transfer",
+         "vbs5-4-all-transfer", "vbs3-9-b4-transfer"],
 )
 def test_kl_stdout_is_pinned(tmp_path, args, digest):
     code, text = run_cli(["kl"] + args, tmp_path, "pin.txt")
