@@ -1,9 +1,9 @@
 """Brute-force oracles: the eigendecomposition exponential, dense ones for
 the transfer contractions and the transversal collapse check, the
-insertion-by-insertion closed-form check, a step-by-step product for the
-trajectory scan, the einsum rotation of the KL report and the looped
-physical-space logical channel; and the bond error family written as its
-own noise."""
+insertion-by-insertion closed-form check and bond error compressions, a
+step-by-step product for the trajectory scan, the einsum rotation of the
+KL report and the looped physical-space logical channel; and the bond
+error family written as its own noise."""
 
 from dataclasses import replace
 from itertools import product
@@ -81,6 +81,26 @@ def pairwise_closed_form_residuals(code):
             want = vc.correlation_closed_form(code, a[:, None], a[None, :], m, n)
             corr = max(corr, float(np.abs(got - want).max()))
     return det, corr
+
+
+def pairwise_bond_error_compressions(code, bonds=None, strength=0.1):
+    """``vbs_code.bond_error_compressions`` with every block of the family
+    contracted from the edge on its own by ``edge_overlap``: (K' + 1)(K' +
+    2)/2 calls for K' listed bonds, each of N transfer steps."""
+    bonds = vc._bond_list(code, bonds)
+    w0, w = vc.bond_error_weights(code, bonds, strength)
+    families = [(0, w0 * np.eye(code.d)[None])]
+    families += [(n, w * code.basis.generators) for n in bonds]
+    start = np.cumsum([0] + [len(ops) for _, ops in families])
+    rows = [slice(lo, hi) for lo, hi in zip(start, start[1:])]
+    m = np.zeros((start[-1], start[-1], code.d, code.d), dtype=complex)
+    for i, (bond_i, ops_i) in enumerate(families):
+        for j, (bond_j, ops_j) in enumerate(families[i:], start=i):
+            bra, ket = [(bond_i, ops_i[:, None])], [(bond_j, ops_j[None, :])]
+            m[rows[i], rows[j]] = vc.edge_overlap(code, bra, ket)
+            if j > i:
+                m[rows[j], rows[i]] = m[rows[i], rows[j]].conj().transpose(1, 0, 3, 2)
+    return m
 
 
 def apply_site_operator(state, dims, axis, op):
