@@ -9,12 +9,12 @@ by chi = -1/(d**2 - 1).
 Expectation values are available along two independent routes: transfer
 contraction (cost linear in N, any N) and dense brute-force encoding
 (bounded by an amplitude cap).  One downward transfer pass of O(N^2) steps
-gives every single and pair insertion at a list of bonds, in batches of at
-least one pair (:func:`insertion_overlaps`), for the closed-form check and
-the cross-bond blocks of the bond error family.  Bond bookkeeping: bond n+
-sits between sites n and n+1, so an operator inserted at bond n is
-separated from the logical ket by n channel applications; bond N is the
-edge site itself and bond 0 is adjacent to the logical ket.
+gives every single and pair insertion, in batches of at least one pair, for
+the closed-form check and the cross-bond blocks of the bond error family
+(:func:`insertion_overlaps`).  Bond bookkeeping: bond n+ sits between
+sites n and n+1, so an operator inserted at bond n is separated from the
+logical ket by n channel applications; bond N is the edge site itself and
+bond 0 is adjacent to the logical ket.
 """
 
 from __future__ import annotations
@@ -213,15 +213,16 @@ def edge_overlap(code: VbsCode, bra_insertions=(), ket_insertions=()) -> np.ndar
     return c
 
 
-def insertion_overlaps(code: VbsCode, bonds=None):
-    """Every single and pair generator insertion at the listed bonds
-    (default 0..N), in one downward transfer pass.
+def insertion_overlaps(code: VbsCode):
+    """Every single and pair generator insertion, in one downward transfer
+    pass: the closed-form check and the cross-bond blocks of
+    :func:`bond_error_compressions`.
 
     Yields (m, n, overlaps).  A pair batch has a bond m and an array n of
-    consecutive listed bonds above it, with overlaps[k, a, b] the logical
-    matrix of t^b at bond n[k] and t^a at bond m.  The last item has m = None,
-    n the sorted bonds and overlaps[k, b] the matrix of t^b at bond n[k].
-    Every matrix is bitwise the :func:`edge_overlap` of its insertions.
+    consecutive bonds above it, with overlaps[k, a, b] the logical matrix of
+    t^b at bond n[k] and t^a at bond m.  The last item has m = None, n =
+    0..N and overlaps[n, b] the matrix of t^b at bond n.  Every matrix is
+    bitwise the :func:`edge_overlap` of the same insertions.
 
     The identity row is transferred alone, as in :func:`edge_overlap`, and
     the single-insertion rows together, one transfer per bond.  Pair (m, n)
@@ -230,29 +231,26 @@ def insertion_overlaps(code: VbsCode, bonds=None):
     holds at most ``PAIR_BATCH_CAP`` amplitudes but always at least one
     pair, and is made only when the pass reaches its bond m.
     """
-    d, q = code.d, code.site_dim
-    listed = sorted(set(_bond_list(code, range(code.n_sites + 1) if bonds is None else bonds)))
+    d, q, n_sites = code.d, code.site_dim, code.n_sites
     g = code.basis.generators
     # vec(X) @ right[:, a] = vec(X t^a), vec row-major
     right = np.einsum("il,akj->ikalj", np.eye(d), g).reshape(d * d, q * d * d)
     per_batch = max(1, PAIR_BATCH_CAP // (q * q * d * d))
-    c = transfer_power(code, np.eye(d), code.n_sites - listed[-1])
-    rows = np.empty((len(listed), q, d, d), dtype=complex)
-    for m in range(listed[-1], -1, -1):
-        if m in listed:
-            top = listed.index(m)  # rows[top:] hold the bonds the pass has reached
-            rows[top] = c @ g
-            for lo in range(top + 1, len(listed), per_batch):
-                hi = min(lo + per_batch, len(listed))
-                # pairs[k, b, a] = rows[lo + k, b] @ t^a
-                pairs = rows[lo:hi].reshape(-1, d * d) @ right
-                for _ in range(m):
-                    pairs = transfer_apply(code, pairs)
-                yield m, np.array(listed[lo:hi]), pairs.reshape(hi - lo, q, q, d, d).swapaxes(1, 2)
+    c = np.eye(d, dtype=complex)
+    rows = np.empty((n_sites + 1, q, d, d), dtype=complex)
+    for m in range(n_sites, -1, -1):
+        rows[m] = c @ g
+        for lo in range(m + 1, n_sites + 1, per_batch):
+            hi = min(lo + per_batch, n_sites + 1)
+            # pairs[k, b, a] = rows[lo + k, b] @ t^a
+            pairs = rows[lo:hi].reshape(-1, d * d) @ right
+            for _ in range(m):
+                pairs = transfer_apply(code, pairs)
+            yield m, np.arange(lo, hi), pairs.reshape(hi - lo, q, q, d, d).swapaxes(1, 2)
         if m > 0:
-            rows[top:] = transfer_apply(code, rows[top:])
+            rows[m:] = transfer_apply(code, rows[m:])
             c = transfer_apply(code, c)
-    yield None, np.array(listed), rows
+    yield None, np.arange(n_sites + 1), rows
 
 
 def encode_dense(code: VbsCode, logical, insertions=()) -> np.ndarray:
@@ -568,9 +566,8 @@ def bond_error_compressions(
 ) -> np.ndarray:
     """Compression tensor M[i, j] = V+ E_i+ E_j V for the bond error family,
     contracted entirely by transfer so any N is reachable: the identity row
-    and the same-bond blocks by :func:`edge_overlap`, the cross-bond blocks,
-    from three distinct bonds on, by one :func:`insertion_overlaps` pass
-    (within 1e-15 of edge_overlap's)."""
+    and the same-bond blocks by :func:`edge_overlap`, the cross-bond blocks
+    by one :func:`insertion_overlaps` pass (within 1e-15 of edge_overlap's)."""
     bonds = _bond_list(code, bonds)
     k = 1 + len(bonds) * code.site_dim
     if k * k * code.d * code.d > DENSE_STACK_CAP:
@@ -585,23 +582,26 @@ def bond_error_compressions(
     rows = [slice(lo, hi) for lo, hi in zip(start, start[1:])]
     m = np.zeros((start[-1], start[-1], code.d, code.d), dtype=complex)
     rows_at = {n: [r for b, r in zip(bonds, rows[1:]) if b == n] for n in bonds}
-    # the pass costs about two edge_overlap calls, so it pays from three
-    # distinct bonds on; it is left after its last pair, before the singles
     for i, (bond_i, ops_i) in enumerate(families):
         for j, (bond_j, ops_j) in enumerate(families[i:], start=i):
-            if i and bond_j != bond_i and len(rows_at) > 2:
+            if i and bond_j != bond_i:
                 continue  # a cross-bond block, filled from the pass below
             bra, ket = [(bond_i, ops_i[:, None])], [(bond_j, ops_j[None, :])]
             m[rows[i], rows[j]] = edge_overlap(code, bra, ket)
             if j > i:
                 m[rows[j], rows[i]] = m[rows[i], rows[j]].conj().transpose(1, 0, 3, 2)
-    for low, highs, overlaps in insertion_overlaps(code, rows_at) if len(rows_at) > 2 else ():
-        # Hermitian generators: overlaps[k, a, b] is M[(highs[k], b), (low, a)] / w^2
+    if len(rows_at) == 1:
+        return m
+    for low, highs, overlaps in insertion_overlaps(code):
+        if low not in rows_at:
+            continue  # the single-insertion rows (low None) or an unlisted bond
+        # overlaps[k, a, b] is M[(highs[k], b), (low, a)] / w^2: the pass puts
+        # t^b right of the matrix carried down to bond highs[k], edge_overlap
+        # puts (t^b)+ = t^b (Hermitian generators) left of it; they agree as
+        # that matrix is the identity (the transfer is unital)
         for n, block in zip(highs, (w * w) * overlaps.swapaxes(1, 2)):
-            for r, s in product(rows_at[int(n)], rows_at[low]):
+            for r, s in product(rows_at.get(int(n), ()), rows_at[low]):
                 m[r, s], m[s, r] = block, block.conj().transpose(1, 0, 3, 2)
-        if (low, highs[-1]) == (min(rows_at), max(rows_at)):
-            break
     return m
 
 
