@@ -132,26 +132,30 @@ assert "concurrent.futures" in sys.modules
 """)
 
 
-def test_dense_kl_imports_scipy():
-    # the control for the test above: the check does see an import
-    _fresh_python(_RUN_QUIETLY + """
+_NO_SCIPY = """
+assert "scipy" not in sys.modules, "scipy was imported"
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # the Gram products of the dense kl route, pauli1 and the subsystem
+    # check are numpy's own
+    from qx import cli, exact_codes
+
+    path = tmp_path / "iso.txt"
+    cli.write_isometry(str(path), exact_codes.four_two_two_code().isometry)
+    _fresh_python(_RUN_QUIETLY + f"""
 run("kl", "--code", "vbs:2:4", "--errors", "bond")
-assert "scipy.linalg" in sys.modules
-""")
+run("kl", "--code", "five_one_three")
+run("kl", "--code", "four_two_two")
+run("kl", "--code", "file:" + {str(path)!r})
+from qx import exact_codes, qec_core
+split = exact_codes.product_gauge_split()
+qec_core.subsystem_kl_check(split, exact_codes.weight_one_pauli_stacks(split.isometry))
+""" + _NO_SCIPY)
 
 
-def test_scipy_is_imported_by_the_isometry_check():
-    # The dense kl route builds its CodeIsometry before the error stacks, so
-    # the isometry's orthonormality check makes the first Gram product and
-    # imports scipy (about 28 MB) while the heap is small.  Deferred to
-    # error_compressions, the import lands among the stacks: in a process
-    # that repeats `qx kl --code vbs:3:5 --errors bond`, as the kl_dense
-    # benchmark does, peak RSS then rose from 165 to 169 MB.
-    _fresh_python("""
-import sys
-from qx import vbs_code
-vbs_code.bond_error_compressions(vbs_code.build(3, 5))
-assert "scipy.linalg.blas" not in sys.modules
-vbs_code.dense_isometry(vbs_code.build(2, 3))
-assert "scipy.linalg.blas" in sys.modules
-""")
+def test_the_scipy_check_sees_an_import():
+    # the control for the test above: the same check fails once scipy is in
+    with pytest.raises(AssertionError, match="scipy was imported"):
+        _fresh_python(_RUN_QUIETLY + "import scipy.linalg\n" + _NO_SCIPY)

@@ -228,6 +228,25 @@ def test_canonical_distance_keeps_its_parity_law(d, n_min, n_max, strength):
         assert abs(ratio[n] / ratio[n - 2] - 1.0) <= 1e-2, (n, ratio[n], ratio[n - 2])
 
 
+@pytest.mark.parametrize("strength", [0.1, 0.27])
+@pytest.mark.parametrize(
+    "d, n_sites", [(2, n) for n in range(3, 11)] + [(3, 3), (3, 4), (3, 5), (4, 3)]
+)
+def test_dense_exact_distance_matches_the_compression_route(d, n_sites, strength):
+    # the dense route as qx kl runs it, against the recovery read from the
+    # transfer-route M alone
+    code = vc.build(d, n_sites)
+    report = qc.kl_decompose(vc.dense_isometry(code), vc.bond_error_stacks(code, None, strength))
+    noise = vc.bond_noise(code, report.compressions, strength)
+    dense = qc.recovery_error(qc.logical_recovery_channel(report, *noise))[0]
+    m = vc.bond_error_compressions(code, None, strength)
+    channel = qc.logical_recovery_channel(
+        qc.kl_report_from_compressions(m), *vc.bond_noise(code, m, strength)
+    )
+    want = qc.recovery_error(channel)[0]
+    assert abs(dense - want) <= 1e-10 * want, (dense, want)
+
+
 def test_kl_decompose_reads_square_stacks_as_stacks():
     # on a square isometry a (d_Q, d_L) stack has the shape of a physical
     # operator; a list of stacks must still mean the stacks themselves
@@ -266,6 +285,35 @@ def test_empty_error_list_is_named():
         for check in (qc.kl_decompose, qc.error_compressions, qc.subsystem_kl_check):
             with pytest.raises(ValueError, match="error list must not be empty"):
                 check(split, errors)
+
+
+@pytest.mark.parametrize(
+    "blocks, rows", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)],
+    ids=["1", "B-1", "B", "B+1", "2B+3"],
+)
+def test_gram_products_across_row_blocks(blocks, rows):
+    # d_Q around multiples of the row block B of the Gram product, against
+    # one product per pair
+    d_q = blocks * qc._ROW_BLOCK + rows
+    d_l = min(d_q, 3)
+    rng = np.random.default_rng(d_q)
+    v = np.linalg.qr(rng.normal(size=(d_q, d_l)) + 1j * rng.normal(size=(d_q, d_l)))[0]
+    code = qc.CodeIsometry(isometry=v)
+    stacks = rng.normal(size=(3, d_q, d_l)) + 1j * rng.normal(size=(3, d_q, d_l))
+    m = qc.error_compressions(code, list(stacks))
+    want = np.array([[si.conj().T @ sj for sj in stacks] for si in stacks])
+    assert np.abs(m - want).max() <= 1e-14 * np.abs(want).max()
+    compressed = np.array([v.conj().T @ s for s in stacks])
+    e = np.trace(compressed, axis1=1, axis2=2) / d_l
+    residuals = np.linalg.norm(compressed - e[:, None, None] * np.eye(d_l), 2, axis=(-2, -1))
+    scale = np.abs(compressed).max()
+    for (got_e, got_r), want_e, want_r in zip(qc.detect_condition(code, stacks), e, residuals):
+        assert abs(got_e - want_e) <= 1e-14 * scale and abs(got_r - want_r) <= 1e-14 * scale
+    # the last row lies in the last block: scaling it breaks orthonormality
+    bad = v.copy()
+    bad[-1] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="orthonormal"):
+        qc.CodeIsometry(isometry=bad)
 
 
 @pytest.mark.parametrize(
