@@ -74,7 +74,8 @@ class CodeIsometry:
         object.__setattr__(self, "isometry", v)
         if v.ndim != 2 or v.shape[0] < v.shape[1]:
             raise ValueError(f"isometry shape {v.shape} is not tall")
-        gram = _adjoint_product(v, v) - np.eye(v.shape[1])
+        with np.errstate(all="ignore"):  # a non-finite Gram matrix fails below
+            gram = _adjoint_product(v, v) - np.eye(v.shape[1])
         if not np.abs(gram).max() <= ISOMETRY_TOL:
             raise ValueError("columns are not orthonormal")
         if self.site_dims is not None:

@@ -175,12 +175,14 @@ def test_kl_isometry_file_roundtrip(tmp_path):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error")
 def test_kl_nan_isometry_file_exits_2(tmp_path, capsys):
-    path = tmp_path / "nan.mat"
-    path.write_text("2 1\nnan 0\n0 0\n", encoding="ascii")
-    assert cli.main(["kl", "--code", f"file:{path}"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("qx: ") and err.count("\n") == 1 and "orthonormal" in err
+    for value in ("nan", "inf", "1e200"):
+        path = tmp_path / f"{value}.mat"
+        path.write_text(f"2 1\n{value} 0\n0 0\n", encoding="ascii")
+        assert cli.main(["kl", "--code", f"file:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qx: ") and err.count("\n") == 1 and "orthonormal" in err
 
 
 def test_kl_qubit_file_code(tmp_path):
