@@ -30,9 +30,9 @@ __all__ = [
 ]
 
 UNITARY_TOL = 1e-8
-# (L, d, d) complex stacks simulate_computation may hold at its peak
-# (tracemalloc reads 4.39 at d = 2, 4.46 at d = 3, 4.50 at d = 4 in the
-# ideal scan, and up to 4.80, 4.71, 4.74 while the chunks run)
+# (L, d, d) complex stacks a trajectory may hold at its peak, noisy, ideal
+# and distances read (tracemalloc reads 4.41 at d = 2, 4.48 at d = 3, 4.50
+# at d = 4 in the ideal scan, and up to 4.80, 4.71, 4.74 while the chunks run)
 SIM_PEAK_STACKS = 5
 TIE_DECIMALS = 12
 # steps per call of a per-step kernel (_over_chunks).  4096 runs the d = 2
@@ -135,9 +135,9 @@ class SimTrajectory:
     l+1.  ``distances[l]`` is the phase-minimized distance between them;
     ``step_errors[l]`` is the distance of the error gate E_l from the
     identity, read off the eigenvalues of its exponent, and ``envelopes``
-    accumulates them, an upper bound on ``distances``.  All three are
-    computed in chunks on first access and cached; ``final_distance`` reads
-    only the last step.
+    accumulates them, an upper bound on ``distances``.  All five are
+    computed on first access and cached, ``noisy`` from steps formed again;
+    ``final_distance`` reads only the last products, (1, d, d) stacks.
     """
 
     seed: int
@@ -145,8 +145,19 @@ class SimTrajectory:
     error_scale: float
     gates: np.ndarray
     exponents: np.ndarray
-    noisy: np.ndarray
-    ideal: np.ndarray
+    final_noisy: np.ndarray
+    final_ideal: np.ndarray
+
+    @cached_property
+    def noisy(self) -> np.ndarray:
+        generators = _generator_parts(gell_mann_basis(self.gates.shape[-1]))
+        return _cumulative_products(
+            _step_products(generators, self.gates, self.exponents, self.error_scale)
+        )
+
+    @cached_property
+    def ideal(self) -> np.ndarray:
+        return _cumulative_products(self.gates)
 
     @cached_property
     def step_errors(self) -> np.ndarray:
@@ -168,10 +179,12 @@ class SimTrajectory:
 
     @cached_property
     def distances(self) -> np.ndarray:
+        # on this thread: forming them calls gell_mann_basis and _over_chunks
+        noisy, ideal = self.noisy, self.ideal
         distances = np.empty(self.length)
 
         def chunk(s: slice) -> None:
-            distances[s] = _phase_distances(self.noisy[s], self.ideal[s])
+            distances[s] = _phase_distances(noisy[s], ideal[s])
 
         _over_chunks(chunk, self.length)
         return distances
@@ -179,7 +192,7 @@ class SimTrajectory:
     @property
     def final_distance(self) -> float:
         # the stacked kernel on a one-step stack: the bits of distances[-1]
-        return float(_phase_distances(self.noisy[-1:], self.ideal[-1:])[0])
+        return float(_phase_distances(self.final_noisy, self.final_ideal)[0])
 
 
 def _generator_parts(basis) -> np.ndarray:
@@ -249,40 +262,79 @@ def _over_chunks(kernel, length: int) -> None:
         list(pool.map(kernel, slices))
 
 
-def _cumulative_products(seq: np.ndarray) -> np.ndarray:
-    """``seq[l] @ ... @ seq[0]`` for every l of an (L, d, d) stack.
+def _step_products(generators, gates, exponents, scale, weights=None) -> np.ndarray:
+    """The steps G_l exp(i scale sum_k eps_k t^k), in chunks; with ``weights``
+    each gate G_l = exp(i sum_k w_k t^k) is first written into ``gates``."""
 
-    Two-level blocked scan: the steps are cut into blocks of b = isqrt(L),
-    the last one padded with identities, and held as a (b, d, d, n_blocks)
-    buffer so that step j of every block is one contiguous batch-last slab.
-    The b - 1 in-block prefix steps run for all blocks at once as
-    elementwise products, one loop over the blocks chains their totals into
-    carries, and b more slab steps apply each block's carry: about 3 sqrt(L)
-    batched steps in all.  Holds two (L, d, d) stacks besides ``seq``: the
-    buffer and the returned products; ``seq`` is released once copied in,
-    so a temporary argument is freed before they coexist.
-    """
+    def step(s: slice) -> None:
+        if weights is not None:
+            _batch_last(gates[s])[...] = _expi_batch_last(_algebra(generators, weights[s]))
+        error_gates = _expi_batch_last(_algebra(generators, scale * exponents[s]))
+        # into a contiguous buffer: accumulating in the strided view is 2x slower
+        product = np.empty(error_gates.shape)
+        _product(_batch_last(gates[s]), error_gates, product)
+        _batch_last(steps[s])[...] = product
+
+    steps = np.empty(gates.shape, dtype=complex)
+    _over_chunks(step, len(gates))
+    return steps
+
+
+def _slab_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for batch-last (d, d, n) slabs, as elementwise products."""
+    return (a[:, :, None] * b[None]).sum(1)
+
+
+def _block_prefixes(seq: np.ndarray):
+    """Yield slab j < b of the blocked scan: with the L steps cut into blocks
+    of b = isqrt(L), the last one padded with identities, it holds
+    ``seq[kb + j] @ ... @ seq[kb]`` for every block k as (d, d, n_blocks)."""
     length, d, _ = seq.shape
     b = isqrt(length)
-    n_blocks = -(-length // b)
-    full, rem = divmod(length, b)
-    buf = np.empty((b, d, d, n_blocks), dtype=complex)
-    blocks = buf.transpose(3, 0, 1, 2)
-    blocks[:full] = seq[: full * b].reshape(full, b, d, d)
-    if rem:
-        blocks[full, :rem] = seq[full * b :]
-        blocks[full, rem:] = np.eye(d)
-    del seq
-    for j in range(1, b):
-        buf[j] = (buf[j][:, :, None] * buf[j - 1][None]).sum(1)
-    totals = blocks[:, -1]
-    carry = np.empty((d, d, n_blocks), dtype=complex)
+    prefix = None
+    for j in range(b):
+        steps = seq[j::b]
+        slab = np.empty((d, d, -(-length // b)), dtype=complex)
+        slab[..., : len(steps)] = steps.transpose(1, 2, 0)
+        slab[..., len(steps) :] = np.eye(d)[..., None]
+        prefix = slab if prefix is None else _slab_product(slab, prefix)
+        yield prefix
+
+
+def _carries(totals: np.ndarray) -> np.ndarray:
+    """For each block k, the product of the blocks before it."""
+    d, _, n_blocks = totals.shape
+    carry = np.empty_like(totals)
     carry[..., 0] = np.eye(d)
     for k in range(1, n_blocks):
-        carry[..., k] = totals[k - 1] @ carry[..., k - 1]
-    for j in range(b):
-        buf[j] = (buf[j][:, :, None] * carry[None]).sum(1)
-    return blocks.reshape(n_blocks * b, d, d)[:length]
+        carry[..., k] = totals[..., k - 1] @ carry[..., k - 1]
+    return carry
+
+
+def _cumulative_products(seq: np.ndarray) -> np.ndarray:
+    """``seq[l] @ ... @ seq[0]`` for every l of an (L, d, d) stack: b - 1
+    in-block prefix steps for all blocks at once, one loop over the blocks
+    for the carries and b slab steps applying them, about 3 sqrt(L) batched
+    steps.  Holds two (L, d, d) stacks besides ``seq``, the prefixes and the
+    result; ``seq``, a temporary argument too, is released between them."""
+    length, d, _ = seq.shape
+    prefixes = list(_block_prefixes(seq))
+    del seq
+    carry = _carries(prefixes[-1])
+    out = np.empty((carry.shape[-1], len(prefixes), d, d), dtype=complex)
+    for j, prefix in enumerate(prefixes):
+        out[:, j] = _slab_product(prefix, carry).transpose(2, 0, 1)
+    return out.reshape(-1, d, d)[:length]
+
+
+def _final_product(seq: np.ndarray) -> np.ndarray:
+    """``_cumulative_products(seq)[-1:]`` with the same bits, holding two
+    slabs instead of two (L, d, d) stacks."""
+    last = (len(seq) - 1) % isqrt(len(seq))  # the last step's place in its block
+    for j, prefix in enumerate(_block_prefixes(seq)):
+        if j == last:
+            kept = prefix
+    return np.ascontiguousarray(_slab_product(kept, _carries(prefix))[None, ..., -1])
 
 
 def simulate_computation(
@@ -309,30 +361,25 @@ def simulate_computation(
     (:func:`_over_chunks`), batch-last and with elementwise real operations
     only (:func:`qx.su_algebra._expi_batch_last`), so it makes no LAPACK
     call per matrix; the random draws stay serial, so no result depends on
-    the chunk or worker count.  The ideal and noisy cumulative products
-    come from one blocked scan each (:func:`_cumulative_products`), about
-    3 sqrt(L) batched steps.  At L = 1e5 and d = 2 a trajectory takes about
-    0.3 s on a 2-vCPU OpenBLAS machine (0.26 s on one thread), the two
-    scans about 0.05 s of it.  ``distances``, ``step_errors`` and
-    ``envelopes`` are not part of that cost: they are computed, in chunks
-    too, only when read (about 0.15 s for the distances and 0.11 s for the
-    step errors, from eigvalsh of the exponents).
+    the chunk or worker count.  Only the last element of each cumulative
+    product is formed (:func:`_final_product`).  At L = 1e5 and d = 2 a
+    trajectory takes about 0.29 s on a 2-vCPU OpenBLAS machine (0.25 s on
+    one thread), the two final products 0.025 s of it.  Read, ``noisy``
+    (its steps formed again) takes 0.15 s more, ``ideal`` 0.03 s,
+    ``distances`` 0.18 s and ``step_errors`` (eigvalsh of the exponents) 0.11 s.
 
-    At its peak, in the ideal scan, the run holds about 4.39 (L, d, d)
-    complex stacks' worth of arrays under tracemalloc at d = 2 (4.46 at
-    d = 3, 4.50 at d = 4): the gates, the noisy products, the scan's buffer
-    and its result, plus the exponents.  The step stack is released after
-    the noisy scan.  While the chunks run the run holds the gates, the
-    steps, the weights and the exponents, 2.75 to 2.94 stacks, plus about
-    5.4 chunk stacks of scratch per worker: the exponent, its square, two
-    Horner buffers and a product's scratch.  :func:`_over_chunks` keeps
-    workers times ``CHUNK_STEPS`` within L / 3, so that phase stays below
-    about 4.8 stacks on any CPU count once L spans a few chunks (64 CPUs
-    read 4.65, 4.56 and 4.56 at L = 20000 and d = 2, 3, 4; two workers at
-    L = 6 CHUNK_STEPS, whose chunks span L / 3, read 4.80, 4.71, 4.74).  The budget counts
-    ``SIM_PEAK_STACKS`` = 5: a length whose 5 L d^2 amplitudes exceed
-    :data:`qx.vbs_code.DENSE_STACK_CAP` raises ValueError before any random
-    draw (about 1.6e6 steps at d = 2).
+    The peak comes while the chunks run: the gates, the steps, the weights
+    and the exponents, 2.75 to 2.94 (L, d, d) complex stacks, plus about 5.4
+    chunk stacks of scratch per worker (the exponent, its square, two Horner
+    buffers and a product's scratch); tracemalloc reads 3.01, 3.12 and 3.17
+    stacks at L = 1e5 and d = 2, 3, 4.  :func:`_over_chunks` keeps workers
+    times ``CHUNK_STEPS`` within L / 3, so that stays below about 4.8 stacks
+    on any CPU count (64 CPUs read 4.65, 4.56, 4.56 at L = 20000; two
+    workers at L = 6 CHUNK_STEPS 4.80, 4.71, 4.74).  Reading ``noisy`` and
+    ``ideal`` peaks in the ideal scan at 4.41, 4.48 and 4.50 stacks at
+    L = 1e5.  The budget counts ``SIM_PEAK_STACKS`` = 5: a length whose
+    5 L d^2 amplitudes exceed :data:`qx.vbs_code.DENSE_STACK_CAP` raises
+    ValueError before any random draw (about 1.6e6 steps at d = 2).
     """
     if length < 1:
         raise ValueError("computation length must be at least 1")
@@ -365,30 +412,18 @@ def simulate_computation(
         exponents = rng.uniform(-1.0, 1.0, size=(length, basis.size))
     else:
         exponents = rng.normal(0.0, 1.0, size=(length, basis.size))
-    steps = np.empty((length, d, d), dtype=complex)  # G_l E_l
-    generators = _generator_parts(basis)
-
-    def step(s: slice) -> None:
-        if weights is not None:
-            _batch_last(gate_stack[s])[...] = _expi_batch_last(_algebra(generators, weights[s]))
-        error_gates = _expi_batch_last(_algebra(generators, scale * exponents[s]))
-        # into a contiguous buffer: accumulating in the strided view is 2x slower
-        product = np.empty(error_gates.shape)
-        _product(_batch_last(gate_stack[s]), error_gates, product)
-        _batch_last(steps[s])[...] = product
-
-    _over_chunks(step, length)
+    steps = _step_products(_generator_parts(basis), gate_stack, exponents, scale, weights)
     del weights
-    noisy = _cumulative_products(steps)
-    del steps  # before the ideal scan, or that scan sets the peak
+    final_noisy = _final_product(steps)
+    del steps
     return SimTrajectory(
         seed=seed,
         length=length,
         error_scale=scale,
         gates=gate_stack,
         exponents=exponents,
-        noisy=noisy,
-        ideal=_cumulative_products(gate_stack),
+        final_noisy=final_noisy,
+        final_ideal=_final_product(gate_stack),
     )
 
 

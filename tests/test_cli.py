@@ -388,6 +388,23 @@ def test_simulate_reads_only_the_last_step(tmp_path, monkeypatch):
     assert sizes == [1, 1, 1]
 
 
+def test_simulate_forms_no_cumulative_product_stack(tmp_path, monkeypatch):
+    lengths = []
+    cumulative_products = qu._cumulative_products
+
+    def spy(seq):
+        lengths.append(len(seq))
+        return cumulative_products(seq)
+
+    monkeypatch.setattr(qu, "_cumulative_products", spy)
+    args = ["simulate", "--d", "2", "--n", "8", "--length", "500", "--trials", "3"]
+    code, _ = run_cli(args, tmp_path, "final.csv")
+    assert code == 0 and lengths == []
+    # the spy sees the stack a library caller asks for
+    assert qu.simulate_computation(2, 8, 5, seed=1).ideal.shape == (5, 2, 2)
+    assert lengths == [5]
+
+
 # sha256 of stdout captured at commit 013ecb7, where every per-step
 # distance was computed
 SIMULATE_PINS = [

@@ -206,6 +206,18 @@ def test_cumulative_products_match_sequential_oracle(d):
         np.testing.assert_allclose(got, oracles.sequential_products(seq), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_final_product_is_the_last_cumulative_product(d):
+    # one block, last blocks full (4, 16, 100) and padded, chunk-sized runs
+    rng = np.random.default_rng(10 + d)
+    lengths = [1, 2, 3, 4, 5, 15, 16, 17, 99, 100, 101]
+    for length in lengths + [qu.CHUNK_STEPS - 1, qu.CHUNK_STEPS + 1, 10007]:
+        seq = random_unitaries(rng, length, d)
+        got = qu._final_product(seq)
+        assert got.shape == (1, d, d) and got.flags.c_contiguous
+        assert np.array_equal(got, qu._cumulative_products(seq)[-1:]), (d, length)
+
+
 SEQUENTIAL_CASES = [
     # (error scale, d, explicit gates, error distribution)
     pytest.param(0.0, 3, True, "uniform", id="0.0"),
@@ -334,6 +346,28 @@ def test_chunk_threads_are_bounded_and_joined(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_distances_form_the_products_on_the_calling_thread(monkeypatch):
+    # noisy's steps are formed again through gell_mann_basis and a nested
+    # _over_chunks, which must not run inside a worker's chunk
+    monkeypatch.setattr(qu, "CHUNK_STEPS", 16)
+    monkeypatch.setattr(qu.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    traj = qu.simulate_computation(2, 8, 9 * 16, seed=1)  # nine chunks, three workers
+    idents = []
+
+    def recording(f):
+        def spy(*args):
+            idents.append((f.__name__, threading.get_ident()))
+            return f(*args)
+        return spy
+
+    monkeypatch.setattr(qu, "gell_mann_basis", recording(qu.gell_mann_basis))
+    monkeypatch.setattr(qu, "_over_chunks", recording(qu._over_chunks))
+    traj.distances
+    main = threading.get_ident()
+    # the basis and the step chunks for noisy, then the distance chunks
+    assert idents == [("gell_mann_basis", main), ("_over_chunks", main), ("_over_chunks", main)]
+
+
 @pytest.mark.filterwarnings("error")
 def test_simulation_length_bounded_by_stack_budget(monkeypatch):
     # the budget counts SIM_PEAK_STACKS (L, d, d) stacks of 30 * 2 * 2 amplitudes
@@ -365,6 +399,26 @@ def test_simulation_peak_holds_for_any_cpu_count(monkeypatch, d):
     # still give three workers at L = 20000
     monkeypatch.setattr(qu.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     test_simulation_peak_within_stated_stack_count(d)
+
+
+def test_simulation_forms_no_product_stack(monkeypatch):
+    # the run and final_distance hold no (L, d, d) cumulative product;
+    # reading noisy, ideal and distances then stays within the budget
+    monkeypatch.setattr(qu.os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
+    length, d = 100000, 2
+    stack = length * d * d * 16
+    qu.simulate_computation(d, 8, 6 * qu.CHUNK_STEPS, seed=3).distances  # two workers
+    tracemalloc.start()
+    try:
+        traj = qu.simulate_computation(d, 8, length, seed=3)
+        traj.final_distance
+        _, built = tracemalloc.get_traced_memory()
+        traj.noisy, traj.ideal, traj.distances
+        _, read = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built <= 3.25 * stack
+    assert read <= qu.SIM_PEAK_STACKS * stack
 
 
 def test_trajectory_csv_format():
