@@ -363,8 +363,8 @@ def simulate_computation(
     call per matrix; the random draws stay serial, so no result depends on
     the chunk or worker count.  Only the last element of each cumulative
     product is formed (:func:`_final_product`).  At L = 1e5 and d = 2 a
-    trajectory takes about 0.29 s on a 2-vCPU OpenBLAS machine (0.25 s on
-    one thread), the two final products 0.025 s of it.  Read, ``noisy``
+    trajectory takes about 0.24 s on a 2-vCPU OpenBLAS machine (0.21 s on
+    one thread), the two final products 0.025 s of it.  On read, ``noisy``
     (its steps formed again) takes 0.15 s more, ``ideal`` 0.03 s,
     ``distances`` 0.18 s and ``step_errors`` (eigvalsh of the exponents) 0.11 s.
 
