@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -98,10 +99,10 @@ def _closed_form_residuals(code) -> tuple[float, float]:
     return det, corr
 
 
-def _sweep_point(d: int, n: int, strength: float) -> dict:
+def _sweep_point(code, strength: float) -> dict:
     """The SWEEP_HEADER columns of one code, by name: d and N as integers,
     the rest as floats."""
-    code = vbs_code.build(d, n)
+    d, n = code.d, code.n_sites
     det, corr = _closed_form_residuals(code)
     iterated, _ = vbs_code.edge_state(code, 0, n)
     report = qec_core.kl_report_from_compressions(
@@ -133,17 +134,19 @@ def _format_points(points, fmt: str) -> str:
 
 
 def cmd_sweep(args) -> int:
+    # one build per d: its checks do not depend on N, and the codes at the
+    # other N share its basis (and so its structure constants and h_t)
+    sizes = range(args.n_min, args.n_max + 1)
+    codes = (vbs_code.build(d, args.n_min) for d in range(args.d_min, args.d_max + 1) if sizes)
     points = [
-        _sweep_point(d, n, args.strength)
-        for d in range(args.d_min, args.d_max + 1)
-        for n in range(args.n_min, args.n_max + 1)
+        _sweep_point(replace(code, n_sites=n), args.strength) for code in codes for n in sizes
     ]
     _emit(_format_points(points, args.format), args.output)
     return 0
 
 
 def cmd_vbs(args) -> int:
-    point = _sweep_point(args.d, args.n, args.strength)
+    point = _sweep_point(vbs_code.build(args.d, args.n), args.strength)
     _emit(_format_points([point], "text"), args.output)
     residual = max(point["max_detect_closedform_residual"], point["max_corr_closedform_residual"])
     return 0 if residual < args.tol else 1

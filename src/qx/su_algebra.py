@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 import numpy as np
@@ -53,6 +54,12 @@ class SuBasis:
     def size(self) -> int:
         """Number of generators, d**2 - 1."""
         return self.d * self.d - 1
+
+    @cached_property
+    def h_t(self) -> np.ndarray:
+        """The (q, q, d, d) stack h_t[x, y] = (1/2) sum_c (d_xyc + i f_xyc) t^c,
+        which is t^x t^y - delta_xy I / (2d); formed on first read and kept."""
+        return 0.5 * np.tensordot(self.d_sym + 1j * self.f, self.generators, axes=1)
 
 
 def gell_mann_basis(d: int) -> SuBasis:

@@ -345,13 +345,12 @@ def correlation_closed_form(code: VbsCode, a, b, m: int, n) -> np.ndarray:
     """Closed-form logical matrix for the two-bond insertion.
 
     chi^(n-m) delta_ab I / (2d) + chi^n h_bac t^c / 2 with
-    h_bac = d_bac + i f_bac.  Index arrays ``a`` and ``b`` broadcast to a
-    stack of matrices; an array ``n`` shaped to broadcast against that
-    stack gives one stack per bond from a single h_bac t^c product.
+    h_bac = d_bac + i f_bac.  The product h_bac t^c / 2 is read from the
+    basis (:attr:`qx.su_algebra.SuBasis.h_t`), formed once per basis.
+    Index arrays ``a`` and ``b`` broadcast to a stack of matrices; an array
+    ``n`` shaped to broadcast against that stack gives one stack per bond.
     """
-    basis = code.basis
-    h = basis.d_sym[b, a, :] + 1j * basis.f[b, a, :]
-    mat = 0.5 * code.chi**n * np.tensordot(h, basis.generators, axes=1)
+    mat = code.chi**n * code.basis.h_t[b, a]
     diagonal = np.equal(a, b)[..., None, None]
     return mat + diagonal * (code.chi ** (n - m) / (2.0 * code.d) * np.eye(code.d))
 

@@ -2,8 +2,9 @@
 the transfer contractions and the transversal collapse check, the
 insertion-by-insertion closed-form check and bond error compressions, a
 step-by-step product for the trajectory scan, the einsum rotation of the
-KL report and the looped physical-space logical channel; and the bond
-error family written as its own noise."""
+KL report and the looped physical-space logical channel; the correlation
+closed form with its own h_bac t^c product per call; and the bond error
+family written as its own noise."""
 
 from dataclasses import replace
 from itertools import product
@@ -81,6 +82,17 @@ def pairwise_closed_form_residuals(code):
             want = vc.correlation_closed_form(code, a[:, None], a[None, :], m, n)
             corr = max(corr, float(np.abs(got - want).max()))
     return det, corr
+
+
+def tensordot_correlation_closed_form(code, a, b, m, n):
+    """``vbs_code.correlation_closed_form`` with h_bac = d_bac + i f_bac
+    gathered for the given indices and contracted with the generators on
+    each call, instead of read from ``SuBasis.h_t``."""
+    basis = code.basis
+    h = basis.d_sym[b, a, :] + 1j * basis.f[b, a, :]
+    mat = 0.5 * code.chi**n * np.tensordot(h, basis.generators, axes=1)
+    diagonal = np.equal(a, b)[..., None, None]
+    return mat + diagonal * (code.chi ** (n - m) / (2.0 * code.d) * np.eye(code.d))
 
 
 def pairwise_bond_error_compressions(code, bonds=None, strength=0.1):

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from qx import cli, qec_core
+from qx import su_algebra as su
 from qx import exact_codes as ec
 from qx import quasi_universality as qu
 from qx import vbs_code as vc
@@ -77,6 +78,111 @@ def test_sweep_text_format(tmp_path):
     assert text.decode().startswith("d: 2\nN: 3\n")
 
 
+def test_sweep_builds_one_code_per_dimension(tmp_path, monkeypatch):
+    # the codes at the other N share the build's basis and its h_t
+    built, bases = [], []
+    build, gell_mann_basis = vc.build, su.gell_mann_basis
+
+    def build_spy(d, n_sites):
+        built.append((d, n_sites))
+        return build(d, n_sites)
+
+    def basis_spy(d):
+        bases.append(d)
+        return gell_mann_basis(d)
+
+    monkeypatch.setattr(vc, "build", build_spy)
+    for module in (su, vc):  # vbs_code calls its own binding
+        monkeypatch.setattr(module, "gell_mann_basis", basis_spy)
+    args = ["sweep", "--d-min", "2", "--d-max", "4", "--n-min", "3", "--n-max", "6"]
+    code, text = run_cli(args, tmp_path, "sweep.csv")
+    assert code == 0 and len(text.decode().splitlines()) == 1 + 3 * 4
+    assert built == [(2, 3), (3, 3), (4, 3)] and bases == [2, 3, 4]
+
+
+def test_sweep_rows_match_codes_built_alone(tmp_path):
+    args = ["sweep", "--d-min", "2", "--d-max", "3", "--n-min", "3", "--n-max", "5"]
+    _, text = run_cli(args, tmp_path, "shared.csv")
+    points = [cli._sweep_point(vc.build(d, n), 0.1) for d in (2, 3) for n in (3, 4, 5)]
+    assert text.decode() == cli._format_points(points, "csv")
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [(["--n-min", "0"], "d=2, N=0"), (["--d-min", "1"], "d=1, N=3")],
+    ids=["n0", "d1"],
+)
+def test_sweep_invalid_grid_exits_2(capsys, bounds, message):
+    assert cli.main(["sweep"] + bounds) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"qx: invalid code parameters {message}\n"
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [["--n-min", "5", "--n-max", "4"], ["--d-min", "1", "--n-min", "0", "--n-max", "-1"],
+     ["--d-min", "3", "--d-max", "2", "--n-min", "5", "--n-max", "4"]],
+    ids=["n", "n-invalid-d", "both"],
+)
+def test_sweep_empty_size_range_builds_nothing(tmp_path, bounds):
+    code, text = run_cli(["sweep"] + bounds, tmp_path, "empty.csv")
+    assert code == 0
+    assert text.decode() == cli.SWEEP_HEADER + "\n"
+
+
+def test_kl_and_simulate_never_read_h_t(tmp_path, monkeypatch):
+    reads = []
+    h_t = su.SuBasis.h_t
+
+    def spy(basis):
+        reads.append(basis.d)
+        return h_t.func(basis)
+
+    monkeypatch.setattr(su.SuBasis, "h_t", property(spy))
+    for args in (
+        ["kl", "--code", "vbs:3:10", "--errors", "bond:all"],
+        ["simulate", "--d", "2", "--n", "8", "--length", "500"],
+    ):
+        code, _ = run_cli(args, tmp_path, "out.txt")
+        assert code == 0 and reads == []
+    # the spy sees the closed-form check
+    code, _ = run_cli(["vbs", "--d", "3", "--n", "3"], tmp_path, "vbs.txt")
+    assert code == 0 and set(reads) == {3}
+
+
+def _physical_columns(text: str) -> str:
+    """qx sweep CSV or qx vbs text without the two closed-form residuals,
+    which sit at machine noise."""
+    lines = text.splitlines()
+    if "," not in lines[0]:
+        return "".join(f"{line}\n" for line in lines if "_closedform_residual: " not in line)
+    rows = [line.split(",") for line in lines]
+    keep = [i for i, name in enumerate(rows[0]) if not name.endswith("_closedform_residual")]
+    return "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
+
+
+# sha256 of the physical columns (chi, eta, edge_fixedpoint_distance,
+# epsilon, erasure_bound), captured at commit a13990f
+PHYSICAL_PINS = [
+    (
+        ["sweep", "--d-min", "2", "--d-max", "4", "--n-min", "3", "--n-max", "6",
+         "--strength", "0.13"],
+        "845e1692dc06cfff63e5ccc0036ebb8b44ff3b474c18ee68008ade86e0db2028",
+    ),
+    (
+        ["vbs", "--d", "8", "--n", "4"],
+        "1e390d23f7e72236bc9627c4da3a9c5c2d04a462b33f96126302d639caae2cff",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", PHYSICAL_PINS, ids=["sweep", "vbs8-4"])
+def test_physical_columns_are_pinned(tmp_path, args, digest):
+    code, text = run_cli(args, tmp_path, "pin.txt")
+    assert code == 0
+    assert hashlib.sha256(_physical_columns(text.decode()).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "d, n_sites, eta",
     [(2, 4, -5 / 81), (2, 40, -1 / 160), (3, 20, -1 / 180)],
@@ -104,10 +210,11 @@ def test_closed_form_pass_matches_pairwise_oracle(d, n_sites):
 
 def test_closed_form_pass_memory_bound():
     # vbs:8:4 runs one pair of 63 * 63 * 64 amplitudes per batch; a batch of
-    # every pair at a bond reads about 3.5x the oracle's peak
-    code = vc.build(8, 4)
+    # every pair at a bond reads about 3.5x the oracle's peak.  Each check
+    # gets its own code, so each forms its basis's cached h_t itself
     peaks = []
     for check in (oracles.pairwise_closed_form_residuals, cli._closed_form_residuals):
+        code = vc.build(8, 4)
         tracemalloc.start()
         try:
             check(code)

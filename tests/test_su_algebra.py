@@ -69,6 +69,18 @@ def test_invariant_battery(d):
     assert max(residuals.values()) < 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_h_t_is_the_generator_product(d):
+    # t^a t^b = delta_ab I / (2d) + (d_abc + i f_abc) t^c / 2
+    basis = gell_mann_basis(d)
+    t = basis.generators
+    want = t[:, None] @ t[None, :]
+    want -= np.eye(basis.size)[:, :, None, None] * np.eye(d) / (2 * d)
+    assert basis.h_t.shape == (basis.size, basis.size, d, d)
+    assert np.abs(basis.h_t - want).max() <= 1e-15
+    assert basis.h_t is basis.h_t  # formed once
+
+
 def test_structure_constants_recompute():
     basis = gell_mann_basis(3)
     f, d_sym = structure_constants(basis.generators)

@@ -559,6 +559,20 @@ def test_closed_forms_accept_index_arrays():
             assert np.abs(corr[a, b] - want).max() < 1e-14
 
 
+@pytest.mark.parametrize("d, n_sites", [(3, 5), (4, 4)])
+def test_correlation_closed_form_matches_the_per_call_product(d, n_sites):
+    # the form reads h_bac t^c / 2 from the basis; the oracle forms it per call
+    code = vc.build(d, n_sites)
+    idx = np.arange(code.site_dim)
+    a, b = idx[:, None], idx[None, :]
+    for m in range(n_sites):
+        for n in (np.arange(m + 1, n_sites + 1)[:, None, None, None, None], n_sites):
+            got = vc.correlation_closed_form(code, a, b, m, n)
+            want = oracles.tensordot_correlation_closed_form(code, a, b, m, n)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-15
+
+
 def test_site_overlap_internal_check_raises_on_tampering():
     code = vc.build(2, 3)
     with pytest.raises(ContractionError):
