@@ -99,11 +99,15 @@ def structure_constants(generators) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(generators, SuBasis):
         generators = generators.generators
     g = np.asarray(generators, dtype=complex)
+    q, d = len(g), g.shape[-1]
     prod = np.einsum("aij,bjk->abik", g, g)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    anti = prod + prod.transpose(1, 0, 2, 3)
-    f_raw = -2j * np.einsum("abik,cki->abc", comm, g)
-    d_raw = 2.0 * np.einsum("abik,cki->abc", anti, g)
+    comm = (prod - prod.transpose(1, 0, 2, 3)).reshape(q * q, d * d)
+    anti = (prod + prod.transpose(1, 0, 2, 3)).reshape(q * q, d * d)
+    # tr(X t^c) = sum_ik X_ik t^c_ki = vec(X) . vec(t^cT): one (q^2, d^2) @
+    # (d^2, q) product each against the transposed generators as columns
+    columns = g.transpose(0, 2, 1).reshape(q, d * d).T
+    f_raw = (-2j * (comm @ columns)).reshape(q, q, q)
+    d_raw = (2.0 * (anti @ columns)).reshape(q, q, q)
     residue = max(np.abs(f_raw.imag).max(), np.abs(d_raw.imag).max())
     if residue > REALITY_TOL:
         raise BasisConsistencyError(

@@ -3,8 +3,9 @@ the transfer contractions and the transversal collapse check, the
 insertion-by-insertion closed-form check and bond error compressions, a
 step-by-step product for the trajectory scan, the einsum rotation of the
 KL report and the looped physical-space logical channel; the correlation
-closed form with its own h_bac t^c product per call; and the bond error
-family written as its own noise."""
+closed form with its own h_bac t^c product per call, and the structure
+constants as two einsum traces; and the bond error family written as its
+own noise."""
 
 from dataclasses import replace
 from itertools import product
@@ -93,6 +94,19 @@ def tensordot_correlation_closed_form(code, a, b, m, n):
     mat = 0.5 * code.chi**n * np.tensordot(h, basis.generators, axes=1)
     diagonal = np.equal(a, b)[..., None, None]
     return mat + diagonal * (code.chi ** (n - m) / (2.0 * code.d) * np.eye(code.d))
+
+
+def einsum_structure_constants(generators):
+    """f_abc = -2i tr([t^a, t^b] t^c) and d_abc = 2 tr({t^a, t^b} t^c),
+    each as one einsum over the (q, q, d, d) (anti)commutator stack: the
+    reference for ``su_algebra.structure_constants``."""
+    g = np.asarray(generators, dtype=complex)
+    prod = np.einsum("aij,bjk->abik", g, g)
+    comm = prod - prod.transpose(1, 0, 2, 3)
+    anti = prod + prod.transpose(1, 0, 2, 3)
+    f = -2j * np.einsum("abik,cki->abc", comm, g)
+    d_sym = 2.0 * np.einsum("abik,cki->abc", anti, g)
+    return f.real, d_sym.real
 
 
 def pairwise_bond_error_compressions(code, bonds=None, strength=0.1):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import oracles
 from qx.su_algebra import (
     adjoint_generator,
     adjoint_group_element,
@@ -79,6 +80,14 @@ def test_h_t_is_the_generator_product(d):
     assert basis.h_t.shape == (basis.size, basis.size, d, d)
     assert np.abs(basis.h_t - want).max() <= 1e-15
     assert basis.h_t is basis.h_t  # formed once
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_structure_constants_match_the_einsum_traces(d):
+    basis = gell_mann_basis(d)
+    f, d_sym = oracles.einsum_structure_constants(basis.generators)
+    assert np.abs(basis.f - f).max() <= 1e-15
+    assert np.abs(basis.d_sym - d_sym).max() <= 1e-15
 
 
 def test_structure_constants_recompute():
