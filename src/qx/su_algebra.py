@@ -103,8 +103,8 @@ def structure_constants(generators) -> tuple[np.ndarray, np.ndarray]:
     prod = np.einsum("aij,bjk->abik", g, g)
     comm = (prod - prod.transpose(1, 0, 2, 3)).reshape(q * q, d * d)
     anti = (prod + prod.transpose(1, 0, 2, 3)).reshape(q * q, d * d)
-    # tr(X t^c) = sum_ik X_ik t^c_ki = vec(X) . vec(t^cT): one (q^2, d^2) @
-    # (d^2, q) product each against the transposed generators as columns
+    # tr(X t^c) = sum_ik X_ik t^c_ki: one (q^2, d^2) @ (d^2, q) product each,
+    # against the transposed generators flattened as columns
     columns = g.transpose(0, 2, 1).reshape(q, d * d).T
     f_raw = (-2j * (comm @ columns)).reshape(q, q, q)
     d_raw = (2.0 * (anti @ columns)).reshape(q, q, q)
