@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ctypes
+import mmap
 import os
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from math import floor, isfinite, isqrt
+from math import floor, isfinite, isqrt, prod
 
 import numpy as np
 
@@ -41,6 +44,11 @@ TIE_DECIMALS = 12
 # high-water mark of its chunk scratch, so peak RSS rises by 1.4 MB at
 # L = 1e5; 2048 keeps it below where the eigh kernel had it
 CHUNK_STEPS = 2048
+# tracemalloc bookkeeping for the array data _mapped_empty maps itself
+_TRACK = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)(
+    ("PyTraceMalloc_Track", ctypes.pythonapi))
+_UNTRACK = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t)(
+    ("PyTraceMalloc_Untrack", ctypes.pythonapi))
 
 
 def unitary_distance(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
@@ -262,6 +270,26 @@ def _over_chunks(kernel, length: int) -> None:
         list(pool.map(kernel, slices))
 
 
+def _mapped_empty(shape, dtype=float) -> np.ndarray:
+    """An uninitialised array in an anonymous memory mapping of its own.
+
+    glibc's malloc serves blocks below its dynamic mmap threshold, which
+    rises to the largest mapped block freed so far, from the main heap.
+    There a small block placed above a freed (L, d, d) stack keeps the
+    stack's pages, and the next trajectory's stacks go above it, so peak RSS
+    moved by one stack from one run to the next with the other allocations
+    of the process.  A mapping of its own is unmapped when its last view
+    goes.  tracemalloc counts it as numpy's own array data.
+    """
+    nbytes = prod(shape) * np.dtype(dtype).itemsize
+    pages = mmap.mmap(-1, nbytes)
+    array = np.frombuffer(pages, dtype, prod(shape)).reshape(shape)
+    address = array.ctypes.data
+    if _TRACK(np.lib.tracemalloc_domain, address, nbytes) == 0:
+        weakref.finalize(pages, _UNTRACK, np.lib.tracemalloc_domain, address)
+    return array
+
+
 def _step_products(generators, gates, exponents, scale, weights=None) -> np.ndarray:
     """The steps G_l exp(i scale sum_k eps_k t^k), in chunks; with ``weights``
     each gate G_l = exp(i sum_k w_k t^k) is first written into ``gates``."""
@@ -275,7 +303,7 @@ def _step_products(generators, gates, exponents, scale, weights=None) -> np.ndar
         _product(_batch_last(gates[s]), error_gates, product)
         _batch_last(steps[s])[...] = product
 
-    steps = np.empty(gates.shape, dtype=complex)
+    steps = _mapped_empty(gates.shape, complex)
     _over_chunks(step, len(gates))
     return steps
 
@@ -394,9 +422,12 @@ def simulate_computation(
     scale = eta(d, n_sites) if error_scale is None else float(error_scale)
     rng = make_generator(seed)
     weights = None
+    # the weights, gates, exponents and steps in mappings of their own; the
+    # draws filled in place are the bits of rng.normal(0, 1) and of
+    # rng.uniform(-1, 1), which is -1 + 2 u
     if gates is None:
-        weights = rng.normal(0.0, 1.0, size=(length, basis.size))
-        gate_stack = np.empty((length, d, d), dtype=complex)
+        weights = rng.standard_normal(out=_mapped_empty((length, basis.size)))
+        gate_stack = _mapped_empty((length, d, d), complex)
     else:
         try:
             gate_stack = np.asarray(gates, dtype=complex)
@@ -408,10 +439,13 @@ def simulate_computation(
             raise ValueError(f"need {length} gates, got {len(gate_stack)}")
         gate_stack = check_unitary(gate_stack, d, ndim=3, tol=UNITARY_TOL)[:length]
         gate_stack = np.ascontiguousarray(gate_stack)  # the chunks view it batch-last
+    exponents = _mapped_empty((length, basis.size))
     if error_dist == "uniform":
-        exponents = rng.uniform(-1.0, 1.0, size=(length, basis.size))
+        rng.random(out=exponents)
+        exponents *= 2.0
+        exponents -= 1.0
     else:
-        exponents = rng.normal(0.0, 1.0, size=(length, basis.size))
+        rng.standard_normal(out=exponents)
     steps = _step_products(_generator_parts(basis), gate_stack, exponents, scale, weights)
     del weights
     final_noisy = _final_product(steps)

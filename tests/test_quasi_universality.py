@@ -1,3 +1,4 @@
+import mmap
 import sys
 import threading
 import tracemalloc
@@ -399,6 +400,45 @@ def test_simulation_peak_holds_for_any_cpu_count(monkeypatch, d):
     # still give three workers at L = 20000
     monkeypatch.setattr(qu.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     test_simulation_peak_within_stated_stack_count(d)
+
+
+def _buffer_owner(array):
+    while isinstance(array, np.ndarray) and array.base is not None:
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
+@pytest.mark.parametrize("dist", ["uniform", "gaussian"])
+def test_simulation_stacks_are_mapped_draws_unchanged(dist):
+    # the stacks sit in mappings of their own, off malloc's heap, and the
+    # draws filled in place keep the bits of rng.normal and rng.uniform
+    length, d = 1000, 3
+    traj = qu.simulate_computation(d, 8, length, seed=5, error_dist=dist)
+    assert isinstance(_buffer_owner(traj.gates), mmap.mmap)
+    assert isinstance(_buffer_owner(traj.exponents), mmap.mmap)
+    rng = make_generator(5)
+    rng.normal(0.0, 1.0, size=(length, d * d - 1))
+    if dist == "uniform":
+        want = rng.uniform(-1.0, 1.0, size=(length, d * d - 1))
+    else:
+        want = rng.normal(0.0, 1.0, size=(length, d * d - 1))
+    assert np.array_equal(traj.exponents.view(np.int64), want.view(np.int64))
+
+
+def test_mapped_empty_counts_in_tracemalloc_while_alive():
+    # the mapping and the small Python objects that keep it
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stack = qu._mapped_empty((1000, 2, 2), complex)
+        stack[...] = 1.0
+        alive = tracemalloc.get_traced_memory()[0]
+        del stack
+        gone = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 1000 * 2 * 2 * 16 <= alive - before < 1000 * 2 * 2 * 16 + 4096
+    assert gone - before < 1024
 
 
 def test_simulation_forms_no_product_stack(monkeypatch):
