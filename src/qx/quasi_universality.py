@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ctypes
 import mmap
-import os
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,16 +32,15 @@ __all__ = [
 ]
 
 UNITARY_TOL = 1e-8
-# (L, d, d) complex stacks a trajectory may hold at its peak, noisy, ideal
-# and distances read (tracemalloc reads 4.41 at d = 2, 4.48 at d = 3, 4.50
-# at d = 4 in the ideal scan, and up to 4.80, 4.71, 4.74 while the chunks run)
+# (L, d, d) complex stacks a trajectory may hold at its peak, in the run or
+# in any read after it (tracemalloc reads at most 4.45, 4.53, 4.56 at
+# d = 2, 3, 4 and L = 20000, in the scan of ideal)
 SIM_PEAK_STACKS = 5
 TIE_DECIMALS = 12
-# steps per call of a per-step kernel (_over_chunks).  4096 runs the d = 2
-# simulate kernel about 30% faster (it makes about 330 numpy calls per chunk
-# whatever its length), but each worker thread's malloc arena keeps the
-# high-water mark of its chunk scratch, so peak RSS rises by 1.4 MB at
-# L = 1e5; 2048 keeps it below where the eigh kernel had it
+# steps per chunk of a per-step kernel, whose scratch is a few chunk stacks;
+# each matrix gets the same bits whatever chunk it is in.  4096 was no faster
+# at d = 2 and L = 1e5 (the kernel makes about 330 numpy calls per chunk
+# whatever its length) and adds 0.4 MB of peak RSS
 CHUNK_STEPS = 2048
 # tracemalloc bookkeeping for the array data _mapped_empty maps itself
 _TRACK = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)(
@@ -171,14 +169,12 @@ class SimTrajectory:
     def step_errors(self) -> np.ndarray:
         generators = _generator_parts(gell_mann_basis(self.gates.shape[-1]))
         step_errors = np.empty(self.length)
-
-        def chunk(s: slice) -> None:
-            h = np.empty((s.stop - s.start,) + self.gates.shape[1:], dtype=complex)
+        for i in range(0, self.length, CHUNK_STEPS):
+            s = slice(i, i + CHUNK_STEPS)
+            h = np.empty(self.gates[s].shape, dtype=complex)
             _batch_last(h)[...] = _algebra(generators, self.error_scale * self.exponents[s])
             eigs = np.linalg.eigvalsh(h)
             step_errors[s] = _arc_distances(np.mod(eigs + np.pi, 2.0 * np.pi) - np.pi)
-
-        _over_chunks(chunk, self.length)
         return step_errors
 
     @cached_property
@@ -187,14 +183,11 @@ class SimTrajectory:
 
     @cached_property
     def distances(self) -> np.ndarray:
-        # on this thread: forming them calls gell_mann_basis and _over_chunks
         noisy, ideal = self.noisy, self.ideal
         distances = np.empty(self.length)
-
-        def chunk(s: slice) -> None:
+        for i in range(0, self.length, CHUNK_STEPS):
+            s = slice(i, i + CHUNK_STEPS)
             distances[s] = _phase_distances(noisy[s], ideal[s])
-
-        _over_chunks(chunk, self.length)
         return distances
 
     @property
@@ -237,39 +230,6 @@ def _phase_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _arc_distances(np.angle(np.linalg.eigvals(relative)))
 
 
-def _over_chunks(kernel, length: int) -> None:
-    """Call ``kernel(s)`` on the consecutive ``CHUNK_STEPS``-long slices s
-    of range(length), on up to one thread per usable CPU.
-
-    numpy's linalg gufuncs and ufunc loops release the GIL, and each of
-    their per-matrix calls, and each real elementwise operation, gives the
-    same bits whatever batch it is in, so a kernel that writes only its own
-    slices of preallocated arrays gives results independent of the chunk
-    and worker counts.  The workers number at most the usable CPUs and
-    length / (3 CHUNK_STEPS): their chunks in flight then span at most a
-    third of the length, so kernels whose scratch is a few chunk stacks
-    (about 5.4 in :func:`simulate_computation`) add at most a third of that
-    in (L, d, d) stacks whatever the CPU count.  One worker runs the slices
-    inline, in order; more run on threads joined before return, and a
-    kernel's exception re-raises here.  Kernels call no function that perfbench's tracer
-    wraps: its one call stack belongs to the calling thread.
-    """
-    slices = [slice(i, min(i + CHUNK_STEPS, length)) for i in range(0, length, CHUNK_STEPS)]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(len(slices), cpus, length // (3 * CHUNK_STEPS))
-    if workers <= 1:
-        for s in slices:
-            kernel(s)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # not on the import path of qx.cli
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(kernel, slices))
-
-
 def _mapped_empty(shape, dtype=float) -> np.ndarray:
     """An uninitialised array in an anonymous memory mapping of its own.
 
@@ -293,8 +253,9 @@ def _mapped_empty(shape, dtype=float) -> np.ndarray:
 def _step_products(generators, gates, exponents, scale, weights=None) -> np.ndarray:
     """The steps G_l exp(i scale sum_k eps_k t^k), in chunks; with ``weights``
     each gate G_l = exp(i sum_k w_k t^k) is first written into ``gates``."""
-
-    def step(s: slice) -> None:
+    steps = _mapped_empty(gates.shape, complex)
+    for i in range(0, len(gates), CHUNK_STEPS):
+        s = slice(i, i + CHUNK_STEPS)
         if weights is not None:
             _batch_last(gates[s])[...] = _expi_batch_last(_algebra(generators, weights[s]))
         error_gates = _expi_batch_last(_algebra(generators, scale * exponents[s]))
@@ -302,9 +263,6 @@ def _step_products(generators, gates, exponents, scale, weights=None) -> np.ndar
         product = np.empty(error_gates.shape)
         _product(_batch_last(gates[s]), error_gates, product)
         _batch_last(steps[s])[...] = product
-
-    steps = _mapped_empty(gates.shape, complex)
-    _over_chunks(step, len(gates))
     return steps
 
 
@@ -384,30 +342,27 @@ def simulate_computation(
     seeds and parameters reproduce identical trajectories.
 
     Nothing loops over the L steps in Python.  The per-step work (the gate
-    and error exponentials and the step products G_l E_l) runs in fixed
-    ``CHUNK_STEPS``-step chunks on up to one thread per usable CPU
-    (:func:`_over_chunks`), batch-last and with elementwise real operations
-    only (:func:`qx.su_algebra._expi_batch_last`), so it makes no LAPACK
-    call per matrix; the random draws stay serial, so no result depends on
-    the chunk or worker count.  Only the last element of each cumulative
-    product is formed (:func:`_final_product`).  At L = 1e5 and d = 2 a
-    trajectory takes about 0.24 s on a 2-vCPU OpenBLAS machine (0.21 s on
-    one thread), the two final products 0.025 s of it.  On read, ``noisy``
-    (its steps formed again) takes 0.15 s more, ``ideal`` 0.03 s,
-    ``distances`` 0.18 s and ``step_errors`` (eigvalsh of the exponents) 0.11 s.
+    and error exponentials and the step products G_l E_l) loops over
+    ``CHUNK_STEPS``-step chunks, batch-last and with elementwise real
+    operations only (:func:`qx.su_algebra._expi_batch_last`), so it makes no
+    LAPACK call per matrix and no result depends on the chunking.  Only the
+    last element of each cumulative product is formed
+    (:func:`_final_product`).  At L = 1e5 and d = 2 a trajectory takes about
+    0.2 s on a 2-vCPU OpenBLAS machine, the two final products 0.025 s of
+    it.  On read, ``noisy`` (its steps formed again) takes 0.11 s more,
+    ``ideal`` 0.02 s, ``distances`` 0.2 s and ``step_errors`` (eigvalsh of
+    the exponents) 0.09 s.
 
-    The peak comes while the chunks run: the gates, the steps, the weights
+    The run peaks while the chunks run: the gates, the steps, the weights
     and the exponents, 2.75 to 2.94 (L, d, d) complex stacks, plus about 5.4
-    chunk stacks of scratch per worker (the exponent, its square, two Horner
-    buffers and a product's scratch); tracemalloc reads 3.01, 3.12 and 3.17
-    stacks at L = 1e5 and d = 2, 3, 4.  :func:`_over_chunks` keeps workers
-    times ``CHUNK_STEPS`` within L / 3, so that stays below about 4.8 stacks
-    on any CPU count (64 CPUs read 4.65, 4.56, 4.56 at L = 20000; two
-    workers at L = 6 CHUNK_STEPS 4.80, 4.71, 4.74).  Reading ``noisy`` and
-    ``ideal`` peaks in the ideal scan at 4.41, 4.48 and 4.50 stacks at
-    L = 1e5.  The budget counts ``SIM_PEAK_STACKS`` = 5: a length whose
-    5 L d^2 amplitudes exceed :data:`qx.vbs_code.DENSE_STACK_CAP` raises
-    ValueError before any random draw (about 1.6e6 steps at d = 2).
+    chunk stacks of scratch (the exponent, its square, two Horner buffers
+    and a product's scratch); tracemalloc reads 2.92, 3.05 and 3.09 stacks
+    at L = 1e5 and d = 2, 3, 4, and 3.58, 3.67, 3.72 at L = 20000.  Of the
+    reads, ``ideal``'s scan after ``noisy`` peaks highest: 4.41, 4.48, 4.50
+    stacks at L = 1e5 and 4.45, 4.53, 4.56 at L = 20000.  The budget counts
+    ``SIM_PEAK_STACKS`` = 5: a length whose 5 L d^2 amplitudes exceed
+    :data:`qx.vbs_code.DENSE_STACK_CAP` raises ValueError before any random
+    draw (about 1.6e6 steps at d = 2).
     """
     if length < 1:
         raise ValueError("computation length must be at least 1")

@@ -106,29 +106,10 @@ run("algebra", "--d", "3")
 run("vbs", "--d", "2", "--n", "4")
 run("sweep", "--d-min", "2", "--d-max", "2", "--n-min", "3", "--n-max", "5")
 run("kl", "--code", "vbs:2:14", "--errors", "bond:all")
-run("simulate", "--d", "2", "--n", "4", "--length", "200")
+run("simulate", "--d", "2", "--n", "4", "--length", str(6 * qx.quasi_universality.CHUNK_STEPS))
 run("gates", "--eta", "0.001", "--target", "0.1")
 assert "scipy.linalg" not in sys.modules
-""")
-
-
-def test_thread_pool_is_imported_only_by_multi_chunk_work():
-    # qx.quasi_universality imports concurrent.futures on the first run
-    # that spreads its chunks over more than one worker, so `import qx.cli`
-    # stays as it was
-    _fresh_python("""
-import os
-import sys
-import qx.cli
-assert "concurrent.futures" not in sys.modules, "import qx.cli"
-from qx import quasi_universality as qu
-os.sched_getaffinity = lambda pid: set(range(2))
-qu.simulate_computation(2, 8, qu.CHUNK_STEPS, seed=1)
-assert "concurrent.futures" not in sys.modules, "one chunk"
-qu.simulate_computation(2, 8, 6 * qu.CHUNK_STEPS - 1, seed=1)
-assert "concurrent.futures" not in sys.modules, "one worker"
-qu.simulate_computation(2, 8, 6 * qu.CHUNK_STEPS, seed=1)
-assert "concurrent.futures" in sys.modules
+assert "concurrent.futures" not in sys.modules, "simulate's chunks run on one thread"
 """)
 
 

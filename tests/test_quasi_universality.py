@@ -1,8 +1,5 @@
 import mmap
-import sys
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -273,23 +270,15 @@ TRAJECTORY_ARRAYS = ("gates", "exponents", "step_errors", "envelopes", "noisy", 
 
 
 def chunked_trajectory(monkeypatch, chunk, d, length, explicit, error_dist, seed=4):
-    # up to 8 workers, likely more than there are cores, switching threads
-    # as often as the interpreter allows
     monkeypatch.setattr(qu, "CHUNK_STEPS", chunk)
-    monkeypatch.setattr(qu.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     gates = random_unitaries(np.random.default_rng(seed), length, d) if explicit else None
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        traj = qu.simulate_computation(d, 8, length, seed=seed, gates=gates, error_dist=error_dist)
-        return [getattr(traj, name) for name in TRAJECTORY_ARRAYS] + [traj.final_distance]
-    finally:
-        sys.setswitchinterval(interval)
+    traj = qu.simulate_computation(d, 8, length, seed=seed, gates=gates, error_dist=error_dist)
+    return [getattr(traj, name) for name in TRAJECTORY_ARRAYS] + [traj.final_distance]
 
 
 def assert_chunk_invariant(monkeypatch, chunk, d, length, explicit, error_dist, seed=4):
     got = chunked_trajectory(monkeypatch, chunk, d, length, explicit, error_dist, seed)
-    # the reference runs inline: one chunk, no worker thread
+    # the reference runs as one chunk
     want = chunked_trajectory(monkeypatch, length, d, length, explicit, error_dist, seed)
     for name, a, b in zip(TRAJECTORY_ARRAYS + ("final_distance",), got, want):
         assert np.array_equal(a, b), (name, chunk, d, length)
@@ -300,73 +289,10 @@ def assert_chunk_invariant(monkeypatch, chunk, d, length, explicit, error_dist, 
     (2, False, "uniform"), (3, True, "gaussian"), (4, False, "gaussian"), (4, True, "uniform"),
 ])
 def test_simulation_does_not_depend_on_the_chunking(monkeypatch, chunk, d, explicit, error_dist):
-    # one short of a chunk, one chunk, a one-step last chunk, several
-    # chunks, and enough of them for all 8 workers
-    for length in [chunk - 1, chunk, chunk + 1, 3 * chunk + 5, 24 * chunk + 5]:
+    # one short of a chunk, one chunk, a one-step last chunk, several chunks
+    for length in [chunk - 1, chunk, chunk + 1, 3 * chunk + 5]:
         if length >= 1:
             assert_chunk_invariant(monkeypatch, chunk, d, length, explicit, error_dist)
-
-
-def test_chunk_threads_are_bounded_and_joined(monkeypatch):
-    monkeypatch.setattr(qu, "CHUNK_STEPS", 16)
-    monkeypatch.setattr(qu.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    pools = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
-    idents = set()
-    expi_batch_last = qu._expi_batch_last
-
-    def recording_expi_batch_last(h):
-        idents.add(threading.get_ident())
-        return expi_batch_last(h)
-
-    monkeypatch.setattr(qu, "_expi_batch_last", recording_expi_batch_last)
-    before = threading.active_count()
-    # 64 "CPUs": three chunks are a third of their length, so one worker
-    # runs them inline
-    qu.simulate_computation(2, 8, 3 * 16, seed=1)
-    assert pools == [] and idents == {threading.get_ident()}
-    idents.clear()
-    qu.simulate_computation(2, 8, 9 * 16, seed=1)  # nine chunks, three workers
-    assert pools == [3]
-    assert 1 <= len(idents) <= 3
-    assert threading.active_count() == before
-
-    def failing(s):
-        if s.start == 16:
-            raise RuntimeError("chunk failed")
-
-    with pytest.raises(RuntimeError, match="chunk failed"):
-        qu._over_chunks(failing, 10 * 16)
-    assert pools == [3, 3]
-    assert threading.active_count() == before
-
-
-def test_distances_form_the_products_on_the_calling_thread(monkeypatch):
-    # noisy's steps are formed again through gell_mann_basis and a nested
-    # _over_chunks, which must not run inside a worker's chunk
-    monkeypatch.setattr(qu, "CHUNK_STEPS", 16)
-    monkeypatch.setattr(qu.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    traj = qu.simulate_computation(2, 8, 9 * 16, seed=1)  # nine chunks, three workers
-    idents = []
-
-    def recording(f):
-        def spy(*args):
-            idents.append((f.__name__, threading.get_ident()))
-            return f(*args)
-        return spy
-
-    monkeypatch.setattr(qu, "gell_mann_basis", recording(qu.gell_mann_basis))
-    monkeypatch.setattr(qu, "_over_chunks", recording(qu._over_chunks))
-    traj.distances
-    main = threading.get_ident()
-    # the basis and the step chunks for noisy, then the distance chunks
-    assert idents == [("gell_mann_basis", main), ("_over_chunks", main), ("_over_chunks", main)]
 
 
 @pytest.mark.filterwarnings("error")
@@ -382,24 +308,22 @@ def test_simulation_length_bounded_by_stack_budget(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_simulation_peak_within_stated_stack_count(d):
-    # long enough that numpy's fixed ~0.1 MB of buffers does not count
+    # the run and each read after it, long enough that numpy's fixed ~0.1 MB
+    # of buffers does not count
     length = 20000
     qu.simulate_computation(d, 8, length, seed=3)
+    peaks = []
     tracemalloc.start()
     try:
-        qu.simulate_computation(d, 8, length, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
+        traj = qu.simulate_computation(d, 8, length, seed=3)
+        for name in ("noisy", "ideal", "distances", "step_errors"):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            getattr(traj, name)
+        peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert peak <= qu.SIM_PEAK_STACKS * length * d * d * 16
-
-
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_simulation_peak_holds_for_any_cpu_count(monkeypatch, d):
-    # the worker count follows the length, not just the CPUs: 64 of them
-    # still give three workers at L = 20000
-    monkeypatch.setattr(qu.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    test_simulation_peak_within_stated_stack_count(d)
+    assert max(peaks) <= qu.SIM_PEAK_STACKS * length * d * d * 16, peaks
 
 
 def _buffer_owner(array):
@@ -441,13 +365,11 @@ def test_mapped_empty_counts_in_tracemalloc_while_alive():
     assert gone - before < 1024
 
 
-def test_simulation_forms_no_product_stack(monkeypatch):
+def test_simulation_forms_no_product_stack():
     # the run and final_distance hold no (L, d, d) cumulative product;
     # reading noisy, ideal and distances then stays within the budget
-    monkeypatch.setattr(qu.os, "sched_getaffinity", lambda pid: set(range(2)), raising=False)
     length, d = 100000, 2
     stack = length * d * d * 16
-    qu.simulate_computation(d, 8, 6 * qu.CHUNK_STEPS, seed=3).distances  # two workers
     tracemalloc.start()
     try:
         traj = qu.simulate_computation(d, 8, length, seed=3)
