@@ -36,6 +36,8 @@ def read_isometry(path: str) -> np.ndarray:
     if len(tokens) < 2:
         raise ValueError(f"{path}: missing dimension header")
     rows, cols = int(tokens[0]), int(tokens[1])
+    if rows < 1 or cols < 1:
+        raise ValueError(f"{path}: dimensions {rows} {cols} are not positive")
     values = tokens[2:]
     if len(values) != 2 * rows * cols:
         raise ValueError(
@@ -209,8 +211,8 @@ def cmd_kl(args) -> int:
         if args.errors != "pauli1":
             raise UsageError(f"code {selector!r} takes the pauli1 error model")
         n_qubits = int(iso.d_q).bit_length() - 1
-        if 2**n_qubits != iso.d_q:
-            raise UsageError("pauli1 errors need a qubit-factorable physical space")
+        if n_qubits < 1 or 2**n_qubits != iso.d_q:
+            raise UsageError("pauli1 errors need a physical space of one or more qubits")
         # the route allocates the 3n stacks P_i V, then one family copy of V and them
         amplitudes = (6 * n_qubits + 1) * iso.d_q * iso.d_l
         if amplitudes > vbs_code.DENSE_STACK_CAP:

@@ -89,6 +89,8 @@ def depolarizing_weights(n_qubits: int, strength: float) -> np.ndarray:
     identity, then sqrt(p / 3n) on each weight-one Pauli in its order."""
     if not 0.0 < strength < 1.0:
         raise ValueError("noise strength must lie strictly between 0 and 1")
+    if n_qubits < 1:
+        raise ValueError("depolarizing noise needs one or more qubits")
     k = 3 * n_qubits
     return np.sqrt([1.0 - strength] + [strength / k] * k)
 

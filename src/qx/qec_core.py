@@ -72,8 +72,8 @@ class CodeIsometry:
     def __post_init__(self):
         v = np.asarray(self.isometry, dtype=complex)
         object.__setattr__(self, "isometry", v)
-        if v.ndim != 2 or v.shape[0] < v.shape[1]:
-            raise ValueError(f"isometry shape {v.shape} is not tall")
+        if v.ndim != 2 or not 0 < v.shape[1] <= v.shape[0]:
+            raise ValueError(f"isometry shape {v.shape} is not tall or has no column")
         with np.errstate(all="ignore"):  # a non-finite Gram matrix fails below
             gram = _adjoint_product(v, v) - np.eye(v.shape[1])
         if not np.abs(gram).max() <= ISOMETRY_TOL:

@@ -292,6 +292,21 @@ def test_kl_nan_isometry_file_exits_2(tmp_path, capsys):
         assert err.startswith("qx: ") and err.count("\n") == 1 and "orthonormal" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1 1\n1 0\n", "one or more qubits"),  # a 1x1 isometry has no qubit
+    ("0 0\n", "not positive"),
+    ("2 0\n", "not positive"),
+    ("0 1\n", "not positive"),
+    ("-1 -1\n1 0\n", "not positive"),
+], ids=["1x1", "0x0", "2x0", "0x1", "negative"])
+def test_kl_degenerate_isometry_file_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "degenerate.mat"
+    path.write_text(text, encoding="ascii")
+    assert cli.main(["kl", "--code", f"file:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qx: ") and err.count("\n") == 1 and message in err
+
+
 def test_kl_qubit_file_code(tmp_path):
     from qx.exact_codes import four_two_two_code
 

@@ -29,6 +29,11 @@ def test_code_isometry_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="orthonormal"):
             qc.CodeIsometry(isometry=[[bad], [0.0]])
+    for shape in ((0, 0), (2, 0), (0, 1)):
+        with pytest.raises(ValueError, match="no column"):
+            qc.CodeIsometry(isometry=np.zeros(shape))
+    with pytest.raises(ValueError, match="one or more qubits"):
+        ec.depolarizing_weights(0, 0.1)
 
 
 def test_detect_condition_identity_and_fixtures():
