@@ -113,6 +113,23 @@ assert "concurrent.futures" not in sys.modules, "simulate's chunks run on one th
 """)
 
 
+def test_thread_pool_is_imported_only_by_multi_chunk_work():
+    # the chunks run on the calling thread, so no run imports
+    # concurrent.futures, whatever its length or the CPUs it sees
+    _fresh_python("""
+import os
+import sys
+import qx.cli
+assert "concurrent.futures" not in sys.modules, "import qx.cli"
+from qx import quasi_universality as qu
+os.sched_getaffinity = lambda pid: set(range(64))
+qu.simulate_computation(2, 8, qu.CHUNK_STEPS, seed=1)
+assert "concurrent.futures" not in sys.modules, "one chunk"
+qu.simulate_computation(2, 8, 6 * qu.CHUNK_STEPS, seed=1)
+assert "concurrent.futures" not in sys.modules, "six chunks"
+""")
+
+
 _NO_SCIPY = """
 assert "scipy" not in sys.modules, "scipy was imported"
 """

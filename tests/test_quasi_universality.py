@@ -1,4 +1,5 @@
 import mmap
+import os
 import tracemalloc
 
 import numpy as np
@@ -324,6 +325,15 @@ def test_simulation_peak_within_stated_stack_count(d):
     finally:
         tracemalloc.stop()
     assert max(peaks) <= qu.SIM_PEAK_STACKS * length * d * d * 16, peaks
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_simulation_peak_holds_for_any_cpu_count(monkeypatch, d):
+    # the chunks run on the calling thread, so a machine that reports 64
+    # CPUs peaks no higher
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    test_simulation_peak_within_stated_stack_count(d)
 
 
 def _buffer_owner(array):
