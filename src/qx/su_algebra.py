@@ -22,7 +22,8 @@ __all__ = [
 
 REALITY_TOL = 1e-12
 UNITARY_TOL = 1e-10
-# Taylor coefficients 1 / k! of the degree-18 polynomial of _expi_batch_last
+# Taylor coefficients 1 / k! of the degree-18 polynomial of _expi_batch_last,
+# which serves every n but 2
 _TAYLOR = [1.0 / factorial(k) for k in range(19)]
 
 
@@ -245,6 +246,12 @@ def _add_identity(x: np.ndarray, c: float) -> None:
         x[0, i, i] += c
 
 
+def _require_finite(x: np.ndarray) -> None:
+    """Raise ValueError unless every entry of x is finite."""
+    if not np.isfinite(x).all():
+        raise ValueError("exp(i h) needs a finite h: a matrix has a NaN or infinite entry")
+
+
 def _squarings(h: np.ndarray) -> np.ndarray:
     """Per matrix of a batch-last h, (2, n, n, batch), the least s >= 0 with
     ||h||_1 2^-s <= 1, the 1-norm bounded by column sums of |Re| + |Im|.
@@ -254,8 +261,7 @@ def _squarings(h: np.ndarray) -> np.ndarray:
         column += np.abs(h[0, i])
         column += np.abs(h[1, i])
     norm = column.max(axis=0)
-    if not np.isfinite(norm).all():
-        raise ValueError("exp(i h) needs a finite h: a matrix has a NaN or infinite entry")
+    _require_finite(norm)
     mantissa, exponent = np.frexp(norm)  # norm = m 2^e with m in [1/2, 1)
     return np.maximum(exponent - (mantissa == 0.5), 0)
 
@@ -264,14 +270,40 @@ def _expi_batch_last(h: np.ndarray) -> np.ndarray:
     """exp(i h) for Hermitian matrices held batch-last, as (2, n, n, batch)
     real and imaginary parts; returns that layout and overwrites h.
 
-    Scaling and squaring (Moler and Van Loan, SIAM Rev. 45, 3 (2003)): x =
-    i h 2^-s, with s per matrix from :func:`_squarings`, has 1-norm at most
-    1; the degree-18 Taylor polynomial of exp(x) is summed by Horner's rule
-    in x^2 with linear blocks, 9 products; then each matrix is squared s
-    times.  Every step is an elementwise real operation on each matrix
-    alone (:func:`_product`), so a matrix has the same bits alone as
-    anywhere in any batch, and a zero matrix gives the identity exactly.
+    At n = 2, the closed form of U(2): with h = tau I + h0, h0 traceless,
+    h0^2 = r^2 I and exp(i h) = e^(i tau) (cos r I + i (sin r / r) h0).  It
+    reads only h00, h11 and h01, so h must be exactly Hermitian; r =
+    hypot(delta, |h01|) with delta = (h00 - h11) / 2 cannot overflow, and
+    sin r / r is 1 at r = 0.  For other n, scaling and squaring (Moler and
+    Van Loan, SIAM Rev. 45, 3 (2003)): x = i h 2^-s, with s per matrix from
+    :func:`_squarings`, has 1-norm at most 1; the degree-18 Taylor
+    polynomial of exp(x) is summed by Horner's rule in x^2 with linear
+    blocks, 9 products (:func:`_product`); then each matrix is squared s
+    times.  Both are elementwise real operations on each matrix alone, so a
+    matrix has the same bits alone as anywhere in any batch, and a zero
+    matrix gives the identity exactly.  A NaN or infinite entry raises
+    ValueError before any work.
     """
+    if h.shape[1] == 2:
+        _require_finite(h)
+        tau = 0.5 * h[0, 0, 0] + 0.5 * h[0, 1, 1]
+        delta = 0.5 * h[0, 0, 0] - 0.5 * h[0, 1, 1]
+        r = np.hypot(delta, np.hypot(h[0, 0, 1], h[1, 0, 1]))
+        sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
+        m = np.empty(h.shape)  # cos r I + i sinc h0
+        m[0, 0, 0] = m[0, 1, 1] = np.cos(r)
+        np.multiply(sinc, delta, out=m[1, 0, 0])
+        np.negative(m[1, 0, 0], out=m[1, 1, 1])
+        np.multiply(sinc, h[1, 0, 1], out=m[0, 1, 0])
+        np.negative(m[0, 1, 0], out=m[0, 0, 1])
+        np.multiply(sinc, h[0, 0, 1], out=m[1, 0, 1])
+        m[1, 1, 0] = m[1, 0, 1]
+        # times e^(i tau)
+        cos_tau, sin_tau = np.cos(tau), np.sin(tau)
+        np.multiply(m, cos_tau, out=h)
+        h[0] -= m[1] * sin_tau
+        h[1] += m[0] * sin_tau
+        return h
     squarings = _squarings(h)
     # x = i h 2^-s in place: parts (-Im h, Re h) 2^-s, swapped by a view
     x = h[::-1]
@@ -305,8 +337,12 @@ def _expi_batch_last(h: np.ndarray) -> np.ndarray:
 def expi_hermitian(h: np.ndarray) -> np.ndarray:
     """exp(i h) for a Hermitian h or a stack (..., n, n) of them.
 
-    Only the Hermitian part (h + h+) / 2 counts.  Scaling and squaring with
-    a truncated Taylor series (:func:`_expi_batch_last`): each matrix is
+    Only the Hermitian part (h + h+) / 2 counts.  Both kernels are in
+    :func:`_expi_batch_last`.  For n = 2 it is the closed form
+    e^(i tau) (cos r I + i (sin r / r) (h - tau I)), with tau = tr h / 2 and
+    r half the eigenvalue gap: within 1e-14 max(1, ||h||) of the
+    eigendecomposition exponential and within 1e-14 of unitary.  Otherwise
+    scaling and squaring with a truncated Taylor series: each matrix is
     scaled by 2^-s to 1-norm theta = 1, the series is summed to order 18,
     whose tail is then below 1.1 / 19! = 9e-18, under 2^-53 (the truncation
     criterion of Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 970
@@ -314,8 +350,8 @@ def expi_hermitian(h: np.ndarray) -> np.ndarray:
     growing about as 2^s eps: for n <= 6 and ||h|| <= 50 the result is
     within 1e-13 max(1, ||h||) of the eigendecomposition exponential and
     within 1e-13 of unitary.  Each matrix gives the same bits alone as in
-    any stack.  A NaN or infinite entry raises ValueError before any
-    scaling: its norm would ask for unbounded squarings.
+    any stack.  A NaN or infinite entry raises ValueError before any work:
+    its norm would ask for unbounded squarings.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:

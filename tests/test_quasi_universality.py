@@ -252,6 +252,21 @@ def test_simulation_matches_sequential_trajectory(scale, d, explicit, error_dist
     np.testing.assert_allclose(traj.distances, want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("error_dist", ["uniform", "gaussian"])
+def test_d2_trajectory_matches_the_eigh_exponential(error_dist):
+    # the error gates from the eigendecomposition oracle, not from the
+    # closed-form kernel the run uses
+    length = 2000
+    gates = random_unitaries(np.random.default_rng(29), length, 2)
+    traj = qu.simulate_computation(2, 8, length, seed=6, gates=gates, error_dist=error_dist)
+    h = traj.error_scale * np.tensordot(traj.exponents, gell_mann_basis(2).generators, axes=1)
+    ideal = oracles.sequential_products(gates)
+    noisy = oracles.sequential_products(gates @ oracles.expi_reference(h))
+    want = [qu.unitary_distance(n, i) for n, i in zip(noisy, ideal)]
+    np.testing.assert_allclose(traj.distances, want, rtol=1e-12, atol=1e-12)
+    assert traj.final_distance == traj.distances[-1]
+
+
 def test_simulation_rejects_bad_explicit_gates():
     gates = [np.eye(2, dtype=complex)] * 6
     bad = gates[:3] + [np.diag([1.0, 1.0 + 1e-6])] + gates[4:]

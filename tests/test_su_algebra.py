@@ -216,3 +216,42 @@ def test_expi_hermitian_of_zero_is_identity_exactly():
     assert expi_hermitian(np.zeros((0, 2, 2))).shape == (0, 2, 2)
     with pytest.raises(ValueError, match="square"):
         expi_hermitian(np.zeros((2, 3)))
+
+
+def two_by_two(rng, norms):
+    """Hermitian 2x2 matrices tau I + x . sigma of the given spectral norms
+    |tau| + |x|, with a nonzero trace and complex off-diagonals."""
+    x = rng.normal(size=(len(norms), 3))
+    x *= (0.7 * np.asarray(norms) / np.linalg.norm(x, axis=1))[:, None]
+    tau = 0.3 * np.asarray(norms) * rng.choice([-1.0, 1.0], size=len(norms))
+    return (tau[:, None, None] * np.eye(2) + x[:, 0, None, None] * SX
+            + x[:, 1, None, None] * SY + x[:, 2, None, None] * SZ)
+
+
+def test_expi_hermitian_2x2_closed_form():
+    rng = np.random.default_rng(29)
+    norms = [0.0, 1e-300, 1e-8, 0.05, 1.0, np.pi, 50.0]
+    h = np.concatenate([two_by_two(rng, norms),
+                        # sqrt(delta^2 + |h01|^2) overflows here and cos(inf) is NaN
+                        [[[1e200, 7e199 - 9e199j], [7e199 + 9e199j, -3e200]]]])
+    norm = np.linalg.norm(h, 2, axis=(1, 2))
+    np.testing.assert_allclose(norm[:len(norms)], norms, rtol=1e-14)
+    u = expi_hermitian(h)
+    want = oracles.expi_reference(h)
+    assert (np.abs(u - want).max(axis=(1, 2)) <= 1e-14 * np.maximum(1.0, norm)).all()
+    gram = u.conj().transpose(0, 2, 1) @ u - np.eye(2)
+    assert np.linalg.norm(gram, 2, axis=(1, 2)).max() <= 1e-14
+    assert np.array_equal(u[0], np.eye(2))
+    # each matrix has the same bits alone, in stacks of 1, 7 and 2049 and
+    # read from a strided view
+    others = two_by_two(rng, rng.uniform(0.0, 10.0, size=2048))
+    for i, hi in enumerate(h):
+        alone = expi_hermitian(hi)
+        assert np.array_equal(alone, u[i])
+        assert np.array_equal(expi_hermitian(hi[None])[0], alone)
+        for size, at in ((7, 3), (2049, i * 250)):
+            stack = np.insert(others[: size - 1], at, hi, axis=0)
+            assert np.array_equal(expi_hermitian(stack)[at], alone)
+        strided = np.repeat(np.insert(others[:6], 5, hi, axis=0), 2, axis=0)[::2]
+        assert not strided.flags.c_contiguous
+        assert np.array_equal(expi_hermitian(strided)[5], alone)
