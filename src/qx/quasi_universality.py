@@ -344,20 +344,22 @@ def simulate_computation(
     Nothing loops over the L steps in Python.  The per-step work (the gate
     and error exponentials and the step products G_l E_l) loops over
     ``CHUNK_STEPS``-step chunks, batch-last and with elementwise real
-    operations only (:func:`qx.su_algebra._expi_batch_last`), so it makes no
+    operations only (:func:`qx.su_algebra._expi_batch_last`: the closed
+    form of U(2) at d = 2, a Taylor kernel at d >= 3), so it makes no
     LAPACK call per matrix and no result depends on the chunking.  Only the
     last element of each cumulative product is formed
-    (:func:`_final_product`).  At L = 1e5 and d = 2 a trajectory takes about
-    0.2 s on a 2-vCPU OpenBLAS machine, the two final products 0.025 s of
-    it.  On read, ``noisy`` (its steps formed again) takes 0.11 s more,
-    ``ideal`` 0.02 s, ``distances`` 0.2 s and ``step_errors`` (eigvalsh of
-    the exponents) 0.09 s.
+    (:func:`_final_product`).  At L = 1e5 and d = 2 a trajectory takes
+    about 0.1 s on a 2-vCPU OpenBLAS machine, the two final products 0.02 s
+    of it.  On read, ``noisy`` (its steps formed again) takes 0.07 s more,
+    ``ideal`` 0.03 s, ``distances`` 0.3 s and ``step_errors`` (eigvalsh of
+    the exponents) 0.15 s.
 
     The run peaks while the chunks run: the gates, the steps, the weights
-    and the exponents, 2.75 to 2.94 (L, d, d) complex stacks, plus about 5.4
-    chunk stacks of scratch (the exponent, its square, two Horner buffers
-    and a product's scratch); tracemalloc reads 2.92, 3.05 and 3.09 stacks
-    at L = 1e5 and d = 2, 3, 4, and 3.58, 3.67, 3.72 at L = 20000.  Of the
+    and the exponents, 2.75 to 2.94 (L, d, d) complex stacks, plus chunk
+    stacks of scratch, about 3 at d = 2 and 5.4 at d >= 3 (the exponent, its
+    square, two Horner buffers and a product's scratch); tracemalloc reads
+    2.87, 3.05 and 3.09 stacks at L = 1e5 and d = 2, 3, 4, and 3.35, 3.67,
+    3.72 at L = 20000.  Of the
     reads, ``ideal``'s scan after ``noisy`` peaks highest: 4.41, 4.48, 4.50
     stacks at L = 1e5 and 4.45, 4.53, 4.56 at L = 20000.  The budget counts
     ``SIM_PEAK_STACKS`` = 5: a length whose 5 L d^2 amplitudes exceed
