@@ -34,7 +34,6 @@ __all__ = [
     "CodeIsometry",
     "KLReport",
     "SubsystemSplit",
-    "detect_condition",
     "error_compressions",
     "kl_report_from_compressions",
     "kl_decompose",
@@ -94,21 +93,6 @@ class CodeIsometry:
 
     def projector(self) -> np.ndarray:
         return self.isometry @ self.isometry.conj().T
-
-
-def detect_condition(code: CodeIsometry, errors) -> list[tuple[complex, float]]:
-    """Detection data (e_i, residual_i) for each error operator.
-
-    e_i = tr(V+ E_i V)/d_L and residual_i is the operator norm of the
-    traceless remainder of V+ E_i V; the error is exactly detected when the
-    residual vanishes.
-    """
-    d_l = code.d_l
-    family = _error_family(code, errors)
-    compressed = _adjoint_product(code.isometry, family).reshape(d_l, -1, d_l).swapaxes(0, 1)
-    e = np.trace(compressed, axis1=1, axis2=2) / d_l
-    residuals = np.linalg.norm(compressed - e[:, None, None] * np.eye(d_l), 2, axis=(-2, -1))
-    return [(complex(ei), float(r)) for ei, r in zip(e, residuals)]
 
 
 def _error_family(code: CodeIsometry, stacks) -> np.ndarray:

@@ -13,34 +13,23 @@ import numpy as np
 
 __all__ = [
     "KrausChannel",
-    "apply_channel",
-    "cptp_residuals",
-    "dilation_isometry",
     "choi_matrix",
     "omega_vector",
     "omega_matrix",
     "trace_distance",
     "entanglement_fidelity",
-    "partial_trace",
     "apply_on_site",
 ]
-
-TP_TOL = 1e-10
-
-
-class ChannelError(RuntimeError):
-    """Raised when a channel fails a structural requirement."""
-
 
 @dataclass(frozen=True)
 class KrausChannel:
     """A completely positive map given by its Kraus operators.
 
     ``kraus`` is one (K, out_dim, in_dim) complex array; any sequence of
-    equally shaped operators is stacked into it.  Trace preservation is a
-    property to check (see :func:`cptp_residuals`), not an assumption.  An
-    empty Kraus list is allowed when the dimensions are given explicitly; it
-    becomes the (0, out_dim, in_dim) zero map.
+    equally shaped operators is stacked into it.  Trace preservation,
+    sum K+K = I, is neither assumed nor checked.  An empty Kraus list is
+    allowed when the dimensions are given explicitly; it becomes the
+    (0, out_dim, in_dim) zero map.
     """
 
     kraus: np.ndarray
@@ -71,36 +60,6 @@ class KrausChannel:
     @property
     def is_square(self) -> bool:
         return self.in_dim == self.out_dim
-
-
-def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel: sum_i K_i rho K_i^dagger."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ch.in_dim, ch.in_dim):
-        raise ValueError(f"state shape {rho.shape} does not match in_dim {ch.in_dim}")
-    return np.einsum("kij,jl,kml->im", ch.kraus, rho, ch.kraus.conj(), optimize=True)
-
-
-def cptp_residuals(ch: KrausChannel) -> tuple[float, float]:
-    """Operator norms of sum K+K - I (trace) and sum K K+ - I (unitality)."""
-    k = ch.kraus
-    tp = np.einsum("kji,kjl->il", k.conj(), k, optimize=True) - np.eye(ch.in_dim)
-    un = np.einsum("kij,klj->il", k, k.conj(), optimize=True) - np.eye(ch.out_dim)
-    return float(np.linalg.norm(tp, 2)), float(np.linalg.norm(un, 2))
-
-
-def dilation_isometry(ch: KrausChannel) -> np.ndarray:
-    """Isometry W stacking the Kraus blocks, with the environment index first.
-
-    W maps in_dim -> len(kraus) * out_dim and satisfies W+W = I; tracing the
-    environment factor of W rho W+ reproduces :func:`apply_channel`.
-    """
-    tp, _ = cptp_residuals(ch)
-    if tp > TP_TOL:
-        raise ChannelError(
-            f"dilation undefined: channel is not trace preserving (residual {tp:.3e})"
-        )
-    return ch.kraus.reshape(-1, ch.in_dim)
 
 
 def omega_vector(dim: int) -> np.ndarray:
@@ -153,30 +112,6 @@ def entanglement_fidelity(ch: KrausChannel) -> tuple[float, float]:
     f = float(np.real(omega.conj() @ c @ omega))
     f = min(max(f, 0.0), 1.0)
     return f, sqrt(1.0 - f)
-
-
-def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
-    """Trace out all tensor factors not listed in ``keep`` (0-based indices)."""
-    rho = np.asarray(rho, dtype=complex)
-    dims = [int(d) for d in dims]
-    n = len(dims)
-    total = prod(dims)
-    if rho.shape != (total, total):
-        raise ValueError(
-            f"state shape {rho.shape} does not match subsystem dims {dims}"
-        )
-    keep = sorted(set(int(k) for k in keep))
-    if not keep or keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"invalid subsystem selection {keep} for {n} factors")
-    tensor = rho.reshape(dims + dims)
-    # Trace matched row/col axis pairs back to front; the pair offset is the
-    # current row-axis count, which np.trace keeps consistent.
-    for ax in reversed(range(n)):
-        if ax in keep:
-            continue
-        tensor = np.trace(tensor, axis1=ax, axis2=ax + tensor.ndim // 2)
-    kept_dim = prod(dims[k] for k in keep)
-    return tensor.reshape(kept_dim, kept_dim)
 
 
 def apply_on_site(states: np.ndarray, dims, site: int, op: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Gate-cell bookkeeping, accuracy budgets, and noisy-computation trajectories."""
+"""Phase-minimized unitary distance, gate-count budgets, and noisy-computation
+trajectories."""
 
 from __future__ import annotations
 
@@ -12,23 +13,15 @@ from math import floor, isfinite, isqrt, prod
 import numpy as np
 
 from .rng import make_generator
-from .su_algebra import (
-    _batch_last, _expi_batch_last, _product, check_unitary, gell_mann_basis,
-    random_special_unitary,
-)
+from .su_algebra import _batch_last, _expi_batch_last, _product, check_unitary, gell_mann_basis
 from . import vbs_code
 from .vbs_code import eta
 
 __all__ = [
     "unitary_distance",
-    "GateCellTable",
-    "build_gate_cell_table",
-    "cell_assign",
     "max_gate_count",
-    "compose_error_bound",
     "SimTrajectory",
     "simulate_computation",
-    "trajectory_csv",
 ]
 
 UNITARY_TOL = 1e-8
@@ -36,7 +29,6 @@ UNITARY_TOL = 1e-8
 # in any read after it (tracemalloc reads at most 4.45, 4.53, 4.56 at
 # d = 2, 3, 4 and L = 20000, in the scan of ideal)
 SIM_PEAK_STACKS = 5
-TIE_DECIMALS = 12
 # steps per chunk of a per-step kernel, whose scratch is a few chunk stacks;
 # each matrix gets the same bits whatever chunk it is in.  4096 was no faster
 # at d = 2 and L = 1e5 (the kernel makes about 330 numpy calls per chunk
@@ -64,52 +56,6 @@ def unitary_distance(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     return float(distances) if v.ndim == 2 else distances
 
 
-@dataclass(frozen=True)
-class GateCellTable:
-    """Fixed set of representative gates partitioning SU(d) at one accuracy.
-
-    Representatives are pairwise farther apart than the accuracy, so the
-    nearest-representative rule assigns non-overlapping cells.  The table
-    must be kept fixed for cell indices to define distinct logical gates.
-    """
-
-    dim: int
-    accuracy: float
-    representatives: tuple[np.ndarray, ...]
-
-
-def build_gate_cell_table(
-    dim: int, accuracy: float, n_samples: int, seed: int
-) -> GateCellTable:
-    """Greedy seeded net: sample SU(d) and keep points clearing the accuracy.
-
-    Identical (dim, accuracy, n_samples, seed) rebuild the identical table.
-    The identity is always the first representative.
-    """
-    if not accuracy > 0.0:
-        raise ValueError("accuracy must be positive")
-    basis = gell_mann_basis(dim)
-    rng = make_generator(seed)
-    reps: list[np.ndarray] = [np.eye(dim, dtype=complex)]
-    for _ in range(n_samples):
-        candidate = random_special_unitary(basis, rng)
-        if (unitary_distance(candidate, np.array(reps)) > accuracy).all():
-            reps.append(candidate)
-    return GateCellTable(dim=dim, accuracy=accuracy, representatives=tuple(reps))
-
-
-def cell_assign(table: GateCellTable, u: np.ndarray) -> int:
-    """Index of the nearest representative; ties resolve to the lowest index.
-
-    Distances are rounded to 12 decimals before comparison so exact midpoints
-    resolve deterministically.
-    """
-    if not table.representatives:
-        raise ValueError("gate-cell table is empty")
-    distances = unitary_distance(u, np.array(table.representatives))
-    return int(np.argmin(np.round(distances, TIE_DECIMALS)))
-
-
 def max_gate_count(target: float, accuracy: float, synthesis_error: float = 0.0) -> int:
     """Largest gate count m with m * accuracy within the target budget,
     floor((target - synthesis_error) / accuracy)."""
@@ -121,16 +67,6 @@ def max_gate_count(target: float, accuracy: float, synthesis_error: float = 0.0)
     if not isfinite(count):
         raise ValueError("gate count (target - synthesis error) / accuracy is not finite")
     return int(floor(count))
-
-
-def compose_error_bound(gate_distances) -> float:
-    """Subadditive accumulation bound: the sum of per-gate distances."""
-    total = 0.0
-    for x in gate_distances:
-        if not x >= 0.0:
-            raise ValueError("distances must be nonnegative")
-        total += float(x)
-    return total
 
 
 @dataclass(frozen=True)
@@ -416,14 +352,3 @@ def simulate_computation(
         final_noisy=final_noisy,
         final_ideal=_final_product(gate_stack),
     )
-
-
-def trajectory_csv(trajectory: SimTrajectory) -> str:
-    """CSV rendering with columns step, ideal_vs_noisy_distance, envelope."""
-    lines = ["step,ideal_vs_noisy_distance,envelope"]
-    for step in range(trajectory.length):
-        lines.append(
-            f"{step + 1},{trajectory.distances[step]:.12g},"
-            f"{trajectory.envelopes[step]:.12g}"
-        )
-    return "\n".join(lines) + "\n"

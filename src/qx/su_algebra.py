@@ -12,7 +12,6 @@ __all__ = [
     "SuBasis",
     "gell_mann_basis",
     "structure_constants",
-    "adjoint_generator",
     "adjoint_group_element",
     "invariant_residuals",
     "check_unitary",
@@ -115,18 +114,6 @@ def structure_constants(generators) -> tuple[np.ndarray, np.ndarray]:
             f"structure constants have imaginary residue {residue:.3e}"
         )
     return f_raw.real, d_raw.real
-
-
-def adjoint_generator(basis: SuBasis, a: int) -> np.ndarray:
-    """Adjoint-representation generator of t^a, (T^a)_bc = -i f_abc.
-
-    T^a is Hermitian with purely imaginary, antisymmetric entries; its
-    spectrum consists of differences of eigenvalues of t^a (for d = 2 this
-    gives {+1, 0, -1}).
-    """
-    if not 0 <= a < basis.size:
-        raise ValueError(f"generator index {a} out of range for su({basis.d})")
-    return -1j * basis.f[a]
 
 
 def adjoint_group_element(basis: SuBasis, u: np.ndarray) -> np.ndarray:

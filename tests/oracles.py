@@ -5,16 +5,32 @@ step-by-step product for the trajectory scan, the einsum rotation of the
 KL report and the looped physical-space logical channel; the correlation
 closed form with its own h_bac t^c product per call, and the structure
 constants as two einsum traces; and the bond error family written as its
-own noise."""
+own noise.
 
-from dataclasses import replace
+Below them sit helpers that no ``qx`` code reads, under the names they had
+there, for the tests that pin them: ``apply_channel``,
+``cptp_residuals``, ``dilation_isometry`` (with ``ChannelError`` and
+``TP_TOL``) and ``partial_trace`` from ``quantum_ops``;
+``adjoint_generator`` from ``su_algebra``; ``detect_condition`` from
+``qec_core``; ``bulk_state``, ``site_expectation`` and
+``effective_noise_channel`` from ``vbs_code``; and the gate-cell table
+(``GateCellTable``, ``build_gate_cell_table``, ``cell_assign`` and
+``TIE_DECIMALS``), ``compose_error_bound`` and ``trajectory_csv`` from
+``quasi_universality``."""
+
+from dataclasses import dataclass, replace
 from itertools import product
+from math import prod, sqrt
 
 import numpy as np
 
 from qx import vbs_code as vc
-from qx.quantum_ops import KrausChannel
-from qx.su_algebra import adjoint_generator
+from qx.qec_core import CodeIsometry, _adjoint_product, _error_family
+from qx.quantum_ops import KrausChannel, choi_matrix, trace_distance
+from qx.quasi_universality import SimTrajectory, unitary_distance
+from qx.rng import make_generator
+from qx.su_algebra import SuBasis, expi_hermitian, gell_mann_basis, random_special_unitary
+from qx.vbs_code import VbsCode, _site_term, transfer_power
 
 
 def expi_reference(h):
@@ -238,3 +254,209 @@ def recovered_logical_channel(code, noise, recovery):
         for rk in recovery.kraus:
             kraus.append(v.conj().T @ (rk @ nv))
     return KrausChannel.from_kraus(kraus)
+
+
+TP_TOL = 1e-10
+TIE_DECIMALS = 12
+
+
+class ChannelError(RuntimeError):
+    """Raised when a channel fails a structural requirement."""
+
+
+def apply_channel(ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    """Apply the channel: sum_i K_i rho K_i^dagger."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (ch.in_dim, ch.in_dim):
+        raise ValueError(f"state shape {rho.shape} does not match in_dim {ch.in_dim}")
+    return np.einsum("kij,jl,kml->im", ch.kraus, rho, ch.kraus.conj(), optimize=True)
+
+
+def cptp_residuals(ch: KrausChannel) -> tuple[float, float]:
+    """Operator norms of sum K+K - I (trace) and sum K K+ - I (unitality)."""
+    k = ch.kraus
+    tp = np.einsum("kji,kjl->il", k.conj(), k, optimize=True) - np.eye(ch.in_dim)
+    un = np.einsum("kij,klj->il", k, k.conj(), optimize=True) - np.eye(ch.out_dim)
+    return float(np.linalg.norm(tp, 2)), float(np.linalg.norm(un, 2))
+
+
+def dilation_isometry(ch: KrausChannel) -> np.ndarray:
+    """Isometry W stacking the Kraus blocks, with the environment index first.
+
+    W maps in_dim -> len(kraus) * out_dim and satisfies W+W = I; tracing the
+    environment factor of W rho W+ reproduces :func:`apply_channel`.
+    """
+    tp, _ = cptp_residuals(ch)
+    if tp > TP_TOL:
+        raise ChannelError(
+            f"dilation undefined: channel is not trace preserving (residual {tp:.3e})"
+        )
+    return ch.kraus.reshape(-1, ch.in_dim)
+
+
+def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
+    """Trace out all tensor factors not listed in ``keep`` (0-based indices)."""
+    rho = np.asarray(rho, dtype=complex)
+    dims = [int(d) for d in dims]
+    n = len(dims)
+    total = prod(dims)
+    if rho.shape != (total, total):
+        raise ValueError(
+            f"state shape {rho.shape} does not match subsystem dims {dims}"
+        )
+    keep = sorted(set(int(k) for k in keep))
+    if not keep or keep[0] < 0 or keep[-1] >= n:
+        raise ValueError(f"invalid subsystem selection {keep} for {n} factors")
+    tensor = rho.reshape(dims + dims)
+    # Trace matched row/col axis pairs back to front; the pair offset is the
+    # current row-axis count, which np.trace keeps consistent.
+    for ax in reversed(range(n)):
+        if ax in keep:
+            continue
+        tensor = np.trace(tensor, axis1=ax, axis2=ax + tensor.ndim // 2)
+    kept_dim = prod(dims[k] for k in keep)
+    return tensor.reshape(kept_dim, kept_dim)
+
+
+def adjoint_generator(basis: SuBasis, a: int) -> np.ndarray:
+    """Adjoint-representation generator of t^a, (T^a)_bc = -i f_abc.
+
+    T^a is Hermitian with purely imaginary, antisymmetric entries; its
+    spectrum consists of differences of eigenvalues of t^a (for d = 2 this
+    gives {+1, 0, -1}).
+    """
+    if not 0 <= a < basis.size:
+        raise ValueError(f"generator index {a} out of range for su({basis.d})")
+    return -1j * basis.f[a]
+
+
+def detect_condition(code: CodeIsometry, errors) -> list[tuple[complex, float]]:
+    """Detection data (e_i, residual_i) for each error operator.
+
+    e_i = tr(V+ E_i V)/d_L and residual_i is the operator norm of the
+    traceless remainder of V+ E_i V; the error is exactly detected when the
+    residual vanishes.
+    """
+    d_l = code.d_l
+    family = _error_family(code, errors)
+    compressed = _adjoint_product(code.isometry, family).reshape(d_l, -1, d_l).swapaxes(0, 1)
+    e = np.trace(compressed, axis1=1, axis2=2) / d_l
+    residuals = np.linalg.norm(compressed - e[:, None, None] * np.eye(d_l), 2, axis=(-2, -1))
+    return [(complex(ei), float(r)) for ei, r in zip(e, residuals)]
+
+
+def bulk_state(code: VbsCode, alpha: int, n: int) -> np.ndarray:
+    """Reduced density matrix of bulk site n, as the complementary-channel
+    output rho[i, j] = tr(sigma_n A^j A^i) of sigma_n = E^(n-1)(|alpha><alpha|)."""
+    if not 1 <= n <= code.n_sites:
+        raise ValueError(f"site index {n} outside 1..{code.n_sites}")
+    proj = np.zeros((code.d, code.d), dtype=complex)
+    proj[alpha, alpha] = 1.0
+    sigma = transfer_power(code, proj, n - 1)
+    return np.einsum("ab,jbc,ica->ij", sigma, code.kraus, code.kraus)
+
+
+def site_expectation(code: VbsCode, a, site: int) -> np.ndarray:
+    """Logical matrix of one adjoint site operator via bond expansion,
+    equal to d^2 chi^(site-1)/(d^2-1) t^a; an index array ``a`` gives the
+    stack of matrices."""
+    if not 1 <= site <= code.n_sites:
+        raise ValueError(f"site index {site} outside 1..{code.n_sites}")
+    return _site_term(code, [], site, code.basis.generators[a])
+
+
+def effective_noise_channel(
+    code: VbsCode, eps, bonds=None
+) -> tuple[KrausChannel, np.ndarray, float]:
+    """Random-unitary mixture of bond error gates and its one-unitary proxy.
+
+    The mixture averages exp(i chi^n sum_k eps_k t^k) uniformly over the
+    given bonds (default 1..N).  The proxy exponentiates the bond-averaged
+    scale, which for the default bond set equals :func:`qx.vbs_code.eta`.
+    Returns the mixture channel, the proxy unitary, and the trace distance
+    between their Choi matrices.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if eps.shape != (code.site_dim,):
+        raise ValueError(f"expected {code.site_dim} error components")
+    if bonds is None:
+        bonds = range(1, code.n_sites + 1)
+    bonds = [int(n) for n in bonds]
+    if not bonds:
+        raise ValueError("bond list must not be empty")
+    h = np.einsum("k,kij->ij", eps, code.basis.generators)
+    scales = code.chi ** np.array(bonds, dtype=float)
+    # one stacked call: the bond gates, then the proxy at the mean scale
+    gates = expi_hermitian(np.append(scales, scales.mean())[:, None, None] * h)
+    mixture = KrausChannel.from_kraus(gates[:-1] * (1.0 / sqrt(len(bonds))))
+    unitary = gates[-1]
+    proxy = KrausChannel.from_kraus([unitary])
+    discrepancy = trace_distance(choi_matrix(mixture), choi_matrix(proxy))
+    return mixture, unitary, discrepancy
+
+
+@dataclass(frozen=True)
+class GateCellTable:
+    """Fixed set of representative gates partitioning SU(d) at one accuracy.
+
+    Representatives are pairwise farther apart than the accuracy, so the
+    nearest-representative rule assigns non-overlapping cells.  The table
+    must be kept fixed for cell indices to define distinct logical gates.
+    """
+
+    dim: int
+    accuracy: float
+    representatives: tuple[np.ndarray, ...]
+
+
+def build_gate_cell_table(
+    dim: int, accuracy: float, n_samples: int, seed: int
+) -> GateCellTable:
+    """Greedy seeded net: sample SU(d) and keep points clearing the accuracy.
+
+    Identical (dim, accuracy, n_samples, seed) rebuild the identical table.
+    The identity is always the first representative.
+    """
+    if not accuracy > 0.0:
+        raise ValueError("accuracy must be positive")
+    basis = gell_mann_basis(dim)
+    rng = make_generator(seed)
+    reps: list[np.ndarray] = [np.eye(dim, dtype=complex)]
+    for _ in range(n_samples):
+        candidate = random_special_unitary(basis, rng)
+        if (unitary_distance(candidate, np.array(reps)) > accuracy).all():
+            reps.append(candidate)
+    return GateCellTable(dim=dim, accuracy=accuracy, representatives=tuple(reps))
+
+
+def cell_assign(table: GateCellTable, u: np.ndarray) -> int:
+    """Index of the nearest representative; ties resolve to the lowest index.
+
+    Distances are rounded to 12 decimals before comparison so exact midpoints
+    resolve deterministically.
+    """
+    if not table.representatives:
+        raise ValueError("gate-cell table is empty")
+    distances = unitary_distance(u, np.array(table.representatives))
+    return int(np.argmin(np.round(distances, TIE_DECIMALS)))
+
+
+def compose_error_bound(gate_distances) -> float:
+    """Subadditive accumulation bound: the sum of per-gate distances."""
+    total = 0.0
+    for x in gate_distances:
+        if not x >= 0.0:
+            raise ValueError("distances must be nonnegative")
+        total += float(x)
+    return total
+
+
+def trajectory_csv(trajectory: SimTrajectory) -> str:
+    """CSV rendering with columns step, ideal_vs_noisy_distance, envelope."""
+    lines = ["step,ideal_vs_noisy_distance,envelope"]
+    for step in range(trajectory.length):
+        lines.append(
+            f"{step + 1},{trajectory.distances[step]:.12g},"
+            f"{trajectory.envelopes[step]:.12g}"
+        )
+    return "\n".join(lines) + "\n"

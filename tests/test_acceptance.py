@@ -15,7 +15,7 @@ from qx import qec_core as qc
 from qx import quasi_universality as qu
 from qx import vbs_code as vc
 from qx.rng import make_generator, stable_seed
-from qx.su_algebra import gell_mann_basis, invariant_residuals, random_special_unitary
+from qx.su_algebra import expi_hermitian, gell_mann_basis, invariant_residuals, random_special_unitary
 
 MODULE_START = time.perf_counter()
 
@@ -429,7 +429,7 @@ def test_criterion_10_subsystem_checks():
     worst_gate = 0.0
     for _ in range(3):
         h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        u_t = vc.expi_hermitian((h + h.conj().T) / 2)
+        u_t = expi_hermitian((h + h.conj().T) / 2)
         encoded = base.isometry @ u_t @ base.isometry.conj().T
         encoded = encoded + np.eye(32) - base.projector()
         fitted, dev = qc.subsystem_gate_factorization(np.kron(encoded, np.eye(2)), split)

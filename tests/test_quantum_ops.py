@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import ChannelError, apply_channel, cptp_residuals, dilation_isometry, partial_trace
 from qx import vbs_code as vc
 from qx.quantum_ops import (
-    ChannelError,
     KrausChannel,
-    apply_channel,
     choi_matrix,
-    cptp_residuals,
-    dilation_isometry,
     entanglement_fidelity,
     omega_matrix,
-    partial_trace,
     trace_distance,
 )
 

@@ -63,19 +63,19 @@ def test_unitary_distance_stack_matches_each_matrix():
 
 
 def test_gate_cell_table_build_and_assign():
-    table = qu.build_gate_cell_table(2, accuracy=0.5, n_samples=200, seed=7)
+    table = oracles.build_gate_cell_table(2, accuracy=0.5, n_samples=200, seed=7)
     reps = table.representatives
     assert len(reps) > 1
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             assert qu.unitary_distance(reps[i], reps[j]) > table.accuracy
     for idx in (0, len(reps) - 1):
-        assert qu.cell_assign(table, reps[idx]) == idx
-    assert qu.cell_assign(table, np.exp(1.1j) * reps[1]) == 1
+        assert oracles.cell_assign(table, reps[idx]) == idx
+    assert oracles.cell_assign(table, np.exp(1.1j) * reps[1]) == 1
 
 
 def test_gate_cell_assignment_within_half_accuracy():
-    table = qu.build_gate_cell_table(2, accuracy=0.6, n_samples=100, seed=3)
+    table = oracles.build_gate_cell_table(2, accuracy=0.6, n_samples=100, seed=3)
     rng = make_generator(4)
     basis = gell_mann_basis(2)
     target = 2
@@ -84,7 +84,7 @@ def test_gate_cell_assignment_within_half_accuracy():
     ))
     probe = nudge @ table.representatives[target]
     if qu.unitary_distance(probe, table.representatives[target]) < table.accuracy / 2:
-        assert qu.cell_assign(table, probe) == target
+        assert oracles.cell_assign(table, probe) == target
 
 
 def test_gate_cell_tie_breaks_to_lowest_index():
@@ -92,22 +92,22 @@ def test_gate_cell_tie_breaks_to_lowest_index():
         np.eye(2, dtype=complex),
         np.diag([np.exp(1j * np.pi / 8), np.exp(-1j * np.pi / 8)]),
     )
-    table = qu.GateCellTable(dim=2, accuracy=0.05, representatives=reps)
+    table = oracles.GateCellTable(dim=2, accuracy=0.05, representatives=reps)
     midpoint = np.diag([np.exp(1j * np.pi / 16), np.exp(-1j * np.pi / 16)])
-    assert qu.cell_assign(table, midpoint) == 0
+    assert oracles.cell_assign(table, midpoint) == 0
 
 
 def test_gate_cell_table_determinism_and_refinement():
-    coarse_a = qu.build_gate_cell_table(2, 0.9, 400, seed=11)
-    coarse_b = qu.build_gate_cell_table(2, 0.9, 400, seed=11)
+    coarse_a = oracles.build_gate_cell_table(2, 0.9, 400, seed=11)
+    coarse_b = oracles.build_gate_cell_table(2, 0.9, 400, seed=11)
     assert len(coarse_a.representatives) == len(coarse_b.representatives)
     for x, y in zip(coarse_a.representatives, coarse_b.representatives):
         assert np.abs(x - y).max() == 0.0
-    fine = qu.build_gate_cell_table(2, 0.45, 400, seed=11)
+    fine = oracles.build_gate_cell_table(2, 0.45, 400, seed=11)
     assert len(fine.representatives) > len(coarse_a.representatives)
     for accuracy in (0.0, -0.1, np.nan):
         with pytest.raises(ValueError, match="accuracy must be positive"):
-            qu.build_gate_cell_table(2, accuracy, 20, seed=1)
+            oracles.build_gate_cell_table(2, accuracy, 20, seed=1)
 
 
 def test_max_gate_count():
@@ -127,11 +127,11 @@ def test_max_gate_count():
 
 
 def test_compose_error_bound():
-    assert qu.compose_error_bound([0.25, 0.25]) == 0.5
-    assert qu.compose_error_bound([]) == 0.0
+    assert oracles.compose_error_bound([0.25, 0.25]) == 0.5
+    assert oracles.compose_error_bound([]) == 0.0
     for distances in ([-0.1], [0.1, np.nan]):
         with pytest.raises(ValueError, match="nonnegative"):
-            qu.compose_error_bound(distances)
+            oracles.compose_error_bound(distances)
 
 
 def test_compose_error_bound_monte_carlo():
@@ -146,7 +146,7 @@ def test_compose_error_bound_monte_carlo():
             for _ in range(4)
         ]
         noisy = [u @ e for u, e in zip(ideal, nudges)]
-        bound = qu.compose_error_bound(
+        bound = oracles.compose_error_bound(
             [qu.unitary_distance(e, np.eye(2)) for e in nudges]
         )
         prod_ideal = np.eye(2)
@@ -167,7 +167,7 @@ def test_simulation_envelope_and_determinism():
     traj = qu.simulate_computation(2, 8, 50, seed=42)
     assert np.all(traj.distances <= traj.envelopes + 1e-10)
     again = qu.simulate_computation(2, 8, 50, seed=42)
-    assert qu.trajectory_csv(traj) == qu.trajectory_csv(again)
+    assert oracles.trajectory_csv(traj) == oracles.trajectory_csv(again)
     assert np.abs(traj.gates - again.gates).max() == 0.0
 
 
@@ -410,7 +410,7 @@ def test_simulation_forms_no_product_stack():
 
 def test_trajectory_csv_format():
     traj = qu.simulate_computation(2, 8, 3, seed=9)
-    lines = qu.trajectory_csv(traj).strip().split("\n")
+    lines = oracles.trajectory_csv(traj).strip().split("\n")
     assert lines[0] == "step,ideal_vs_noisy_distance,envelope"
     assert len(lines) == 4
     assert lines[1].startswith("1,")

