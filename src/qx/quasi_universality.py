@@ -3,18 +3,16 @@ trajectories."""
 
 from __future__ import annotations
 
-import ctypes
-import mmap
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from math import floor, isfinite, isqrt, prod
+from math import floor, isfinite
 
 import numpy as np
 
 from .rng import make_generator
-from .su_algebra import _batch_last, _expi_batch_last, _product, check_unitary, gell_mann_basis
-from . import vbs_code
+from .su_algebra import (
+    _batch_last, _expi_batch_last, _product, _u2_split, check_unitary, gell_mann_basis,
+)
 from .vbs_code import eta
 
 __all__ = [
@@ -25,20 +23,11 @@ __all__ = [
 ]
 
 UNITARY_TOL = 1e-8
-# (L, d, d) complex stacks a trajectory may hold at its peak, in the run or
-# in any read after it (tracemalloc reads at most 4.45, 4.53, 4.56 at
-# d = 2, 3, 4 and L = 20000, in the scan of ideal)
-SIM_PEAK_STACKS = 5
-# steps per chunk of a per-step kernel, whose scratch is a few chunk stacks;
-# each matrix gets the same bits whatever chunk it is in.  4096 was no faster
-# at d = 2 and L = 1e5 (the kernel makes about 330 numpy calls per chunk
-# whatever its length) and adds 0.4 MB of peak RSS
+# steps per chunk of a per-step kernel, whose scratch is a few chunk stacks
+# (4096 was no faster at d = 2); a matrix has the same bits in any chunk
 CHUNK_STEPS = 2048
-# tracemalloc bookkeeping for the array data _mapped_empty maps itself
-_TRACK = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)(
-    ("PyTraceMalloc_Track", ctypes.pythonapi))
-_UNTRACK = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t)(
-    ("PyTraceMalloc_Untrack", ctypes.pythonapi))
+# steps per block of the cumulative-product scan, a power of two
+_BLOCK = 2048
 
 
 def unitary_distance(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
@@ -71,31 +60,45 @@ def max_gate_count(target: float, accuracy: float, synthesis_error: float = 0.0)
 
 @dataclass(frozen=True)
 class SimTrajectory:
-    """One seeded noisy-computation run at the logical level.
+    """One seeded noisy-computation run at the logical level: its parameters
+    and the last noisy and ideal products, (1, d, d) stacks.
 
-    ``noisy[l]`` and ``ideal[l]`` are the cumulative products after step
-    l+1.  ``distances[l]`` is the phase-minimized distance between them;
-    ``step_errors[l]`` is the distance of the error gate E_l from the
-    identity, read off the eigenvalues of its exponent, and ``envelopes``
-    accumulates them, an upper bound on ``distances``.  All five are
-    computed on first access and cached, ``noisy`` from steps formed again;
-    ``final_distance`` reads only the last products, (1, d, d) stacks.
+    ``gates`` and ``exponents`` are drawn again on each read.  ``noisy[l]``
+    and ``ideal[l]`` are the cumulative products after step l+1, the last
+    the run's bit for bit, and ``distances[l]`` the distance between them;
+    ``step_errors[l]`` is the distance of E_l from the identity and
+    ``envelopes`` accumulates them, an upper bound on ``distances``.  These
+    five are computed on first read and cached.
     """
 
     seed: int
     length: int
     error_scale: float
-    gates: np.ndarray
-    exponents: np.ndarray
+    error_dist: str
+    explicit_gates: np.ndarray | None
     final_noisy: np.ndarray
     final_ideal: np.ndarray
 
+    def _draws(self):
+        generators = _generator_parts(gell_mann_basis(self.final_noisy.shape[-1]))
+        return generators, _chunks(
+            generators, self.length, self.seed, self.error_dist, self.explicit_gates)
+
+    @property
+    def gates(self) -> np.ndarray:
+        if self.explicit_gates is not None:
+            return self.explicit_gates
+        return _stacked((gates for gates, _ in self._draws()[1]), self.length)
+
+    @property
+    def exponents(self) -> np.ndarray:
+        return np.concatenate([exponents for _, exponents in self._draws()[1]])
+
     @cached_property
     def noisy(self) -> np.ndarray:
-        generators = _generator_parts(gell_mann_basis(self.gates.shape[-1]))
-        return _cumulative_products(
-            _step_products(generators, self.gates, self.exponents, self.error_scale)
-        )
+        generators, chunks = self._draws()
+        steps = (_steps(generators, *chunk, self.error_scale) for chunk in chunks)
+        return _cumulative_products(_stacked(steps, self.length))
 
     @cached_property
     def ideal(self) -> np.ndarray:
@@ -103,15 +106,16 @@ class SimTrajectory:
 
     @cached_property
     def step_errors(self) -> np.ndarray:
-        generators = _generator_parts(gell_mann_basis(self.gates.shape[-1]))
-        step_errors = np.empty(self.length)
-        for i in range(0, self.length, CHUNK_STEPS):
-            s = slice(i, i + CHUNK_STEPS)
-            h = np.empty(self.gates[s].shape, dtype=complex)
-            _batch_last(h)[...] = _algebra(generators, self.error_scale * self.exponents[s])
-            eigs = np.linalg.eigvalsh(h)
-            step_errors[s] = _arc_distances(np.mod(eigs + np.pi, 2.0 * np.pi) - np.pi)
-        return step_errors
+        generators, chunks = self._draws()
+        step_errors = []
+        for _, exponents in chunks:
+            h = _algebra(generators, self.error_scale * exponents)
+            if len(h[0]) == 2:  # eigenvalues -r and r
+                eigs = _u2_split(h)[2][:, None] * np.array([-1.0, 1.0])
+            else:
+                eigs = np.linalg.eigvalsh(_stacked([h], h.shape[-1]))
+            step_errors.append(_arc_distances(np.mod(eigs + np.pi, 2.0 * np.pi) - np.pi))
+        return np.concatenate(step_errors)
 
     @cached_property
     def envelopes(self) -> np.ndarray:
@@ -166,97 +170,122 @@ def _phase_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _arc_distances(np.angle(np.linalg.eigvals(relative)))
 
 
-def _mapped_empty(shape, dtype=float) -> np.ndarray:
-    """An uninitialised array in an anonymous memory mapping of its own.
+def _chunks(generators, length, seed, error_dist, gates=None):
+    """Yield each chunk's gates, (2, d, d, n) batch-last parts, and its
+    (n, q) error exponents: seeded gates are exp(i sum_k w_k t^k), w the
+    bits of one rng.normal(0, 1) of (L, q), and a second generator draws and
+    drops those before the rng.uniform(-1, 1) (or rng.normal) that follows."""
+    q = len(generators)
+    weights, rng = make_generator(seed), make_generator(seed)
+    if gates is None:
+        dropped = np.empty(CHUNK_STEPS * q)
+        for i in range(0, length * q, dropped.size):
+            rng.standard_normal(out=dropped[:length * q - i])
+    for i in range(0, length, CHUNK_STEPS):
+        n = min(CHUNK_STEPS, length - i)
+        if gates is None:
+            chunk = _expi_batch_last(_algebra(generators, weights.standard_normal((n, q))))
+        else:
+            chunk = _batch_last(gates[i:i + n])
+        uniform = error_dist == "uniform"  # rng.uniform(-1, 1) is -1 + 2 u
+        yield chunk, rng.random((n, q)) * 2.0 - 1.0 if uniform else rng.standard_normal((n, q))
 
-    glibc's malloc serves blocks below its dynamic mmap threshold, which
-    rises to the largest mapped block freed so far, from the main heap.
-    There a small block placed above a freed (L, d, d) stack keeps the
-    stack's pages, and the next trajectory's stacks go above it, so peak RSS
-    moved by one stack from one run to the next with the other allocations
-    of the process.  A mapping of its own is unmapped when its last view
-    goes.  tracemalloc counts it as numpy's own array data.
-    """
-    nbytes = prod(shape) * np.dtype(dtype).itemsize
-    pages = mmap.mmap(-1, nbytes)
-    array = np.frombuffer(pages, dtype, prod(shape)).reshape(shape)
-    address = array.ctypes.data
-    if _TRACK(np.lib.tracemalloc_domain, address, nbytes) == 0:
-        weakref.finalize(pages, _UNTRACK, np.lib.tracemalloc_domain, address)
-    return array
 
-
-def _step_products(generators, gates, exponents, scale, weights=None) -> np.ndarray:
-    """The steps G_l exp(i scale sum_k eps_k t^k), in chunks; with ``weights``
-    each gate G_l = exp(i sum_k w_k t^k) is first written into ``gates``."""
-    steps = _mapped_empty(gates.shape, complex)
-    for i in range(0, len(gates), CHUNK_STEPS):
-        s = slice(i, i + CHUNK_STEPS)
-        if weights is not None:
-            _batch_last(gates[s])[...] = _expi_batch_last(_algebra(generators, weights[s]))
-        error_gates = _expi_batch_last(_algebra(generators, scale * exponents[s]))
-        # into a contiguous buffer: accumulating in the strided view is 2x slower
-        product = np.empty(error_gates.shape)
-        _product(_batch_last(gates[s]), error_gates, product)
-        _batch_last(steps[s])[...] = product
+def _steps(generators, gates, exponents, scale) -> np.ndarray:
+    """A chunk's steps G_l exp(i scale sum_k eps_k t^k), batch-last."""
+    steps = np.empty(gates.shape)
+    _product(gates, _expi_batch_last(_algebra(generators, scale * exponents)), steps)
     return steps
 
 
+def _stacked(chunks, length: int) -> np.ndarray:
+    """The (L, d, d) complex stack of batch-last chunks of parts."""
+    out, i = None, 0
+    for parts in chunks:
+        if out is None:
+            out = np.empty((length,) + parts.shape[1:3], dtype=complex)
+        _batch_last(out[i:i + parts.shape[-1]])[...] = parts
+        i += parts.shape[-1]
+    return out
+
+
 def _slab_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for batch-last (d, d, n) slabs, as elementwise products."""
+    """a @ b for batch-last (d, d, ...) slabs, the one kernel of the product
+    tree: a matrix gets the same bits alone, broadcast or in any batch."""
     return (a[:, :, None] * b[None]).sum(1)
 
 
-def _block_prefixes(seq: np.ndarray):
-    """Yield slab j < b of the blocked scan: with the L steps cut into blocks
-    of b = isqrt(L), the last one padded with identities, it holds
-    ``seq[kb + j] @ ... @ seq[kb]`` for every block k as (d, d, n_blocks)."""
-    length, d, _ = seq.shape
-    b = isqrt(length)
-    prefix = None
-    for j in range(b):
-        steps = seq[j::b]
-        slab = np.empty((d, d, -(-length // b)), dtype=complex)
-        slab[..., : len(steps)] = steps.transpose(1, 2, 0)
-        slab[..., len(steps) :] = np.eye(d)[..., None]
-        prefix = slab if prefix is None else _slab_product(slab, prefix)
-        yield prefix
+def _levels(x: np.ndarray) -> list:
+    """The aligned pairwise tree over the last axis of a batch-last slab:
+    [x, x1, x2, ...] with x_{k+1}[j] = x_k[2j+1] @ x_k[2j], to one entry."""
+    levels = [x]
+    while x.shape[-1] > 1:
+        x = _slab_product(x[..., 1::2], x[..., :-1:2])
+        levels.append(x)
+    return levels
 
 
-def _carries(totals: np.ndarray) -> np.ndarray:
-    """For each block k, the product of the blocks before it."""
-    d, _, n_blocks = totals.shape
-    carry = np.empty_like(totals)
-    carry[..., 0] = np.eye(d)
-    for k in range(1, n_blocks):
-        carry[..., k] = totals[..., k - 1] @ carry[..., k - 1]
-    return carry
+class _RunningProduct:
+    """x_L @ ... @ x_1 of steps fed in pieces of any length, associated by
+    L alone: a piece splits into aligned power-of-two runs, reduced by
+    :func:`_levels`, whose totals go on a binary counter, where two of equal
+    length merge as newer @ older.  The counter then holds the aligned-tree
+    totals over the set bits of the steps taken, chained by :meth:`total`."""
+
+    def __init__(self, d: int):
+        self.runs, self.steps = [], 0  # (steps, product) of aligned runs, the longest first
+        self.identity = np.eye(d, dtype=complex)
+
+    def push(self, total: np.ndarray, steps: int) -> None:
+        self.steps += steps
+        while self.runs and self.runs[-1][0] == steps:
+            total = _slab_product(total, self.runs.pop()[1])
+            steps *= 2
+        self.runs.append((steps, total))
+
+    def feed(self, parts: np.ndarray) -> None:
+        """Take the next steps, as (2, d, d, n) batch-last parts."""
+        x = np.empty(parts.shape[1:], dtype=complex)
+        x.real, x.imag = parts
+        while x.shape[-1]:
+            aligned = (self.steps & -self.steps).bit_length() or 64
+            steps = 1 << (min(aligned, x.shape[-1].bit_length()) - 1)
+            self.push(_levels(x[..., :steps])[-1][..., 0], steps)
+            x = x[..., steps:]
+
+    def total(self) -> np.ndarray:
+        """The runs chained from I, longest first: a (d, d) matrix."""
+        total = self.identity
+        for _, run in self.runs:
+            total = _slab_product(run, total)
+        return total
 
 
 def _cumulative_products(seq: np.ndarray) -> np.ndarray:
-    """``seq[l] @ ... @ seq[0]`` for every l of an (L, d, d) stack: b - 1
-    in-block prefix steps for all blocks at once, one loop over the blocks
-    for the carries and b slab steps applying them, about 3 sqrt(L) batched
-    steps.  Holds two (L, d, d) stacks besides ``seq``, the prefixes and the
-    result; ``seq``, a temporary argument too, is released between them."""
+    """``seq[l] @ ... @ seq[0]`` for every l of an (L, d, d) stack.
+
+    The product of the first m steps chains the aligned-tree totals x_b over
+    the set bits b of m, high to low, from I, so the last is the total of
+    :class:`_RunningProduct` bit for bit.  Per block, from the product of
+    the blocks before, the r with bit b set (upper halves of rows of
+    2^(b+1)) take x_b[2j] of their row j on the left: a product per bit."""
     length, d, _ = seq.shape
-    prefixes = list(_block_prefixes(seq))
-    del seq
-    carry = _carries(prefixes[-1])
-    out = np.empty((carry.shape[-1], len(prefixes), d, d), dtype=complex)
-    for j, prefix in enumerate(prefixes):
-        out[:, j] = _slab_product(prefix, carry).transpose(2, 0, 1)
-    return out.reshape(-1, d, d)[:length]
-
-
-def _final_product(seq: np.ndarray) -> np.ndarray:
-    """``_cumulative_products(seq)[-1:]`` with the same bits, holding two
-    slabs instead of two (L, d, d) stacks."""
-    last = (len(seq) - 1) % isqrt(len(seq))  # the last step's place in its block
-    for j, prefix in enumerate(_block_prefixes(seq)):
-        if j == last:
-            kept = prefix
-    return np.ascontiguousarray(_slab_product(kept, _carries(prefix))[None, ..., -1])
+    out = np.empty((length, d, d), dtype=complex)
+    running = _RunningProduct(d)
+    for start in range(0, length + 1, _BLOCK):
+        levels = _levels(seq[start:start + _BLOCK].transpose(1, 2, 0))
+        last = min(levels[0].shape[-1], _BLOCK - 1)  # prefixes r = 0 .. last, padded
+        prefixes = np.empty((d, d, 1 << last.bit_length()), dtype=complex)
+        prefixes[...] = running.total()[..., None]
+        for b in reversed(range(last.bit_length())):
+            rows = prefixes.reshape(d, d, -1, 2, 1 << b)[..., :((last >> b) + 1) // 2, 1, :]
+            rows[...] = _slab_product(levels[b][..., 0:last >> b:2, None], rows)
+        if start:
+            out[start - 1] = prefixes[..., 0]
+        out[start:start + last] = prefixes[..., 1:last + 1].transpose(2, 0, 1)
+        if levels[0].shape[-1] == _BLOCK:
+            running.push(levels[-1][..., 0], _BLOCK)
+    return out
 
 
 def simulate_computation(
@@ -277,78 +306,41 @@ def simulate_computation(
     sequence or, when omitted, a seeded special-unitary stream; identical
     seeds and parameters reproduce identical trajectories.
 
-    Nothing loops over the L steps in Python.  The per-step work (the gate
-    and error exponentials and the step products G_l E_l) loops over
-    ``CHUNK_STEPS``-step chunks, batch-last and with elementwise real
-    operations only (:func:`qx.su_algebra._expi_batch_last`: the closed
-    form of U(2) at d = 2, a Taylor kernel at d >= 3), so it makes no
-    LAPACK call per matrix and no result depends on the chunking.  Only the
-    last element of each cumulative product is formed
-    (:func:`_final_product`).  At L = 1e5 and d = 2 a trajectory takes
-    about 0.1 s on a 2-vCPU OpenBLAS machine, the two final products 0.02 s
-    of it.  On read, ``noisy`` (its steps formed again) takes 0.07 s more,
-    ``ideal`` 0.03 s, ``distances`` 0.3 s and ``step_errors`` (eigvalsh of
-    the exponents) 0.15 s.
-
-    The run peaks while the chunks run: the gates, the steps, the weights
-    and the exponents, 2.75 to 2.94 (L, d, d) complex stacks, plus chunk
-    stacks of scratch, about 3 at d = 2 and 5.4 at d >= 3 (the exponent, its
-    square, two Horner buffers and a product's scratch); tracemalloc reads
-    2.87, 3.05 and 3.09 stacks at L = 1e5 and d = 2, 3, 4, and 3.35, 3.67,
-    3.72 at L = 20000.  Of the
-    reads, ``ideal``'s scan after ``noisy`` peaks highest: 4.41, 4.48, 4.50
-    stacks at L = 1e5 and 4.45, 4.53, 4.56 at L = 20000.  The budget counts
-    ``SIM_PEAK_STACKS`` = 5: a length whose 5 L d^2 amplitudes exceed
-    :data:`qx.vbs_code.DENSE_STACK_CAP` raises ValueError before any random
-    draw (about 1.6e6 steps at d = 2).
+    The run holds nothing L-long but an explicit gate stack: each
+    ``CHUNK_STEPS``-step chunk draws its gate weights and error exponents,
+    forms its gates and steps G_l E_l with the elementwise kernels of
+    :func:`qx.su_algebra._expi_batch_last`, and feeds both to a
+    :class:`_RunningProduct`, so no result depends on the chunking.  Its
+    tracemalloc peak, 11 chunk stacks at d = 2 and 12.6 at d = 3 and 4,
+    does not grow with L.
     """
     if length < 1:
         raise ValueError("computation length must be at least 1")
     if error_dist not in ("uniform", "gaussian"):
         raise ValueError(f"unknown error distribution {error_dist!r}")
-    if SIM_PEAK_STACKS * length * d * d > vbs_code.DENSE_STACK_CAP:
-        raise ValueError(
-            f"length {length} needs {SIM_PEAK_STACKS} stacks of {length}x{d}x{d} "
-            f"amplitudes, over the budget of {vbs_code.DENSE_STACK_CAP}"
-        )
-    basis = gell_mann_basis(d)
+    generators = _generator_parts(gell_mann_basis(d))
     scale = eta(d, n_sites) if error_scale is None else float(error_scale)
-    rng = make_generator(seed)
-    weights = None
-    # the weights, gates, exponents and steps in mappings of their own; the
-    # draws filled in place are the bits of rng.normal(0, 1) and of
-    # rng.uniform(-1, 1), which is -1 + 2 u
-    if gates is None:
-        weights = rng.standard_normal(out=_mapped_empty((length, basis.size)))
-        gate_stack = _mapped_empty((length, d, d), complex)
-    else:
+    if gates is not None:
         try:
-            gate_stack = np.asarray(gates, dtype=complex)
+            stack = np.asarray(gates, dtype=complex)
         except ValueError:  # ragged: the per-gate check names the first misfit
             for g in gates:
                 check_unitary(g, d, tol=UNITARY_TOL)
             raise
-        if len(gate_stack) < length:
-            raise ValueError(f"need {length} gates, got {len(gate_stack)}")
-        gate_stack = check_unitary(gate_stack, d, ndim=3, tol=UNITARY_TOL)[:length]
-        gate_stack = np.ascontiguousarray(gate_stack)  # the chunks view it batch-last
-    exponents = _mapped_empty((length, basis.size))
-    if error_dist == "uniform":
-        rng.random(out=exponents)
-        exponents *= 2.0
-        exponents -= 1.0
-    else:
-        rng.standard_normal(out=exponents)
-    steps = _step_products(_generator_parts(basis), gate_stack, exponents, scale, weights)
-    del weights
-    final_noisy = _final_product(steps)
-    del steps
+        if len(stack) < length:
+            raise ValueError(f"need {length} gates, got {len(stack)}")
+        # contiguous: the chunks view it batch-last
+        gates = np.ascontiguousarray(check_unitary(stack, d, ndim=3, tol=UNITARY_TOL)[:length])
+    noisy, ideal = _RunningProduct(d), _RunningProduct(d)
+    for gate_parts, exponents in _chunks(generators, length, seed, error_dist, gates):
+        ideal.feed(gate_parts)
+        noisy.feed(_steps(generators, gate_parts, exponents, scale))
     return SimTrajectory(
         seed=seed,
         length=length,
         error_scale=scale,
-        gates=gate_stack,
-        exponents=exponents,
-        final_noisy=final_noisy,
-        final_ideal=_final_product(gate_stack),
+        error_dist=error_dist,
+        explicit_gates=gates,
+        final_noisy=noisy.total()[None],
+        final_ideal=ideal.total()[None],
     )

@@ -253,6 +253,13 @@ def _squarings(h: np.ndarray) -> np.ndarray:
     return np.maximum(exponent - (mantissa == 0.5), 0)
 
 
+def _u2_split(h: np.ndarray):
+    """tau, delta and r of batch-last 2x2 Hermitian h = tau I + h0, h0 =
+    [[delta, h01], [h01*, -delta]], whose eigenvalues are -r and r."""
+    tau, delta = 0.5 * h[0, 0, 0] + 0.5 * h[0, 1, 1], 0.5 * h[0, 0, 0] - 0.5 * h[0, 1, 1]
+    return tau, delta, np.hypot(delta, np.hypot(h[0, 0, 1], h[1, 0, 1]))
+
+
 def _expi_batch_last(h: np.ndarray) -> np.ndarray:
     """exp(i h) for Hermitian matrices held batch-last, as (2, n, n, batch)
     real and imaginary parts; returns that layout and overwrites h.
@@ -273,9 +280,7 @@ def _expi_batch_last(h: np.ndarray) -> np.ndarray:
     """
     if h.shape[1] == 2:
         _require_finite(h)
-        tau = 0.5 * h[0, 0, 0] + 0.5 * h[0, 1, 1]
-        delta = 0.5 * h[0, 0, 0] - 0.5 * h[0, 1, 1]
-        r = np.hypot(delta, np.hypot(h[0, 0, 1], h[1, 0, 1]))
+        tau, delta, r = _u2_split(h)
         sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
         m = np.empty(h.shape)  # cos r I + i sinc h0
         m[0, 0, 0] = m[0, 1, 1] = np.cos(r)

@@ -468,18 +468,6 @@ def test_kl_dense_route_memory_bound(tmp_path):
     assert peak <= 2.6 * stack_bytes
 
 
-@pytest.mark.filterwarnings("error")
-def test_simulate_length_bounded_by_stack_size(tmp_path, monkeypatch, capsys):
-    # SIM_PEAK_STACKS stacks of 30 * 2 * 2 amplitudes fit the cap; 31 steps do not
-    monkeypatch.setattr(vc, "DENSE_STACK_CAP", qu.SIM_PEAK_STACKS * 30 * 4)
-    args = ["simulate", "--d", "2", "--n", "8", "--trials", "2", "--seed", "3"]
-    code, text = run_cli(args + ["--length", "30"], tmp_path, "ok.csv")
-    assert code == 0 and text.decode().startswith("trial,final_distance\n")
-    assert cli.main(args + ["--length", "31"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("qx: ") and err.count("\n") == 1
-
-
 def test_simulate_command(tmp_path):
     args = [
         "simulate", "--d", "2", "--n", "8", "--length", "30",

@@ -1,5 +1,3 @@
-import mmap
-import os
 import tracemalloc
 
 import numpy as np
@@ -207,14 +205,20 @@ def test_cumulative_products_match_sequential_oracle(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_final_product_is_the_last_cumulative_product(d):
-    # one block, last blocks full (4, 16, 100) and padded, chunk-sized runs
+    # the streamed total, fed in uneven pieces, against the scan's last
+    # element: powers of two and their neighbours (one block among them),
+    # one block and a few steps, several blocks and a remainder
     rng = np.random.default_rng(10 + d)
-    lengths = [1, 2, 3, 4, 5, 15, 16, 17, 99, 100, 101]
-    for length in lengths + [qu.CHUNK_STEPS - 1, qu.CHUNK_STEPS + 1, 10007]:
+    block = qu._BLOCK
+    lengths = {2**k + e for k in range(13) for e in (-1, 0, 1)} - {0}
+    lengths |= {block - 1, block + 1, 3 * block + 5, 10007}
+    for length in sorted(lengths):
         seq = random_unitaries(rng, length, d)
-        got = qu._final_product(seq)
-        assert got.shape == (1, d, d) and got.flags.c_contiguous
-        assert np.array_equal(got, qu._cumulative_products(seq)[-1:]), (d, length)
+        running = qu._RunningProduct(d)
+        cuts = np.sort(rng.integers(0, length + 1, size=3))
+        for piece in np.split(seq, cuts):
+            running.feed(qu._batch_last(piece))
+        assert np.array_equal(running.total(), qu._cumulative_products(seq)[-1]), (d, length)
 
 
 SEQUENTIAL_CASES = [
@@ -267,6 +271,18 @@ def test_d2_trajectory_matches_the_eigh_exponential(error_dist):
     assert traj.final_distance == traj.distances[-1]
 
 
+def test_d2_step_errors_match_eigvalsh():
+    # the closed-form eigenvalues -r and r against eigvalsh of the
+    # exponents, with r from near 0 to past pi (at error scale 8, r = 4 |eps|
+    # reaches 4 sqrt(3))
+    traj = qu.simulate_computation(2, 8, 3000, seed=8, error_scale=8.0)
+    h = traj.error_scale * np.tensordot(traj.exponents, gell_mann_basis(2).generators, axes=1)
+    eigs = np.linalg.eigvalsh(h)
+    assert eigs.min() < 0.1 and eigs.max() > 1.5 * np.pi
+    want = qu._arc_distances(np.mod(eigs + np.pi, 2.0 * np.pi) - np.pi)
+    np.testing.assert_allclose(traj.step_errors, want, rtol=0, atol=1e-14)
+
+
 def test_simulation_rejects_bad_explicit_gates():
     gates = [np.eye(2, dtype=complex)] * 6
     bad = gates[:3] + [np.diag([1.0, 1.0 + 1e-6])] + gates[4:]
@@ -311,83 +327,47 @@ def test_simulation_does_not_depend_on_the_chunking(monkeypatch, chunk, d, expli
             assert_chunk_invariant(monkeypatch, chunk, d, length, explicit, error_dist)
 
 
-@pytest.mark.filterwarnings("error")
-def test_simulation_length_bounded_by_stack_budget(monkeypatch):
-    # the budget counts SIM_PEAK_STACKS (L, d, d) stacks of 30 * 2 * 2 amplitudes
-    monkeypatch.setattr(qu.vbs_code, "DENSE_STACK_CAP", qu.SIM_PEAK_STACKS * 30 * 4)
-    assert qu.simulate_computation(2, 8, 30, seed=1).length == 30
-    with pytest.raises(ValueError, match="budget"):
-        qu.simulate_computation(2, 8, 31, seed=1)
-    with pytest.raises(ValueError, match="budget"):
-        qu.simulate_computation(3, 8, 30, seed=1)
-
-
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_simulation_peak_within_stated_stack_count(d):
-    # the run and each read after it, long enough that numpy's fixed ~0.1 MB
-    # of buffers does not count
-    length = 20000
-    qu.simulate_computation(d, 8, length, seed=3)
+def test_simulation_peak_does_not_grow_with_length(d):
+    # the run holds nothing L-long: tracemalloc reads the same peak at 2e4
+    # and 2e5 steps, a few chunk stacks of scratch (9.96 at d = 2, 11.6 at
+    # d = 3 and 4)
+    chunk_stack = qu.CHUNK_STEPS * d * d * 16
+    qu.simulate_computation(d, 8, 100, seed=3)  # numpy's own first-call buffers
     peaks = []
-    tracemalloc.start()
-    try:
-        traj = qu.simulate_computation(d, 8, length, seed=3)
-        for name in ("noisy", "ideal", "distances", "step_errors"):
+    for length in (20000, 200000):
+        tracemalloc.start()
+        try:
+            qu.simulate_computation(d, 8, length, seed=3)
             peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.reset_peak()
-            getattr(traj, name)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
-    assert max(peaks) <= qu.SIM_PEAK_STACKS * length * d * d * 16, peaks
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.05 * chunk_stack, peaks
+    assert max(peaks) <= 14 * chunk_stack, peaks
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-def test_simulation_peak_holds_for_any_cpu_count(monkeypatch, d):
-    # the chunks run on the calling thread, so a machine that reports 64
-    # CPUs peaks no higher
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    test_simulation_peak_within_stated_stack_count(d)
-
-
-def _buffer_owner(array):
-    while isinstance(array, np.ndarray) and array.base is not None:
-        array = array.base
-    return array.obj if isinstance(array, memoryview) else array
-
-
+@pytest.mark.parametrize("explicit", [False, True], ids=["seeded", "explicit"])
 @pytest.mark.parametrize("dist", ["uniform", "gaussian"])
-def test_simulation_stacks_are_mapped_draws_unchanged(dist):
-    # the stacks sit in mappings of their own, off malloc's heap, and the
-    # draws filled in place keep the bits of rng.normal and rng.uniform
+def test_simulation_draws_keep_the_bits_of_one_draw(monkeypatch, dist, explicit):
+    # drawn a chunk at a time, the gate weights and the exponents that
+    # follow them keep the bits of one rng.normal and one rng.uniform (or
+    # rng.normal) over the whole run
+    monkeypatch.setattr(qu, "CHUNK_STEPS", 7)
     length, d = 1000, 3
-    traj = qu.simulate_computation(d, 8, length, seed=5, error_dist=dist)
-    assert isinstance(_buffer_owner(traj.gates), mmap.mmap)
-    assert isinstance(_buffer_owner(traj.exponents), mmap.mmap)
+    gates = random_unitaries(np.random.default_rng(1), length, d) if explicit else None
+    traj = qu.simulate_computation(d, 8, length, seed=5, gates=gates, error_dist=dist)
     rng = make_generator(5)
-    rng.normal(0.0, 1.0, size=(length, d * d - 1))
+    if not explicit:
+        weights = rng.normal(0.0, 1.0, size=(length, d * d - 1))
+        generators = qu._generator_parts(gell_mann_basis(d))
+        want = np.empty((length, d, d), dtype=complex)
+        qu._batch_last(want)[...] = qu._expi_batch_last(qu._algebra(generators, weights))
+        assert np.array_equal(traj.gates, want)
     if dist == "uniform":
         want = rng.uniform(-1.0, 1.0, size=(length, d * d - 1))
     else:
         want = rng.normal(0.0, 1.0, size=(length, d * d - 1))
     assert np.array_equal(traj.exponents.view(np.int64), want.view(np.int64))
-
-
-def test_mapped_empty_counts_in_tracemalloc_while_alive():
-    # the mapping and the small Python objects that keep it
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        stack = qu._mapped_empty((1000, 2, 2), complex)
-        stack[...] = 1.0
-        alive = tracemalloc.get_traced_memory()[0]
-        del stack
-        gone = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert 1000 * 2 * 2 * 16 <= alive - before < 1000 * 2 * 2 * 16 + 4096
-    assert gone - before < 1024
 
 
 def test_simulation_forms_no_product_stack():
@@ -405,7 +385,7 @@ def test_simulation_forms_no_product_stack():
     finally:
         tracemalloc.stop()
     assert built <= 3.25 * stack
-    assert read <= qu.SIM_PEAK_STACKS * stack
+    assert read <= 5 * stack
 
 
 def test_trajectory_csv_format():
