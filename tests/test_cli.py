@@ -520,10 +520,12 @@ def test_simulate_forms_no_cumulative_product_stack(tmp_path, monkeypatch):
 SIMULATE_PINS = [
     # re-captured at commit 81f2a79, whose closed-form 2x2 exponential moved
     # the final distances by at most 3.4e-14 relative; one printed digit
-    # changed, trial 73's 0.0902468984583 -> 0.0902468984582
+    # changed, trial 73's 0.0902468984583 -> 0.0902468984582; and again at
+    # commit bc82a21, whose product tree moved them by at most 3.3e-14 and
+    # trial 73 back to 0.0902468984583, the digest of commit 013ecb7
     (
         ["--d", "2", "--n", "8", "--length", "100", "--trials", "200", "--seed", "7"],
-        "cd91e86888400b72c45637e669cacca90dfa999942eefc5473bb2b2fe3c29da4",
+        "cbf5b21464a2be6fba112f00bfd81c1a2772a1cede16382dbd2164d552b1c650",
     ),
     (
         ["--d", "3", "--n", "4", "--length", "2000", "--trials", "3"],
