@@ -336,7 +336,9 @@ def correlation_closed_form(code: VbsCode, a, b, m: int, n) -> np.ndarray:
     Index arrays ``a`` and ``b`` broadcast to a stack of matrices; an array
     ``n`` shaped to broadcast against that stack gives one stack per bond.
     """
-    mat = code.chi**n * code.basis.h_t[b, a]
+    h_t, every = code.basis.h_t, np.arange(code.basis.size)
+    full = np.array_equal(a, every[:, None]) and np.array_equal(b, every[None, :])
+    mat = code.chi**n * (h_t.swapaxes(0, 1) if full else h_t[b, a])  # the full range: a view
     diagonal = np.equal(a, b)[..., None, None]
     return mat + diagonal * (code.chi ** (n - m) / (2.0 * code.d) * np.eye(code.d))
 
