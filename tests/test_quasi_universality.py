@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -328,7 +329,7 @@ def test_simulation_does_not_depend_on_the_chunking(monkeypatch, chunk, d, expli
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_simulation_peak_does_not_grow_with_length(d):
+def test_simulation_peak_within_stated_stack_count(d):
     # the run holds nothing L-long: tracemalloc reads the same peak at 2e4
     # and 2e5 steps, a few chunk stacks of scratch (6.8 at d = 2, 8.1 at
     # d = 3 and 4)
@@ -344,6 +345,15 @@ def test_simulation_peak_does_not_grow_with_length(d):
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.05 * chunk_stack, peaks
     assert max(peaks) <= 10 * chunk_stack, peaks
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_simulation_peak_holds_for_any_cpu_count(monkeypatch, d):
+    # the chunks run on the calling thread, so a machine that reports 64
+    # CPUs peaks no higher
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    test_simulation_peak_within_stated_stack_count(d)
 
 
 @pytest.mark.parametrize("explicit", [False, True], ids=["seeded", "explicit"])
