@@ -10,9 +10,7 @@ from math import floor, isfinite
 import numpy as np
 
 from .rng import make_generator
-from .su_algebra import (
-    _batch_last, _expi_batch_last, _product, _u2_split, check_unitary, gell_mann_basis,
-)
+from .su_algebra import _expi_batch_last, _product, _u2_split, check_unitary, gell_mann_basis
 from .vbs_code import eta
 
 __all__ = [
@@ -80,7 +78,7 @@ class SimTrajectory:
     final_ideal: np.ndarray
 
     def _draws(self):
-        generators = _generator_parts(gell_mann_basis(self.final_noisy.shape[-1]))
+        generators = gell_mann_basis(self.final_noisy.shape[-1]).generators
         return generators, _chunks(
             generators, self.length, self.seed, self.error_dist, self.explicit_gates)
 
@@ -110,10 +108,10 @@ class SimTrajectory:
         step_errors = []
         for _, exponents in chunks:
             h = _algebra(generators, self.error_scale * exponents)
-            if h.shape[1] == 2:  # eigenvalues -r and r
+            if h.shape[0] == 2:  # eigenvalues -r and r
                 eigs = _u2_split(h)[2][:, None] * np.array([-1.0, 1.0])
             else:
-                eigs = np.linalg.eigvalsh(_stacked([h], h.shape[-1]))
+                eigs = np.linalg.eigvalsh(h.transpose(2, 0, 1))
             step_errors.append(_arc_distances(np.mod(eigs + np.pi, 2.0 * np.pi) - np.pi))
         return np.concatenate(step_errors)
 
@@ -136,21 +134,15 @@ class SimTrajectory:
         return float(_phase_distances(self.final_noisy, self.final_ideal)[0])
 
 
-def _generator_parts(basis) -> np.ndarray:
-    """The generators t^k as (q, 2, d, d, 1) real and imaginary parts, ready
-    to broadcast against a batch."""
-    return np.stack((basis.generators.real, basis.generators.imag), axis=1)[..., None]
-
-
 def _algebra(generators: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """sum_k c_k t^k for each row c of an (L, q) array, batch-last as
-    (2, d, d, L) parts; summed term by term in order of k, so each matrix
-    has the same bits whatever the batch (a BLAS product would take a
-    different kernel for a one-column batch)."""
+    """sum_k c_k t^k for the (q, d, d) generators and each row c of an
+    (L, q) array, batch-last as (d, d, L); summed term by term in order of
+    k, so each matrix has the same bits whatever the batch (a BLAS product
+    would take a different kernel for a one-column batch)."""
     columns = np.ascontiguousarray(coefficients.T)
-    out = generators[0] * columns[0]
+    out = generators[0, ..., None] * columns[0]
     for g, c in zip(generators[1:], columns[1:]):
-        out += g * c
+        out += g[..., None] * c
     return out
 
 
@@ -171,7 +163,7 @@ def _phase_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _chunks(generators, length, seed, error_dist, gates=None):
-    """Yield each chunk's gates, (2, d, d, n) batch-last parts, and its
+    """Yield each chunk's gates, batch-last as (d, d, n), and its
     (n, q) error exponents: seeded gates are exp(i sum_k w_k t^k), w the
     bits of one rng.normal(0, 1) of (L, q), and a second generator draws and
     drops those before the rng.uniform(-1, 1) (or rng.normal) that follows."""
@@ -186,41 +178,33 @@ def _chunks(generators, length, seed, error_dist, gates=None):
         if gates is None:
             chunk = _expi_batch_last(_algebra(generators, weights.standard_normal((n, q))))
         else:
-            chunk = _batch_last(gates[i:i + n])
+            chunk = np.ascontiguousarray(gates[i:i + n].transpose(1, 2, 0))
         uniform = error_dist == "uniform"  # rng.uniform(-1, 1) is -1 + 2 u
         yield chunk, rng.random((n, q)) * 2.0 - 1.0 if uniform else rng.standard_normal((n, q))
 
 
 def _steps(generators, gates, exponents, scale) -> np.ndarray:
     """A chunk's steps G_l exp(i scale sum_k eps_k t^k), batch-last."""
-    steps = np.empty(gates.shape)
-    _product(gates, _expi_batch_last(_algebra(generators, scale * exponents)), steps)
-    return steps
+    return _product(gates, _expi_batch_last(_algebra(generators, scale * exponents)))
 
 
 def _stacked(chunks, length: int) -> np.ndarray:
-    """The (L, d, d) complex stack of batch-last chunks of parts."""
+    """The (L, d, d) stack of batch-last chunks."""
     out, i = None, 0
-    for parts in chunks:
+    for chunk in chunks:
         if out is None:
-            out = np.empty((length,) + parts.shape[1:3], dtype=complex)
-        _batch_last(out[i:i + parts.shape[-1]])[...] = parts
-        i += parts.shape[-1]
+            out = np.empty((length,) + chunk.shape[:2], dtype=complex)
+        out[i:i + chunk.shape[-1]] = chunk.transpose(2, 0, 1)
+        i += chunk.shape[-1]
     return out
 
 
-def _slab_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for batch-last (d, d, ...) slabs, the one kernel of the product
-    tree: a matrix gets the same bits alone, broadcast or in any batch."""
-    return (a[:, :, None] * b[None]).sum(1)
-
-
 def _levels(x: np.ndarray) -> list:
-    """The aligned pairwise tree over the last axis of a batch-last slab:
+    """The aligned pairwise tree over the last axis of batch-last x:
     [x, x1, x2, ...] with x_{k+1}[j] = x_k[2j+1] @ x_k[2j], to one entry."""
     levels = [x]
     while x.shape[-1] > 1:
-        x = _slab_product(x[..., 1::2], x[..., :-1:2])
+        x = _product(x[..., 1::2], x[..., :-1:2])
         levels.append(x)
     return levels
 
@@ -239,14 +223,12 @@ class _RunningProduct:
     def push(self, total: np.ndarray, steps: int) -> None:
         self.steps += steps
         while self.runs and self.runs[-1][0] == steps:
-            total = _slab_product(total, self.runs.pop()[1])
+            total = _product(total, self.runs.pop()[1])
             steps *= 2
         self.runs.append((steps, total))
 
-    def feed(self, parts: np.ndarray) -> None:
-        """Take the next steps, as (2, d, d, n) batch-last parts."""
-        x = np.empty(parts.shape[1:], dtype=complex)
-        x.real, x.imag = parts
+    def feed(self, x: np.ndarray) -> None:
+        """Take the next steps, batch-last as (d, d, n)."""
         while x.shape[-1]:
             aligned = (self.steps & -self.steps).bit_length() or 64
             steps = 1 << (min(aligned, x.shape[-1].bit_length()) - 1)
@@ -257,7 +239,7 @@ class _RunningProduct:
         """The runs chained from I, longest first: a (d, d) matrix."""
         total = self.identity
         for _, run in self.runs:
-            total = _slab_product(run, total)
+            total = _product(run, total)
         return total
 
 
@@ -279,7 +261,7 @@ def _cumulative_products(seq: np.ndarray) -> np.ndarray:
         prefixes[...] = running.total()[..., None]
         for b in reversed(range(last.bit_length())):
             rows = prefixes.reshape(d, d, -1, 2, 1 << b)[..., :((last >> b) + 1) // 2, 1, :]
-            rows[...] = _slab_product(levels[b][..., 0:last >> b:2, None], rows)
+            rows[...] = _product(levels[b][..., 0:last >> b:2, None], rows)
         if start:
             out[start - 1] = prefixes[..., 0]
         out[start:start + last] = prefixes[..., 1:last + 1].transpose(2, 0, 1)
@@ -309,16 +291,17 @@ def simulate_computation(
     The run holds nothing L-long but an explicit gate stack: each
     ``CHUNK_STEPS``-step chunk draws its gate weights and error exponents,
     forms its gates and steps G_l E_l with the elementwise kernels of
-    :func:`qx.su_algebra._expi_batch_last`, and feeds both to a
+    :func:`qx.su_algebra._expi_batch_last` and :func:`qx.su_algebra._product`,
+    and feeds both to a
     :class:`_RunningProduct`, so no result depends on the chunking.  Its
-    tracemalloc peak, 6.8 chunk stacks at d = 2 and 8.1 at d = 3 and 4,
-    does not grow with L.
+    tracemalloc peak, 6.8 chunk stacks at d = 2, 8.3 at d = 3 and 8.2 at
+    d = 4, does not grow with L.
     """
     if length < 1:
         raise ValueError("computation length must be at least 1")
     if error_dist not in ("uniform", "gaussian"):
         raise ValueError(f"unknown error distribution {error_dist!r}")
-    generators = _generator_parts(gell_mann_basis(d))
+    generators = gell_mann_basis(d).generators
     scale = eta(d, n_sites) if error_scale is None else float(error_scale)
     if gates is not None:
         try:
@@ -329,12 +312,11 @@ def simulate_computation(
             raise
         if len(stack) < length:
             raise ValueError(f"need {length} gates, got {len(stack)}")
-        # contiguous: the chunks view it batch-last
-        gates = np.ascontiguousarray(check_unitary(stack, d, ndim=3, tol=UNITARY_TOL)[:length])
+        gates = check_unitary(stack, d, ndim=3, tol=UNITARY_TOL)[:length]
     noisy, ideal = _RunningProduct(d), _RunningProduct(d)
-    for gate_parts, exponents in _chunks(generators, length, seed, error_dist, gates):
-        ideal.feed(gate_parts)
-        noisy.feed(_steps(generators, gate_parts, exponents, scale))
+    for chunk, exponents in _chunks(generators, length, seed, error_dist, gates):
+        ideal.feed(chunk)
+        noisy.feed(_steps(generators, chunk, exponents, scale))
     return SimTrajectory(
         seed=seed,
         length=length,

@@ -197,40 +197,29 @@ def check_unitary(u: np.ndarray, dim=None, ndim: int = 2, tol: float = UNITARY_T
     return u
 
 
-def _batch_last(u: np.ndarray) -> np.ndarray:
-    """The (2, n, n, batch) real and imaginary parts of a (batch, n, n)
-    complex stack, as a view: writing to it writes the stack."""
-    return u.view(np.float64).reshape(u.shape + (2,)).transpose(3, 1, 2, 0)
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for complex matrices held batch-last, (n, n, ...), whose batch
+    axes broadcast.
 
-
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = a @ b for batch-last matrices held as (2, n, n, batch) real and
-    imaginary parts; out may not overlap a or b.
-
-    Entry (i, j) sums its 4n real products a_ik b_kj in a fixed order with
-    elementwise real operations only, so its bits do not depend on where
-    the matrix sits in the batch or on the batch length.  (numpy's complex
-    multiply fuses operations on some of its loops and not on others, and a
-    BLAS product may switch kernels with the batch length.)
+    Entry (i, j) sums a_ik b_kj over k in order, one elementwise complex
+    multiply and one add per k, so each matrix gets the same bits alone as
+    broadcast, strided or anywhere in any batch, as long as numpy's complex
+    multiply and add round each element alike on every loop they take
+    (contiguous or strided, vector body or tail).  tests/test_su_algebra.py
+    checks that at n = 2..8.  A BLAS product may switch kernels with the
+    batch length, and a sum over a (n, n, n, ...) temporary would hold n
+    stacks.
     """
-    tmp = np.empty(out.shape)
-    for k in range(a.shape[1]):
-        row = b[:, None, k]  # (2, 1, n, batch): row k of both parts
-        if k == 0:
-            np.multiply(a[0, :, k, None], row, out=out)
-        else:
-            np.multiply(a[0, :, k, None], row, out=tmp)
-            out += tmp
-        # the imaginary part of a_ik times (Im, Re) of row k: i Im(a_ik) b_kj
-        np.multiply(a[1, :, k, None], row[::-1], out=tmp)
-        out[0] -= tmp[0]
-        out[1] += tmp[1]
+    out = a[:, :1] * b[None, 0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k:k + 1] * b[None, k]
+    return out
 
 
 def _add_identity(x: np.ndarray, c: float) -> None:
-    """x += c I for batch-last parts x, (2, n, n, batch)."""
-    for i in range(x.shape[1]):
-        x[0, i, i] += c
+    """x += c I for batch-last matrices x, (n, n, batch)."""
+    for i in range(x.shape[0]):
+        x[i, i] += c
 
 
 def _require_finite(x: np.ndarray) -> None:
@@ -240,13 +229,13 @@ def _require_finite(x: np.ndarray) -> None:
 
 
 def _squarings(h: np.ndarray) -> np.ndarray:
-    """Per matrix of a batch-last h, (2, n, n, batch), the least s >= 0 with
+    """Per matrix of a batch-last h, (n, n, batch), the least s >= 0 with
     ||h||_1 2^-s <= 1, the 1-norm bounded by column sums of |Re| + |Im|.
     Raises ValueError for a NaN or infinite entry."""
-    column = np.zeros(h.shape[2:])
-    for i in range(h.shape[1]):
-        column += np.abs(h[0, i])
-        column += np.abs(h[1, i])
+    column = np.zeros(h.shape[1:])
+    for row in h:
+        column += np.abs(row.real)
+        column += np.abs(row.imag)
     norm = column.max(axis=0)
     _require_finite(norm)
     mantissa, exponent = np.frexp(norm)  # norm = m 2^e with m in [1/2, 1)
@@ -256,13 +245,14 @@ def _squarings(h: np.ndarray) -> np.ndarray:
 def _u2_split(h: np.ndarray):
     """tau, delta and r of batch-last 2x2 Hermitian h = tau I + h0, h0 =
     [[delta, h01], [h01*, -delta]], whose eigenvalues are -r and r."""
-    tau, delta = 0.5 * h[0, 0, 0] + 0.5 * h[0, 1, 1], 0.5 * h[0, 0, 0] - 0.5 * h[0, 1, 1]
-    return tau, delta, np.hypot(delta, np.hypot(h[0, 0, 1], h[1, 0, 1]))
+    h00, h11 = h[0, 0].real, h[1, 1].real
+    tau, delta = 0.5 * h00 + 0.5 * h11, 0.5 * h00 - 0.5 * h11
+    return tau, delta, np.hypot(delta, np.hypot(h[0, 1].real, h[0, 1].imag))
 
 
 def _expi_batch_last(h: np.ndarray) -> np.ndarray:
-    """exp(i h) for Hermitian matrices held batch-last, as (2, n, n, batch)
-    real and imaginary parts; returns that layout and overwrites h.
+    """exp(i h) for complex Hermitian matrices held batch-last, (n, n,
+    batch); returns that layout.
 
     At n = 2, the closed form of U(2): with h = tau I + h0, h0 traceless,
     h0^2 = r^2 I and exp(i h) = e^(i tau) (cos r I + i (sin r / r) h0).  It
@@ -273,56 +263,44 @@ def _expi_batch_last(h: np.ndarray) -> np.ndarray:
     :func:`_squarings`, has 1-norm at most 1; the degree-18 Taylor
     polynomial of exp(x) is summed by Horner's rule in x^2 with linear
     blocks, 9 products (:func:`_product`); then each matrix is squared s
-    times.  Both are elementwise real operations on each matrix alone, so a
-    matrix has the same bits alone as anywhere in any batch, and a zero
-    matrix gives the identity exactly.  A NaN or infinite entry raises
-    ValueError before any work.
+    times.  Both are elementwise operations on each matrix alone, so a
+    matrix has the same bits alone as anywhere in any batch on the terms
+    :func:`_product` states, and a zero matrix gives the identity exactly.
+    A NaN or infinite entry raises ValueError before any work.
     """
-    if h.shape[1] == 2:
+    if h.shape[0] == 2:
         _require_finite(h)
         tau, delta, r = _u2_split(h)
-        sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
-        m = np.empty(h.shape)  # cos r I + i sinc h0
-        m[0, 0, 0] = m[0, 1, 1] = np.cos(r)
-        np.multiply(sinc, delta, out=m[1, 0, 0])
-        np.negative(m[1, 0, 0], out=m[1, 1, 1])
-        np.multiply(sinc, h[1, 0, 1], out=m[0, 1, 0])
-        np.negative(m[0, 1, 0], out=m[0, 0, 1])
-        np.multiply(sinc, h[0, 0, 1], out=m[1, 0, 1])
-        m[1, 1, 0] = m[1, 0, 1]
-        # times e^(i tau)
-        cos_tau, sin_tau = np.cos(tau), np.sin(tau)
-        np.multiply(m, cos_tau, out=h)
-        h[0] -= m[1] * sin_tau
-        h[1] += m[0] * sin_tau
-        return h
+        i_sinc = 1j * np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
+        u = np.empty(h.shape, dtype=complex)  # cos r I + i sinc h0
+        cos_r = np.cos(r)
+        u[0, 0] = cos_r + i_sinc * delta
+        u[1, 1] = cos_r - i_sinc * delta
+        u[0, 1] = i_sinc * h[0, 1]
+        u[1, 0] = i_sinc * h[0, 1].conj()
+        phase = np.empty(tau.shape, dtype=complex)  # e^(i tau)
+        phase.real, phase.imag = np.cos(tau), np.sin(tau)
+        u *= phase
+        return u
     squarings = _squarings(h)
-    # x = i h 2^-s in place: parts (-Im h, Re h) 2^-s, swapped by a view
-    x = h[::-1]
-    np.ldexp(x, -squarings, out=x)
-    np.negative(x[0], out=x[0])
-    x2 = np.empty(x.shape)
-    _product(x, x, x2)
+    x = h * (1j * np.ldexp(1.0, -squarings))  # i h 2^-s, exactly
+    x2 = _product(x, x)
     # sum_k c_k x^k = sum_j (c_2j + c_2j+1 x) x^2j, Horner in x^2
-    y = np.multiply(x2, _TAYLOR[-1])
+    y = x2 * _TAYLOR[-1]
     y += _TAYLOR[-2] * x
     _add_identity(y, _TAYLOR[-3])
-    out = np.empty(x.shape)
     for j in range(len(_TAYLOR) // 2 - 2, -1, -1):
-        _product(y, x2, out)
-        out += _TAYLOR[2 * j + 1] * x
-        _add_identity(out, _TAYLOR[2 * j])
-        y, out = out, y
+        y = _product(y, x2)
+        y += _TAYLOR[2 * j + 1] * x
+        _add_identity(y, _TAYLOR[2 * j])
     del x, x2
     for j in range(int(squarings.max(initial=0))):
         active = np.flatnonzero(squarings > j)
         if len(active) == len(squarings):
-            _product(y, y, out)
-            y, out = out, y
+            y = _product(y, y)
         else:
             sub = y[..., active]
-            _product(sub, sub, out[..., : len(active)])
-            y[..., active] = out[..., : len(active)]
+            y[..., active] = _product(sub, sub)
     return y
 
 
@@ -342,22 +320,19 @@ def expi_hermitian(h: np.ndarray) -> np.ndarray:
     growing about as 2^s eps: for n <= 6 and ||h|| <= 50 the result is
     within 1e-13 max(1, ||h||) of the eigendecomposition exponential and
     within 1e-13 of unitary.  Each matrix gives the same bits alone as in
-    any stack.  A NaN or infinite entry raises ValueError before any work:
-    its norm would ask for unbounded squarings.
+    any stack: both kernels are elementwise, and their matrix product is
+    :func:`_product`.  A NaN or infinite entry raises ValueError before any
+    work: its norm would ask for unbounded squarings.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {h.shape}")
-    stack = np.ascontiguousarray(h.reshape((-1,) + h.shape[-2:]))
-    parts = _batch_last(stack)
-    sym = np.empty(parts.shape)
+    stack = h.reshape((-1,) + h.shape[-2:]).transpose(1, 2, 0)
+    sym = np.empty(stack.shape, dtype=complex)
     with np.errstate(invalid="ignore"):  # inf - inf: the kernel rejects it by name
-        np.add(parts[0], parts[0].swapaxes(0, 1), out=sym[0])
-        np.subtract(parts[1], parts[1].swapaxes(0, 1), out=sym[1])
-    sym *= 0.5
-    u = np.empty_like(stack)
-    _batch_last(u)[...] = _expi_batch_last(sym)
-    return u.reshape(h.shape)
+        np.add(stack, stack.swapaxes(0, 1).conj(), out=sym)
+        sym *= 0.5
+    return np.ascontiguousarray(_expi_batch_last(sym).transpose(2, 0, 1)).reshape(h.shape)
 
 
 def random_special_unitary(

@@ -62,6 +62,39 @@ def test_every_exported_name_has_a_reader():
     assert not unread, f"exported names nothing reads: {unread}"
 
 
+def _private_definitions(tree):
+    """Names of the private functions, classes and constants a parsed module
+    defines at its top level; dunder names such as __all__ are not private."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [node.id for target in targets for node in ast.walk(target)
+                     if isinstance(node, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.endswith("__"))
+
+
+def test_every_private_name_has_a_reader():
+    # a private module-level name is read by qx code outside its own
+    # definition; one that only tests still read is dead code
+    paths = sorted(SRC.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    reads = defaultdict(set)  # name -> (file, owner) of each load
+    for path, tree in trees.items():
+        for node, owner in _loads(tree):
+            reads[getattr(node, "id", None) or node.attr].add((path, owner))
+    unread = [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        for name in _private_definitions(tree)
+        if not reads[name] - {(path, name)}
+    ]
+    assert not unread, f"private names no qx code reads: {unread}"
+
+
 def test_every_module_import_is_read():
     # pure ast, as no lint tool is a dependency: each name a module imports
     # at its top level is loaded by a bare name somewhere in that module,

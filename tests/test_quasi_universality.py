@@ -218,7 +218,7 @@ def test_final_product_is_the_last_cumulative_product(d):
         running = qu._RunningProduct(d)
         cuts = np.sort(rng.integers(0, length + 1, size=3))
         for piece in np.split(seq, cuts):
-            running.feed(qu._batch_last(piece))
+            running.feed(piece.transpose(1, 2, 0))
         assert np.array_equal(running.total(), qu._cumulative_products(seq)[-1]), (d, length)
 
 
@@ -331,8 +331,8 @@ def test_simulation_does_not_depend_on_the_chunking(monkeypatch, chunk, d, expli
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_simulation_peak_within_stated_stack_count(d):
     # the run holds nothing L-long: tracemalloc reads the same peak at 2e4
-    # and 2e5 steps, a few chunk stacks of scratch (6.8 at d = 2, 8.1 at
-    # d = 3 and 4)
+    # and 2e5 steps, a few chunk stacks of scratch (6.8 at d = 2, 8.3 at
+    # d = 3, 8.2 at d = 4)
     chunk_stack = qu.CHUNK_STEPS * d * d * 16
     qu.simulate_computation(d, 8, 100, seed=3)  # numpy's own first-call buffers
     peaks = []
@@ -369,9 +369,9 @@ def test_simulation_draws_keep_the_bits_of_one_draw(monkeypatch, dist, explicit)
     rng = make_generator(5)
     if not explicit:
         weights = rng.normal(0.0, 1.0, size=(length, d * d - 1))
-        generators = qu._generator_parts(gell_mann_basis(d))
+        generators = gell_mann_basis(d).generators
         want = np.empty((length, d, d), dtype=complex)
-        qu._batch_last(want)[...] = qu._expi_batch_last(qu._algebra(generators, weights))
+        want[...] = qu._expi_batch_last(qu._algebra(generators, weights)).transpose(2, 0, 1)
         assert np.array_equal(traj.gates, want)
     if dist == "uniform":
         want = rng.uniform(-1.0, 1.0, size=(length, d * d - 1))

@@ -9,6 +9,7 @@ from qx.su_algebra import (
     check_unitary,
     expi_hermitian,
     gell_mann_basis,
+    _product,
     invariant_residuals,
     random_special_unitary,
     structure_constants,
@@ -216,6 +217,30 @@ def test_expi_hermitian_of_zero_is_identity_exactly():
     assert expi_hermitian(np.zeros((0, 2, 2))).shape == (0, 2, 2)
     with pytest.raises(ValueError, match="square"):
         expi_hermitian(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_batch_last_product_bits_do_not_depend_on_the_batch(d):
+    # the one matrix product of the exponential and of qx simulate: a
+    # matrix gets the same bits alone, in batches of 1, 7 and 2049,
+    # broadcast against a batch-1 operand, read from a strided view and
+    # with an extra batch axis
+    rng = np.random.default_rng(40 + d)
+    re, im = rng.normal(size=(2, 2, d, d, 2049))
+    a, b = re + 1j * im
+    full = _product(a, b)
+    extra = _product(a.reshape(d, d, 3, 683), b.reshape(d, d, 3, 683))
+    odd = _product(a[..., 1::2], b[..., 1::2])
+    for i in (1, 7, 1001, 2047):
+        alone = _product(a[..., i].copy(), b[..., i].copy())
+        assert np.array_equal(_product(a[..., i:i + 1], b[..., i:i + 1])[..., 0], alone)
+        start = min(max(i - 3, 0), 2049 - 7)
+        assert np.array_equal(_product(a[..., start:start + 7], b[..., start:start + 7])[..., i - start], alone)
+        assert np.array_equal(full[..., i], alone)
+        assert np.array_equal(_product(a[..., i:i + 1], b)[..., i], alone)
+        assert np.array_equal(_product(a, b[..., i:i + 1])[..., i], alone)
+        assert np.array_equal(odd[..., i // 2], alone)
+        assert np.array_equal(extra[..., i // 683, i % 683], alone)
 
 
 def two_by_two(rng, norms):
