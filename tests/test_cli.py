@@ -522,10 +522,13 @@ SIMULATE_PINS = [
     # the final distances by at most 3.4e-14 relative; one printed digit
     # changed, trial 73's 0.0902468984583 -> 0.0902468984582; and again at
     # commit bc82a21, whose product tree moved them by at most 3.3e-14 and
-    # trial 73 back to 0.0902468984583, the digest of commit 013ecb7
+    # trial 73 back to 0.0902468984583, the digest of commit 013ecb7; and
+    # again at commit 8cb85cb, whose complex batch-last product moved them
+    # by at most 2.4e-14 relative and trial 73 to 0.0902468984582
+    # (0.09024689845825026 -> 0.09024689845824982)
     (
         ["--d", "2", "--n", "8", "--length", "100", "--trials", "200", "--seed", "7"],
-        "cbf5b21464a2be6fba112f00bfd81c1a2772a1cede16382dbd2164d552b1c650",
+        "cd91e86888400b72c45637e669cacca90dfa999942eefc5473bb2b2fe3c29da4",
     ),
     (
         ["--d", "3", "--n", "4", "--length", "2000", "--trials", "3"],
