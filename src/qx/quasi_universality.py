@@ -24,8 +24,6 @@ UNITARY_TOL = 1e-8
 # steps per chunk of a per-step kernel, whose scratch is a few chunk stacks
 # (4096 was no faster at d = 2); a matrix has the same bits in any chunk
 CHUNK_STEPS = 2048
-# steps per block of the cumulative-product scan, a power of two
-_BLOCK = 2048
 
 
 def unitary_distance(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
@@ -66,7 +64,8 @@ class SimTrajectory:
     the run's bit for bit, and ``distances[l]`` the distance between them;
     ``step_errors[l]`` is the distance of E_l from the identity and
     ``envelopes`` accumulates them, an upper bound on ``distances``.  These
-    five are computed on first read and cached.
+    five are computed on first read and cached; ``distances`` compares the
+    prefixes of the run's scan chunk by chunk, holding nothing L-long.
     """
 
     seed: int
@@ -92,15 +91,24 @@ class SimTrajectory:
     def exponents(self) -> np.ndarray:
         return np.concatenate([exponents for _, exponents in self._draws()[1]])
 
+    def _stepped(self):
+        """Yield each chunk's steps and gates, batch-last."""
+        generators, chunks = self._draws()
+        for gates, exponents in chunks:
+            yield _steps(generators, gates, exponents, self.error_scale), gates
+
+    def _prefixes(self, chunks) -> np.ndarray:
+        """The (L, d, d) stack of the products after each step of the chunks."""
+        running = _RunningProduct(self.final_noisy.shape[-1])
+        return _stacked((running.feed(chunk, prefixes=True) for chunk in chunks), self.length)
+
     @cached_property
     def noisy(self) -> np.ndarray:
-        generators, chunks = self._draws()
-        steps = (_steps(generators, *chunk, self.error_scale) for chunk in chunks)
-        return _cumulative_products(_stacked(steps, self.length))
+        return self._prefixes(steps for steps, _ in self._stepped())
 
     @cached_property
     def ideal(self) -> np.ndarray:
-        return _cumulative_products(self.gates)
+        return self._prefixes(gates for gates, _ in self._draws()[1])
 
     @cached_property
     def step_errors(self) -> np.ndarray:
@@ -121,12 +129,12 @@ class SimTrajectory:
 
     @cached_property
     def distances(self) -> np.ndarray:
-        noisy, ideal = self.noisy, self.ideal
-        distances = np.empty(self.length)
-        for i in range(0, self.length, CHUNK_STEPS):
-            s = slice(i, i + CHUNK_STEPS)
-            distances[s] = _phase_distances(noisy[s], ideal[s])
-        return distances
+        d = self.final_noisy.shape[-1]
+        noisy, ideal = _RunningProduct(d), _RunningProduct(d)
+        return np.concatenate([
+            _phase_distances(noisy.feed(steps, prefixes=True).transpose(2, 0, 1),
+                             ideal.feed(gates, prefixes=True).transpose(2, 0, 1))
+            for steps, gates in self._stepped()])
 
     @property
     def final_distance(self) -> float:
@@ -214,7 +222,9 @@ class _RunningProduct:
     L alone: a piece splits into aligned power-of-two runs, reduced by
     :func:`_levels`, whose totals go on a binary counter, where two of equal
     length merge as newer @ older.  The counter then holds the aligned-tree
-    totals over the set bits of the steps taken, chained by :meth:`total`."""
+    totals over the set bits of the steps taken, chained by :meth:`total`;
+    the product after step m, as :meth:`feed` returns it, chains them over
+    the set bits of m, so the last is the total bit for bit."""
 
     def __init__(self, d: int):
         self.runs, self.steps = [], 0  # (steps, product) of aligned runs, the longest first
@@ -227,13 +237,28 @@ class _RunningProduct:
             steps *= 2
         self.runs.append((steps, total))
 
-    def feed(self, x: np.ndarray) -> None:
-        """Take the next steps, batch-last as (d, d, n)."""
-        while x.shape[-1]:
+    def feed(self, x: np.ndarray, prefixes: bool = False) -> np.ndarray | None:
+        """Take the next steps, batch-last as (d, d, n); with ``prefixes``,
+        return the product after each, (d, d, n): in a run, those whose count
+        has bit b set take its level-b total on the left, a product per bit."""
+        d, _, n = x.shape
+        out = np.empty((d, d, n + 1), dtype=complex) if prefixes else None  # after 0 .. n steps
+        i = 0
+        while i < n:
             aligned = (self.steps & -self.steps).bit_length() or 64
-            steps = 1 << (min(aligned, x.shape[-1].bit_length()) - 1)
-            self.push(_levels(x[..., :steps])[-1][..., 0], steps)
-            x = x[..., steps:]
+            steps = 1 << (min(aligned, (n - i).bit_length()) - 1)
+            levels = _levels(x[..., i:i + steps])
+            if prefixes:
+                run = out[..., i:i + steps]  # after 0 .. steps - 1 of its steps
+                run[...] = self.total()[..., None]
+                for b in reversed(range(len(levels) - 1)):
+                    rows = run.reshape(d, d, -1, 2, 1 << b)[..., 1, :]
+                    rows[...] = _product(levels[b][..., ::2, None], rows)
+            self.push(levels[-1][..., 0], steps)
+            i += steps
+        if prefixes:
+            out[..., n] = self.total()
+            return out[..., 1:]
 
     def total(self) -> np.ndarray:
         """The runs chained from I, longest first: a (d, d) matrix."""
@@ -241,33 +266,6 @@ class _RunningProduct:
         for _, run in self.runs:
             total = _product(run, total)
         return total
-
-
-def _cumulative_products(seq: np.ndarray) -> np.ndarray:
-    """``seq[l] @ ... @ seq[0]`` for every l of an (L, d, d) stack.
-
-    The product of the first m steps chains the aligned-tree totals x_b over
-    the set bits b of m, high to low, from I, so the last is the total of
-    :class:`_RunningProduct` bit for bit.  Per block, from the product of
-    the blocks before, the r with bit b set (upper halves of rows of
-    2^(b+1)) take x_b[2j] of their row j on the left: a product per bit."""
-    length, d, _ = seq.shape
-    out = np.empty((length, d, d), dtype=complex)
-    running = _RunningProduct(d)
-    for start in range(0, length + 1, _BLOCK):
-        levels = _levels(seq[start:start + _BLOCK].transpose(1, 2, 0))
-        last = min(levels[0].shape[-1], _BLOCK - 1)  # prefixes r = 0 .. last, padded
-        prefixes = np.empty((d, d, 1 << last.bit_length()), dtype=complex)
-        prefixes[...] = running.total()[..., None]
-        for b in reversed(range(last.bit_length())):
-            rows = prefixes.reshape(d, d, -1, 2, 1 << b)[..., :((last >> b) + 1) // 2, 1, :]
-            rows[...] = _product(levels[b][..., 0:last >> b:2, None], rows)
-        if start:
-            out[start - 1] = prefixes[..., 0]
-        out[start:start + last] = prefixes[..., 1:last + 1].transpose(2, 0, 1)
-        if levels[0].shape[-1] == _BLOCK:
-            running.push(levels[-1][..., 0], _BLOCK)
-    return out
 
 
 def simulate_computation(
@@ -292,10 +290,9 @@ def simulate_computation(
     ``CHUNK_STEPS``-step chunk draws its gate weights and error exponents,
     forms its gates and steps G_l E_l with the elementwise kernels of
     :func:`qx.su_algebra._expi_batch_last` and :func:`qx.su_algebra._product`,
-    and feeds both to a
-    :class:`_RunningProduct`, so no result depends on the chunking.  Its
-    tracemalloc peak, 6.8 chunk stacks at d = 2, 8.3 at d = 3 and 8.2 at
-    d = 4, does not grow with L.
+    and feeds both to a :class:`_RunningProduct`, so no result depends on
+    the chunking.  Its tracemalloc peak, 6.8 chunk stacks at d = 2, 8.3 at
+    d = 3 and 8.2 at d = 4, does not grow with L.
     """
     if length < 1:
         raise ValueError("computation length must be at least 1")

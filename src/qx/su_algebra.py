@@ -191,6 +191,8 @@ def check_unitary(u: np.ndarray, dim=None, ndim: int = 2, tol: float = UNITARY_T
         raise ValueError(f"expected a square matrix, got shape {u.shape[ndim - 2:]}")
     if dim is not None and u.shape[-1] != dim:
         raise ValueError(f"expected dimension {dim}, got {u.shape[-1]}")
+    if not np.isfinite(u).all():  # the norm's SVD would not converge
+        raise ValueError("matrix is not unitary")
     gram = np.swapaxes(u.conj(), -1, -2) @ u - np.eye(u.shape[-1])
     if np.any(np.linalg.norm(gram, 2, axis=(-2, -1)) > tol):
         raise ValueError("matrix is not unitary")

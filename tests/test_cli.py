@@ -500,13 +500,14 @@ def test_simulate_reads_only_the_last_step(tmp_path, monkeypatch):
 
 def test_simulate_forms_no_cumulative_product_stack(tmp_path, monkeypatch):
     lengths = []
-    cumulative_products = qu._cumulative_products
+    feed = qu._RunningProduct.feed
 
-    def spy(seq):
-        lengths.append(len(seq))
-        return cumulative_products(seq)
+    def spy(running, x, prefixes=False):
+        if prefixes:
+            lengths.append(x.shape[-1])
+        return feed(running, x, prefixes)
 
-    monkeypatch.setattr(qu, "_cumulative_products", spy)
+    monkeypatch.setattr(qu._RunningProduct, "feed", spy)
     args = ["simulate", "--d", "2", "--n", "8", "--length", "500", "--trials", "3"]
     code, _ = run_cli(args, tmp_path, "final.csv")
     assert code == 0 and lengths == []

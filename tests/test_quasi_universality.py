@@ -193,13 +193,20 @@ def random_unitaries(rng, length, d):
     return np.linalg.qr(z)[0]
 
 
+def prefix_scan(seq):
+    """The products after each step of an (L, d, d) stack fed whole to a
+    running product, as an (L, d, d) stack."""
+    running = qu._RunningProduct(seq.shape[-1])
+    return running.feed(seq.transpose(1, 2, 0), prefixes=True).transpose(2, 0, 1)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_cumulative_products_match_sequential_oracle(d):
     # squares, non-squares and lengths shorter than one block
     rng = np.random.default_rng(d)
     for length in [1, 2, 3, 4, 5, 15, 16, 17, 99, 100, 101]:
         seq = random_unitaries(rng, length, d)
-        got = qu._cumulative_products(seq)
+        got = prefix_scan(seq)
         assert got.shape == (length, d, d)
         np.testing.assert_allclose(got, oracles.sequential_products(seq), rtol=0, atol=1e-12)
 
@@ -210,7 +217,7 @@ def test_final_product_is_the_last_cumulative_product(d):
     # element: powers of two and their neighbours (one block among them),
     # one block and a few steps, several blocks and a remainder
     rng = np.random.default_rng(10 + d)
-    block = qu._BLOCK
+    block = qu.CHUNK_STEPS
     lengths = {2**k + e for k in range(13) for e in (-1, 0, 1)} - {0}
     lengths |= {block - 1, block + 1, 3 * block + 5, 10007}
     for length in sorted(lengths):
@@ -219,7 +226,27 @@ def test_final_product_is_the_last_cumulative_product(d):
         cuts = np.sort(rng.integers(0, length + 1, size=3))
         for piece in np.split(seq, cuts):
             running.feed(piece.transpose(1, 2, 0))
-        assert np.array_equal(running.total(), qu._cumulative_products(seq)[-1]), (d, length)
+        assert np.array_equal(running.total(), prefix_scan(seq)[-1]), (d, length)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_prefixes_fed_in_pieces_match_the_whole(d):
+    # pieces cut at odd counts start runs that are not aligned, so each is
+    # split into runs the whole sequence never takes; empty pieces too
+    rng = np.random.default_rng(20 + d)
+    block = qu.CHUNK_STEPS
+    lengths = {2**k + e for k in range(13) for e in (-1, 0, 1)} - {0}
+    lengths |= {block - 1, block + 1, 3 * block + 5, 10007}
+    for length in sorted(lengths):
+        seq = random_unitaries(rng, length, d)
+        running = qu._RunningProduct(d)
+        cuts = np.minimum(np.sort(rng.integers(0, length + 1, size=4) | 1), length)
+        got = np.concatenate([
+            running.feed(piece.transpose(1, 2, 0), prefixes=True)
+            for piece in np.split(seq, cuts)], axis=-1).transpose(2, 0, 1)
+        assert np.array_equal(got, prefix_scan(seq)), (d, length)
+        assert np.array_equal(got[-1], running.total()), (d, length)
+        np.testing.assert_allclose(got, oracles.sequential_products(seq), rtol=0, atol=1e-12)
 
 
 SEQUENTIAL_CASES = [
@@ -297,6 +324,15 @@ def test_simulation_rejects_bad_explicit_gates():
     # inside the 1e-8 tolerance still passes
     near = gates[:3] + [np.diag([1.0, 1.0 + 1e-9])] + gates[4:]
     assert qu.simulate_computation(2, 8, 6, seed=0, gates=near).length == 6
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_simulation_rejects_non_finite_explicit_gates(entry):
+    gate = np.eye(2, dtype=complex)
+    gate[0, 1] = entry
+    with pytest.raises(ValueError, match="not unitary"):
+        qu.simulate_computation(2, 8, 2, seed=0, gates=[np.eye(2), gate])
 
 
 TRAJECTORY_ARRAYS = ("gates", "exponents", "step_errors", "envelopes", "noisy", "ideal", "distances")
@@ -396,6 +432,26 @@ def test_simulation_forms_no_product_stack():
         tracemalloc.stop()
     assert built <= 3.25 * stack
     assert read <= 5 * stack
+
+
+def test_reading_distances_holds_nothing_long_but_its_result():
+    # distances compares the prefixes of the run's scan chunk by chunk: from
+    # 2e4 to 2e5 steps its tracemalloc peak grows by the reals it returns
+    # and the per-chunk pieces it concatenates, and stays below one
+    # (L, d, d) stack
+    d, lengths, peaks = 2, (20000, 200000), []
+    chunk_stack = qu.CHUNK_STEPS * d * d * 16
+    for length in lengths:
+        traj = qu.simulate_computation(d, 8, length, seed=3)
+        tracemalloc.start()
+        try:
+            traj.distances
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    reals = 8 * (lengths[1] - lengths[0])
+    assert peaks[1] - peaks[0] <= 2 * reals + 0.05 * chunk_stack, peaks
+    assert peaks[1] < lengths[1] * d * d * 16, peaks
 
 
 def test_trajectory_csv_format():

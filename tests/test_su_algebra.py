@@ -190,6 +190,18 @@ def test_check_unitary_tolerance_and_stacks():
         check_unitary(stack)  # a stack where one matrix was expected
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_check_unitary_rejects_non_finite_entries(entry):
+    # refused before the operator-norm SVD, which would warn and not converge
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = entry
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(u)
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary(np.stack([np.eye(2), u]), 2, ndim=3)
+
+
 def test_expi_hermitian_stack_matches_each_matrix():
     rng = np.random.default_rng(5)
     m = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
