@@ -59,13 +59,14 @@ class SimTrajectory:
     """One seeded noisy-computation run at the logical level: its parameters
     and the last noisy and ideal products, (1, d, d) stacks.
 
-    ``gates`` and ``exponents`` are drawn again on each read.  ``noisy[l]``
-    and ``ideal[l]`` are the cumulative products after step l+1, the last
-    the run's bit for bit, and ``distances[l]`` the distance between them;
-    ``step_errors[l]`` is the distance of E_l from the identity and
-    ``envelopes`` accumulates them, an upper bound on ``distances``.  These
-    five are computed on first read and cached; ``distances`` compares the
-    prefixes of the run's scan chunk by chunk, holding nothing L-long.
+    ``gates`` and ``exponents`` are drawn again on each read; explicit gates
+    are a read-only copy of the first L given.  ``distances[l]`` is the
+    distance between the noisy and ideal products after step l+1, the last
+    ``final_distance`` bit for bit; ``step_errors[l]`` is the distance of
+    E_l from the identity and ``envelopes`` accumulates them, an upper bound
+    on ``distances``.  These three are computed on first read and cached;
+    ``distances`` compares the prefixes of the run's scan chunk by chunk,
+    holding nothing L-long but its result.
     """
 
     seed: int
@@ -85,30 +86,11 @@ class SimTrajectory:
     def gates(self) -> np.ndarray:
         if self.explicit_gates is not None:
             return self.explicit_gates
-        return _stacked((gates for gates, _ in self._draws()[1]), self.length)
+        return np.concatenate([gates.transpose(2, 0, 1) for gates, _ in self._draws()[1]])
 
     @property
     def exponents(self) -> np.ndarray:
         return np.concatenate([exponents for _, exponents in self._draws()[1]])
-
-    def _stepped(self):
-        """Yield each chunk's steps and gates, batch-last."""
-        generators, chunks = self._draws()
-        for gates, exponents in chunks:
-            yield _steps(generators, gates, exponents, self.error_scale), gates
-
-    def _prefixes(self, chunks) -> np.ndarray:
-        """The (L, d, d) stack of the products after each step of the chunks."""
-        running = _RunningProduct(self.final_noisy.shape[-1])
-        return _stacked((running.feed(chunk, prefixes=True) for chunk in chunks), self.length)
-
-    @cached_property
-    def noisy(self) -> np.ndarray:
-        return self._prefixes(steps for steps, _ in self._stepped())
-
-    @cached_property
-    def ideal(self) -> np.ndarray:
-        return self._prefixes(gates for gates, _ in self._draws()[1])
 
     @cached_property
     def step_errors(self) -> np.ndarray:
@@ -130,11 +112,14 @@ class SimTrajectory:
     @cached_property
     def distances(self) -> np.ndarray:
         d = self.final_noisy.shape[-1]
+        generators, chunks = self._draws()
         noisy, ideal = _RunningProduct(d), _RunningProduct(d)
-        return np.concatenate([
-            _phase_distances(noisy.feed(steps, prefixes=True).transpose(2, 0, 1),
-                             ideal.feed(gates, prefixes=True).transpose(2, 0, 1))
-            for steps, gates in self._stepped()])
+        distances = []
+        for gates, exponents in chunks:
+            steps = _steps(generators, gates, exponents, self.error_scale)
+            distances.append(_phase_distances(noisy.feed(steps, prefixes=True).transpose(2, 0, 1),
+                                              ideal.feed(gates, prefixes=True).transpose(2, 0, 1)))
+        return np.concatenate(distances)
 
     @property
     def final_distance(self) -> float:
@@ -194,17 +179,6 @@ def _chunks(generators, length, seed, error_dist, gates=None):
 def _steps(generators, gates, exponents, scale) -> np.ndarray:
     """A chunk's steps G_l exp(i scale sum_k eps_k t^k), batch-last."""
     return _product(gates, _expi_batch_last(_algebra(generators, scale * exponents)))
-
-
-def _stacked(chunks, length: int) -> np.ndarray:
-    """The (L, d, d) stack of batch-last chunks."""
-    out, i = None, 0
-    for chunk in chunks:
-        if out is None:
-            out = np.empty((length,) + chunk.shape[:2], dtype=complex)
-        out[i:i + chunk.shape[-1]] = chunk.transpose(2, 0, 1)
-        i += chunk.shape[-1]
-    return out
 
 
 def _levels(x: np.ndarray) -> list:
@@ -309,7 +283,8 @@ def simulate_computation(
             raise
         if len(stack) < length:
             raise ValueError(f"need {length} gates, got {len(stack)}")
-        gates = check_unitary(stack, d, ndim=3, tol=UNITARY_TOL)[:length]
+        gates = check_unitary(stack, d, ndim=3, tol=UNITARY_TOL)[:length].copy()
+        gates.flags.writeable = False  # the reads hand it out
     noisy, ideal = _RunningProduct(d), _RunningProduct(d)
     for chunk, exponents in _chunks(generators, length, seed, error_dist, gates):
         ideal.feed(chunk)

@@ -511,9 +511,9 @@ def test_simulate_forms_no_cumulative_product_stack(tmp_path, monkeypatch):
     args = ["simulate", "--d", "2", "--n", "8", "--length", "500", "--trials", "3"]
     code, _ = run_cli(args, tmp_path, "final.csv")
     assert code == 0 and lengths == []
-    # the spy sees the stack a library caller asks for
-    assert qu.simulate_computation(2, 8, 5, seed=1).ideal.shape == (5, 2, 2)
-    assert lengths == [5]
+    # the spy sees the prefixes a library caller asks for
+    assert qu.simulate_computation(2, 8, 5, seed=1).distances.shape == (5,)
+    assert lengths == [5, 5]
 
 
 # sha256 of stdout captured at commit 013ecb7, where every per-step

@@ -188,6 +188,19 @@ def test_simulation_explicit_gates_and_validation():
         qu.simulate_computation(2, 8, 5, seed=0, error_dist="poisson")
 
 
+def test_explicit_gates_do_not_alias_the_callers_array():
+    # the reads draw the gates again, so a caller who reuses the buffer
+    # after the run must not change them
+    given = random_unitaries(np.random.default_rng(3), 12, 2)
+    kept = given[:10].copy()
+    traj = qu.simulate_computation(2, 8, 10, seed=0, gates=given)
+    given[:] = np.eye(2)
+    assert np.array_equal(traj.gates, kept)
+    assert traj.final_distance == traj.distances[-1]
+    with pytest.raises(ValueError):
+        traj.gates[0] = np.eye(2)
+
+
 def random_unitaries(rng, length, d):
     z = rng.normal(size=(length, d, d)) + 1j * rng.normal(size=(length, d, d))
     return np.linalg.qr(z)[0]
@@ -335,7 +348,9 @@ def test_simulation_rejects_non_finite_explicit_gates(entry):
         qu.simulate_computation(2, 8, 2, seed=0, gates=[np.eye(2), gate])
 
 
-TRAJECTORY_ARRAYS = ("gates", "exponents", "step_errors", "envelopes", "noisy", "ideal", "distances")
+TRAJECTORY_ARRAYS = (
+    "gates", "exponents", "step_errors", "envelopes", "distances", "final_noisy", "final_ideal",
+)
 
 
 def chunked_trajectory(monkeypatch, chunk, d, length, explicit, error_dist, seed=4):
@@ -418,7 +433,7 @@ def test_simulation_draws_keep_the_bits_of_one_draw(monkeypatch, dist, explicit)
 
 def test_simulation_forms_no_product_stack():
     # the run and final_distance hold no (L, d, d) cumulative product;
-    # reading noisy, ideal and distances then stays within the budget
+    # reading distances then stays within the budget
     length, d = 100000, 2
     stack = length * d * d * 16
     tracemalloc.start()
@@ -426,7 +441,7 @@ def test_simulation_forms_no_product_stack():
         traj = qu.simulate_computation(d, 8, length, seed=3)
         traj.final_distance
         _, built = tracemalloc.get_traced_memory()
-        traj.noisy, traj.ideal, traj.distances
+        traj.distances
         _, read = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
