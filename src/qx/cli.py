@@ -179,7 +179,8 @@ def cmd_kl(args) -> int:
             raise UsageError("valence-bond codes take a bond error model")
         bonds = _parse_bonds(args.errors, code)
         k = 1 + len(bonds) * code.site_dim
-        # the dense route holds K error stacks of d_Q x d_L amplitudes each
+        # the dense route holds K error stacks of d_Q x d_L amplitudes each,
+        # and two row-block slabs of them while it sums the Gram product
         if (
             code.dense_size <= vbs_code.DENSE_CAP
             and k * code.dense_size * code.d <= vbs_code.DENSE_STACK_CAP
@@ -213,7 +214,9 @@ def cmd_kl(args) -> int:
         n_qubits = int(iso.d_q).bit_length() - 1
         if n_qubits < 1 or 2**n_qubits != iso.d_q:
             raise UsageError("pauli1 errors need a physical space of one or more qubits")
-        # the route allocates the 3n stacks P_i V, then one family copy of V and them
+        # the route allocates the 3n stacks P_i V, then two row-block slabs of V
+        # and them; the bound counts the stacks and a whole copy of V and them,
+        # about twice the peak where it binds
         amplitudes = (6 * n_qubits + 1) * iso.d_q * iso.d_l
         if amplitudes > vbs_code.DENSE_STACK_CAP:
             raise UsageError(f"pauli1 on a {iso.d_q}x{iso.d_l} isometry needs {amplitudes} "

@@ -1,11 +1,12 @@
 """Correctability conditions, canonical recovery, and gate-structure checks.
 
 Errors enter only as code-state stacks E V of shape (d_Q, d_L): a family of
-K of them is a sequence of the stacks, copied once side by side so that
-every sum over d_Q is one Gram product.  That sum is made once, in
-:func:`error_compressions`; the report, the recovery, its logical channel
-and the subsystem check read only the d_L-sized blocks V+ E_i+ E_j V after
-it.  A transversal generator is applied to V one site at a time.  The only
+K of them is a sequence of the stacks.  The sum over d_Q is made once, in
+:func:`error_compressions`, as one Gram product summed over row blocks
+gathered from the stacks, so the stacks are held once plus two row-block
+slabs, never side by side in one copy; the report, the recovery, its logical channel and the
+subsystem check read only the d_L-sized blocks V+ E_i+ E_j V after it.  A
+transversal generator is applied to V one site at a time.  The only
 physical d_Q x d_Q arrays are the gates handed to
 :func:`logical_operator_check` and :func:`subsystem_gate_factorization`,
 :meth:`CodeIsometry.projector`, and the physical-space oracle
@@ -52,8 +53,8 @@ __all__ = [
 ISOMETRY_TOL = 1e-12
 CUTOFF_REL = 1e-12
 DENSE_RECOVERY_CAP = 4096
-# rows per product in _adjoint_product: bounds the conjugated copy of its
-# left operand (1.7 MB for the 27 columns of the vbs:3:4 bond family)
+# rows per product in _gram: bounds its row-block slab and that slab's
+# conjugated copy (1.8 MB each for the 27 columns of the vbs:3:5 bond family)
 _ROW_BLOCK = 4096
 
 
@@ -74,7 +75,7 @@ class CodeIsometry:
         if v.ndim != 2 or not 0 < v.shape[1] <= v.shape[0]:
             raise ValueError(f"isometry shape {v.shape} is not tall or has no column")
         with np.errstate(all="ignore"):  # a non-finite Gram matrix fails below
-            gram = _adjoint_product(v, v) - np.eye(v.shape[1])
+            gram = _gram([v]) - np.eye(v.shape[1])
         if not np.abs(gram).max() <= ISOMETRY_TOL:
             raise ValueError("columns are not orthonormal")
         if self.site_dims is not None:
@@ -95,42 +96,60 @@ class CodeIsometry:
         return self.isometry @ self.isometry.conj().T
 
 
-def _error_family(code: CodeIsometry, stacks) -> np.ndarray:
-    """Code-state stacks E_i V side by side, as one (d_Q, K*d_L) operand.
-
-    ``stacks`` is a sequence of K (d_Q, d_L) stacks, a list or an array whose
-    first axis runs over the errors; K = 0 is an error.  Each stack.T is
-    copied once into a (K, d_L, d_Q) row buffer, whose Fortran-ordered
-    transpose is returned; the copies of Fortran-ordered views, as
-    :func:`qx.vbs_code.bond_error_stacks` gives, are contiguous.
-    """
+def _check_family(code: CodeIsometry, stacks) -> None:
+    """Raise ValueError unless ``stacks`` is a non-empty sequence of
+    (d_Q, d_L) stacks, a list or an array whose first axis runs over the
+    errors."""
     shape = (code.d_q, code.d_l)
     for got in map(np.shape, stacks):
         if got != shape:
             raise ValueError(f"error stack shape {got} is not (d_Q, d_L) = {shape}")
     if not len(stacks):
         raise ValueError("error list must not be empty")
+
+
+def _error_family(code: CodeIsometry, stacks) -> np.ndarray:
+    """Code-state stacks E_i V side by side, as one (d_Q, K*d_L) operand,
+    for the physical-space oracle :func:`recovery_from_kl` alone.
+
+    Each stack.T is copied once into a (K, d_L, d_Q) row buffer, whose
+    Fortran-ordered transpose is returned.
+    """
+    _check_family(code, stacks)
     rows = np.empty((len(stacks), code.d_l, code.d_q), dtype=complex)
     for row, stack in zip(rows, stacks):
         row.T[...] = stack
     return rows.reshape(-1, code.d_q).T
 
 
-def _adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a+ b for (n, p) and (n, m) arrays, summed over blocks of
-    ``_ROW_BLOCK`` rows; numpy conjugates a copy, so only one block of ``a``
-    is copied at a time."""
-    product = a[:_ROW_BLOCK].conj().T @ b[:_ROW_BLOCK]
-    for lo in range(_ROW_BLOCK, len(a), _ROW_BLOCK):
-        product += a[lo:lo + _ROW_BLOCK].conj().T @ b[lo:lo + _ROW_BLOCK]
-    return product
+def _gram(stacks) -> np.ndarray:
+    """A+ A for the K (n, p) ``stacks`` side by side as A, (n, K*p), summed
+    over blocks of ``_ROW_BLOCK`` rows: rows lo:hi of every stack are
+    gathered into one reused C-ordered (K*p, rows) slab S, and S.conj() @ S.T
+    is added.  S.T has the Fortran layout of rows lo:hi of a copy of A, so
+    each block product has the bits it would have there; nothing the size
+    of A is copied."""
+    k, (n, p) = len(stacks), np.shape(stacks[0])
+    buffer = np.empty(k * p * min(n, _ROW_BLOCK), dtype=complex)
+    gram = None
+    for lo in range(0, n, _ROW_BLOCK):
+        rows = min(_ROW_BLOCK, n - lo)
+        slab = buffer[:k * p * rows].reshape(k * p, rows)
+        for part, stack in zip(slab.reshape(k, p, rows), stacks):
+            part[...] = stack[lo:lo + rows].T
+        term = slab.conj() @ slab.T
+        if gram is None:
+            gram = term
+        else:
+            gram += term
+    return gram
 
 
 def error_compressions(code: CodeIsometry, errors) -> np.ndarray:
     """Tensor M[i, j] = V+ E_i+ E_j V of shape (K, K, d_L, d_L)."""
-    family = _error_family(code, errors)
+    _check_family(code, errors)
     k, d_l = len(errors), code.d_l
-    return _adjoint_product(family, family).reshape(k, d_l, k, d_l).transpose(0, 2, 1, 3)
+    return _gram(errors).reshape(k, d_l, k, d_l).transpose(0, 2, 1, 3)
 
 
 @dataclass(frozen=True)

@@ -77,26 +77,33 @@ class SimTrajectory:
     final_noisy: np.ndarray
     final_ideal: np.ndarray
 
-    def _draws(self):
-        generators = gell_mann_basis(self.final_noisy.shape[-1]).generators
-        return generators, _chunks(
-            generators, self.length, self.seed, self.error_dist, self.explicit_gates)
+    def _generators(self) -> np.ndarray:
+        return gell_mann_basis(self.final_noisy.shape[-1]).generators
+
+    def _gate_stream(self, generators):
+        return _gate_chunks(generators, self.length, self.seed, self.explicit_gates)
+
+    def _exponent_stream(self):
+        d = self.final_noisy.shape[-1]
+        return _exponent_chunks(d * d - 1, self.length, self.seed, self.error_dist,
+                                seeded=self.explicit_gates is None)
 
     @property
     def gates(self) -> np.ndarray:
         if self.explicit_gates is not None:
             return self.explicit_gates
-        return np.concatenate([gates.transpose(2, 0, 1) for gates, _ in self._draws()[1]])
+        chunks = self._gate_stream(self._generators())
+        return np.concatenate([chunk.transpose(2, 0, 1) for chunk in chunks])
 
     @property
     def exponents(self) -> np.ndarray:
-        return np.concatenate([exponents for _, exponents in self._draws()[1]])
+        return np.concatenate(list(self._exponent_stream()))
 
     @cached_property
     def step_errors(self) -> np.ndarray:
-        generators, chunks = self._draws()
+        generators = self._generators()
         step_errors = []
-        for _, exponents in chunks:
+        for exponents in self._exponent_stream():
             h = _algebra(generators, self.error_scale * exponents)
             if h.shape[0] == 2:  # eigenvalues -r and r
                 eigs = _u2_split(h)[2][:, None] * np.array([-1.0, 1.0])
@@ -112,10 +119,10 @@ class SimTrajectory:
     @cached_property
     def distances(self) -> np.ndarray:
         d = self.final_noisy.shape[-1]
-        generators, chunks = self._draws()
+        generators = self._generators()
         noisy, ideal = _RunningProduct(d), _RunningProduct(d)
         distances = []
-        for gates, exponents in chunks:
+        for gates, exponents in zip(self._gate_stream(generators), self._exponent_stream()):
             steps = _steps(generators, gates, exponents, self.error_scale)
             distances.append(_phase_distances(noisy.feed(steps, prefixes=True).transpose(2, 0, 1),
                                               ideal.feed(gates, prefixes=True).transpose(2, 0, 1)))
@@ -155,25 +162,32 @@ def _phase_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _arc_distances(np.angle(np.linalg.eigvals(relative)))
 
 
-def _chunks(generators, length, seed, error_dist, gates=None):
-    """Yield each chunk's gates, batch-last as (d, d, n), and its
-    (n, q) error exponents: seeded gates are exp(i sum_k w_k t^k), w the
-    bits of one rng.normal(0, 1) of (L, q), and a second generator draws and
-    drops those before the rng.uniform(-1, 1) (or rng.normal) that follows."""
-    q = len(generators)
-    weights, rng = make_generator(seed), make_generator(seed)
-    if gates is None:
-        dropped = np.empty(CHUNK_STEPS * q)
-        for i in range(0, length * q, dropped.size):
-            rng.standard_normal(out=dropped[:length * q - i])
+def _gate_chunks(generators, length, seed, gates=None):
+    """Yield each chunk's gates, batch-last as (d, d, n): a copy of the
+    explicit ``gates``, or exp(i sum_k w_k t^k), w the bits of one
+    rng.normal(0, 1) of (L, q) on the seed's generator."""
+    q, weights = len(generators), make_generator(seed)
     for i in range(0, length, CHUNK_STEPS):
         n = min(CHUNK_STEPS, length - i)
         if gates is None:
-            chunk = _expi_batch_last(_algebra(generators, weights.standard_normal((n, q))))
+            yield _expi_batch_last(_algebra(generators, weights.standard_normal((n, q))))
         else:
-            chunk = np.ascontiguousarray(gates[i:i + n].transpose(1, 2, 0))
-        uniform = error_dist == "uniform"  # rng.uniform(-1, 1) is -1 + 2 u
-        yield chunk, rng.random((n, q)) * 2.0 - 1.0 if uniform else rng.standard_normal((n, q))
+            yield np.ascontiguousarray(gates[i:i + n].transpose(1, 2, 0))
+
+
+def _exponent_chunks(q, length, seed, error_dist, seeded):
+    """Yield each chunk's (n, q) error exponents, the bits of one
+    rng.uniform(-1, 1) (or rng.normal) of (L, q) on the seed's generator;
+    with ``seeded`` gates it first draws and drops their L x q weights."""
+    rng = make_generator(seed)
+    if seeded:
+        dropped = np.empty(CHUNK_STEPS * q)
+        for i in range(0, length * q, dropped.size):
+            rng.standard_normal(out=dropped[:length * q - i])
+    uniform = error_dist == "uniform"  # rng.uniform(-1, 1) is -1 + 2 u
+    for i in range(0, length, CHUNK_STEPS):
+        n = min(CHUNK_STEPS, length - i)
+        yield rng.random((n, q)) * 2.0 - 1.0 if uniform else rng.standard_normal((n, q))
 
 
 def _steps(generators, gates, exponents, scale) -> np.ndarray:
@@ -286,7 +300,9 @@ def simulate_computation(
         gates = check_unitary(stack, d, ndim=3, tol=UNITARY_TOL)[:length].copy()
         gates.flags.writeable = False  # the reads hand it out
     noisy, ideal = _RunningProduct(d), _RunningProduct(d)
-    for chunk, exponents in _chunks(generators, length, seed, error_dist, gates):
+    draws = zip(_gate_chunks(generators, length, seed, gates),
+                _exponent_chunks(len(generators), length, seed, error_dist, gates is None))
+    for chunk, exponents in draws:
         ideal.feed(chunk)
         noisy.feed(_steps(generators, chunk, exponents, scale))
     return SimTrajectory(

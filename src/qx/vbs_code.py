@@ -64,9 +64,9 @@ __all__ = [
 DENSE_CAP = 2_000_000
 # amplitudes in one batched encode_dense call, in the K error stacks
 # E_i V that the dense kl route allocates, and in the K^2 d^2 entries of
-# bond_error_compressions; the dense route holds its stacks twice at its
-# peak (the list and its one family copy inside kl_decompose), and
-# nothing after kl_decompose has a d_Q axis
+# bond_error_compressions; the dense route holds its stacks once at its
+# peak, plus two row-block slabs of K d_L x 4096 amplitudes inside
+# kl_decompose, and nothing after kl_decompose has a d_Q axis
 DENSE_STACK_CAP = 32_000_000
 # amplitudes in one batch of pair insertions in insertion_overlaps (128 KiB),
 # for the closed-form check or the cross-bond blocks of bond_error_compressions;

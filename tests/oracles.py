@@ -2,7 +2,8 @@
 the transfer contractions and the transversal collapse check, the
 insertion-by-insertion closed-form check and bond error compressions, a
 step-by-step product for the trajectory scan, the einsum rotation of the
-KL report and the looped physical-space logical channel; the correlation
+KL report, the compression tensor from a copied error family and the looped
+physical-space logical channel; the correlation
 closed form with its own h_bac t^c product per call, and the structure
 constants as two einsum traces; and the bond error family written as its
 own noise.
@@ -25,7 +26,7 @@ from math import prod, sqrt
 import numpy as np
 
 from qx import vbs_code as vc
-from qx.qec_core import CodeIsometry, _adjoint_product, _error_family
+from qx.qec_core import _ROW_BLOCK, CodeIsometry, _error_family
 from qx.quantum_ops import KrausChannel, choi_matrix, trace_distance
 from qx.quasi_universality import SimTrajectory, unitary_distance
 from qx.rng import make_generator
@@ -239,6 +240,20 @@ def einsum_rotated_report(report, compressions):
     )
 
 
+def copied_family_compressions(code: CodeIsometry, errors) -> np.ndarray:
+    """M[i, j] = V+ E_i+ E_j V in two steps: the stacks copied side by side
+    into one (d_Q, K d_L) family, then its Gram product summed over blocks
+    of ``_ROW_BLOCK`` rows, each block's conjugate copied: the reference,
+    bit for bit, for ``error_compressions``, which gathers each row block
+    from the stacks instead."""
+    family = _error_family(code, errors)
+    gram = family[:_ROW_BLOCK].conj().T @ family[:_ROW_BLOCK]
+    for lo in range(_ROW_BLOCK, len(family), _ROW_BLOCK):
+        gram += family[lo:lo + _ROW_BLOCK].conj().T @ family[lo:lo + _ROW_BLOCK]
+    k, d_l = len(errors), code.d_l
+    return gram.reshape(k, d_l, k, d_l).transpose(0, 2, 1, 3)
+
+
 def recovered_logical_channel(code, noise, recovery):
     """Logical channel V+ R N V from explicit noise and recovery channels,
     one physical-space product per Kraus pair: the reference for
@@ -339,7 +354,7 @@ def detect_condition(code: CodeIsometry, errors) -> list[tuple[complex, float]]:
     """
     d_l = code.d_l
     family = _error_family(code, errors)
-    compressed = _adjoint_product(code.isometry, family).reshape(d_l, -1, d_l).swapaxes(0, 1)
+    compressed = (code.isometry.conj().T @ family).reshape(d_l, -1, d_l).swapaxes(0, 1)
     e = np.trace(compressed, axis1=1, axis2=2) / d_l
     residuals = np.linalg.norm(compressed - e[:, None, None] * np.eye(d_l), 2, axis=(-2, -1))
     return [(complex(ei), float(r)) for ei, r in zip(e, residuals)]

@@ -322,6 +322,59 @@ def test_gram_products_across_row_blocks(blocks, rows):
         qc.CodeIsometry(isometry=bad)
 
 
+def bond_family(d, n_sites, bonds=None):
+    code = vc.build(d, n_sites)
+    return vc.dense_isometry(code), vc.bond_error_stacks(code, bonds)
+
+
+def pauli_family():
+    code = ec.five_qubit_code()
+    return code, [code.isometry] + ec.weight_one_pauli_stacks(code.isometry)
+
+
+@pytest.mark.parametrize(
+    "family, blocks",
+    [
+        (lambda: bond_family(2, 8, range(1, 9)), (3, 834)),
+        (lambda: bond_family(3, 5), (24, 0)),
+        (pauli_family, (0, 32)),
+    ],
+    ids=["vbs2-8-all", "vbs3-5", "513-pauli1"],
+)
+def test_streamed_gram_matches_the_copied_family(family, blocks):
+    # the row blocks gathered from the stacks give M bit for bit as the
+    # Gram product of the copied family, with a partial last block or none
+    code, stacks = family()
+    assert divmod(code.d_q, qc._ROW_BLOCK) == blocks
+    assert isinstance(stacks, list) and all(np.ndim(s) == 2 for s in stacks)
+    got = qc.error_compressions(code, stacks)
+    want = oracles.copied_family_compressions(code, stacks)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_streamed_gram_keeps_the_subsystem_check(monkeypatch):
+    split = ec.product_gauge_split()
+    errors = ec.weight_one_pauli_stacks(split.isometry)
+    got = qc.subsystem_kl_check(split, errors)
+    monkeypatch.setattr(qc, "error_compressions", oracles.copied_family_compressions)
+    want = qc.subsystem_kl_check(split, errors)
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert got[1] == want[1]
+
+
+def test_error_compressions_copy_no_family():
+    # vbs:3:5 bond: the (d_Q, K d_L) family copy (98304 x 27) alone took
+    # 42.5 MB; the two row-block slabs take 1.8 MB each
+    code, stacks = bond_family(3, 5)
+    tracemalloc.start()
+    try:
+        qc.error_compressions(code, stacks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
 @pytest.mark.parametrize(
     "normalization, d, n_sites",
     [

@@ -431,6 +431,26 @@ def test_simulation_draws_keep_the_bits_of_one_draw(monkeypatch, dist, explicit)
     assert np.array_equal(traj.exponents.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_each_read_draws_only_its_own_stream(monkeypatch, d):
+    # a seeded gates read draws no exponents, and exponents and
+    # step_errors draw no gate weights and form no gate exponential
+    want = qu.simulate_computation(d, 8, 3000, seed=4)
+    gates, exponents, step_errors = want.gates, want.exponents, want.step_errors
+    traj = qu.simulate_computation(d, 8, 3000, seed=4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the read drew a stream it does not use")
+
+    monkeypatch.setattr(qu, "_exponent_chunks", refuse)
+    assert np.array_equal(traj.gates, gates)
+    monkeypatch.undo()
+    monkeypatch.setattr(qu, "_gate_chunks", refuse)
+    monkeypatch.setattr(qu, "_expi_batch_last", refuse)
+    assert np.array_equal(traj.exponents, exponents)
+    assert np.array_equal(traj.step_errors, step_errors)
+
+
 def test_simulation_forms_no_product_stack():
     # the run and final_distance hold no (L, d, d) cumulative product;
     # reading distances then stays within the budget
