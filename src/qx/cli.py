@@ -198,7 +198,6 @@ def cmd_kl(args) -> int:
             report = qec_core.kl_report_from_compressions(
                 vbs_code.bond_error_compressions(code, bonds, args.strength),
                 cutoff_rel=args.cutoff,
-                charges=vbs_code.bond_error_charges(code, bonds),
             )
     else:
         if selector == "five_one_three":
@@ -214,10 +213,10 @@ def cmd_kl(args) -> int:
         n_qubits = int(iso.d_q).bit_length() - 1
         if n_qubits < 1 or 2**n_qubits != iso.d_q:
             raise UsageError("pauli1 errors need a physical space of one or more qubits")
-        # the route allocates the 3n stacks P_i V, then two row-block slabs of V
-        # and them; the bound counts the stacks and a whole copy of V and them,
-        # about twice the peak where it binds
-        amplitudes = (6 * n_qubits + 1) * iso.d_q * iso.d_l
+        # the route's peak: the 3n stacks P_i V beside V, and two row-block
+        # slabs of V and them while error_compressions sums the Gram product
+        rows = iso.d_q + 2 * min(iso.d_q, qec_core._ROW_BLOCK)
+        amplitudes = (3 * n_qubits + 1) * iso.d_l * rows
         if amplitudes > vbs_code.DENSE_STACK_CAP:
             raise UsageError(f"pauli1 on a {iso.d_q}x{iso.d_l} isometry needs {amplitudes} "
                              f"amplitudes, over the budget of {vbs_code.DENSE_STACK_CAP}")

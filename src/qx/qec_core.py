@@ -10,9 +10,9 @@ transversal generator is applied to V one site at a time.  The only
 physical d_Q x d_Q arrays are the gates handed to
 :func:`logical_operator_check` and :func:`subsystem_gate_factorization`,
 :meth:`CodeIsometry.projector`, and the physical-space oracle
-:func:`recovery_from_kl`.  Given Z2 charges under which M is exactly
-block sparse, the report solves its Gram and ``epsilon`` eigenproblems
-one sector at a time; without them it stays unstructured.
+:func:`recovery_from_kl`.  The report solves its Gram and ``epsilon``
+eigenproblems one block at a time, the blocks read from the exact zeros of
+the matrices themselves (one block when there are none).
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ class KLReport:
     aggregate (1/2 d_L) sum_kl weights[k, l] / eig[k] over retained modes.
     ``compressions`` is the tensor M[i, j] = V+ E_i+ E_j V the report was
     built from, held without a copy; with ``residuals`` it is all that the
-    recovery reads, whichever route made it.  ``sectors`` is None or labels
-    each residual Choi row (k, a), k-major; that matrix is 0 between labels.
+    recovery reads, whichever route made it.  The rotation is exactly zero
+    between the blocks of the Gram matrix.
     """
 
     error_count: int
@@ -180,12 +180,27 @@ class KLReport:
     first_order_distance: float
     cutoff: float
     compressions: np.ndarray
-    sectors: np.ndarray | None = None
+
+
+def _blocks(rows: np.ndarray, cols: np.ndarray, n: int) -> list[np.ndarray]:
+    """The connected components of the graph on n nodes with edges
+    rows[e] -- cols[e], grouped by :func:`_sector_groups`: each edge hooks
+    the larger of its two roots to the smaller, then every node jumps to
+    its root, until no edge joins two roots.  So each root is the smallest
+    node of its component, and no (n, n) array is formed."""
+    root = np.arange(n)
+    while True:
+        a, b = root[rows], root[cols]
+        if np.array_equal(a, b):
+            return _sector_groups(root)
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := root[root], root):
+            root = up
 
 
 def _sector_groups(labels: np.ndarray) -> list[np.ndarray]:
-    """Positions of each value of ``labels``, one (m, s) array per sector
-    size s whose rows are the m sectors of that size; plain sorting, as
+    """Positions of each value of ``labels``, one (m, s) array per block
+    size s whose rows are the m blocks of that size; plain sorting, as
     ``np.unique`` imports ``numpy.ma``."""
     order = labels.argsort(kind="stable")
     ranked = labels[order]
@@ -197,36 +212,26 @@ def _sector_groups(labels: np.ndarray) -> list[np.ndarray]:
 
 
 def kl_report_from_compressions(
-    compressions: np.ndarray, cutoff_rel: float = CUTOFF_REL, charges=None
+    compressions: np.ndarray, cutoff_rel: float = CUTOFF_REL
 ) -> KLReport:
     """Build the quasi-correctability report from V+ E_i+ E_j V tensors.
 
-    ``charges`` = (c, l), Z2 bitmasks of the K errors and the d_L logical
-    states (:func:`qx.vbs_code.bond_error_charges`): M_ij[a, b] must vanish
-    unless c_i ^ l_a == c_j ^ l_b (else ValueError), and the Gram matrix is
-    diagonalized per charge, one ``eigh`` per sector size, so the rotation
-    and residuals are exactly zero across sectors; ``sectors`` labels each
-    residual Choi row c_k ^ l_a.
+    The Gram matrix is diagonalized one block at a time, the connected
+    components of its nonzero pattern, with one ``eigh`` per block size:
+    symmetry (the sign matrices diag(+-1) of an SU(d)-covariant code) makes
+    it exactly block sparse, and the rotation and residuals are then
+    exactly zero across blocks.  Modes are sorted by descending eigenvalue,
+    ties in reverse error order, as on one ``eigh`` of the whole matrix.
     """
     m = np.asarray(compressions, dtype=complex)
     k, _, d_l, _ = m.shape
     gram = np.einsum("ijaa->ij", m) / d_l
     gram = (gram + gram.conj().T) / 2.0
-    sectors = None
-    if charges is None:
-        eigvals, vecs = np.linalg.eigh(gram)
-        order = np.argsort(eigvals)[::-1]
-    else:
-        error_charges, logical_charges = map(np.asarray, charges)
-        labels = error_charges[:, None] ^ logical_charges
-        if np.any(m, where=labels[:, None, :, None] != labels[None, :, None, :]):
-            raise ValueError("the compressions do not vanish across the charge sectors")
-        eigvals, vecs = np.empty(k), np.zeros((k, k), dtype=complex)
-        for idx in _sector_groups(error_charges):
-            rows, cols = idx[:, :, None], idx[:, None, :]
-            eigvals[idx], vecs[rows, cols] = np.linalg.eigh(gram[rows, cols])
-        order = np.argsort(-eigvals, kind="stable")
-        sectors = labels[order].ravel()
+    eigvals, vecs = np.empty(k), np.zeros((k, k), dtype=complex)
+    for idx in _blocks(*np.nonzero(gram), k):
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        eigvals[idx], vecs[rows, cols] = np.linalg.eigh(gram[rows, cols])
+    order = np.argsort(eigvals, kind="stable")[::-1]
     eigvals = eigvals[order]
     rotation = vecs[:, order].T
     cutoff = cutoff_rel * max(eigvals.max(), 0.0)
@@ -255,7 +260,6 @@ def kl_report_from_compressions(
         first_order_distance=first_order,
         cutoff=float(cutoff),
         compressions=m,
-        sectors=sectors,
     )
 
 
@@ -427,18 +431,23 @@ def epsilon_from_report(report: KLReport) -> float:
     differ by the Choi matrix of the residual map alone, formed in the
     rotated environment basis (the value is invariant under that rotation),
     so epsilon is half its trace norm (its trace distance from zero), with
-    no O(1) part to cancel.  With ``report.sectors`` that Choi matrix is
-    exactly block diagonal, and epsilon is the sum over its blocks (Beny &
-    Oreshkov, PRL 104, 120501), equal sizes stacked into one call.
+    no O(1) part to cancel.  That Choi matrix is exactly block diagonal over
+    the connected components of its nonzero pattern, and epsilon is the sum
+    over its blocks (Beny & Oreshkov, PRL 104, 120501), each gathered
+    straight from ``residuals``, equal sizes stacked into one call.
     """
     k = report.error_count
     d_l = report.logical_dim
     # Choi of rho -> sum_kl tr(rho B_kl) |k><l| : entry ((k,a),(l,b)) = B_kl[b,a]/d_L.
-    if report.sectors is None:
-        choi_resid = report.residuals.transpose(0, 3, 1, 2).reshape(k * d_l, k * d_l) / d_l
-        return trace_distance(choi_resid, np.zeros_like(choi_resid))
+    # flat positions ((k K + l) d_L + b) d_L + a of the nonzero entries, read
+    # from their real and imaginary parts with integer division alone (a
+    # remainder or a 4-D np.nonzero costs several times as much)
+    pos = np.flatnonzero(report.residuals.view(float) != 0) // 2
+    head, mode = pos // d_l, pos // (k * d_l * d_l)
+    rows, cols = mode * d_l + pos - head * d_l, head - mode * (k * d_l)
+    del pos, head, mode
     total = 0.0
-    for idx in _sector_groups(report.sectors):
+    for idx in _blocks(rows, cols, k * d_l):
         mode, a = np.divmod(idx, d_l)
         blocks = report.residuals[mode[:, :, None], mode[:, None, :], a[:, None, :], a[:, :, None]]
         blocks /= d_l

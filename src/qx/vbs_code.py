@@ -57,7 +57,6 @@ __all__ = [
     "bond_error_weights",
     "bond_error_stacks",
     "bond_error_compressions",
-    "bond_error_charges",
     "bond_noise",
 ]
 
@@ -551,19 +550,6 @@ def bond_error_compressions(
             for r, s in product(rows_at.get(int(n), ()), rows_at[low]):
                 m[r, s], m[s, r] = block, block.conj().transpose(1, 0, 3, 2)
     return m
-
-
-def bond_error_charges(code: VbsCode, bonds=None) -> tuple[np.ndarray, np.ndarray]:
-    """Z2 bitmask charges (errors (K,), logical basis (d,)) of the bond error
-    family under the sign matrices S = diag(+-1), which act transversally on
-    the code: M_ij[a, b] is nonzero only if c_i ^ (1<<a) == c_j ^ (1<<b),
-    the sectors of :func:`qx.qec_core.kl_report_from_compressions`.  A
-    generator on the pair (j, k) has charge (1<<j) ^ (1<<k), read from its
-    off-diagonal support; the identity and the diagonal ones have 0."""
-    bonds = _bond_list(code, bonds)
-    bits = 1 << np.arange(code.d)
-    support = (code.basis.generators != 0) & ~np.eye(code.d, dtype=bool)
-    return np.concatenate([[0], np.tile(support.any(axis=-1) @ bits, len(bonds))]), bits
 
 
 def bond_noise(code: VbsCode, compressions, strength: float):

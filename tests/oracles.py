@@ -5,8 +5,9 @@ step-by-step product for the trajectory scan, the einsum rotation of the
 KL report, the compression tensor from a copied error family and the looped
 physical-space logical channel; the correlation
 closed form with its own h_bac t^c product per call, and the structure
-constants as two einsum traces; and the bond error family written as its
-own noise.
+constants as two einsum traces; the bond error family written as its
+own noise; the KL report and its ``epsilon`` with one eigenproblem each,
+unsplit; and the sign charges of the bond error family.
 
 Below them sit helpers that no ``qx`` code reads, under the names they had
 there, for the tests that pin them: ``apply_channel``,
@@ -26,7 +27,7 @@ from math import prod, sqrt
 import numpy as np
 
 from qx import vbs_code as vc
-from qx.qec_core import _ROW_BLOCK, CodeIsometry, _error_family
+from qx.qec_core import _ROW_BLOCK, CUTOFF_REL, CodeIsometry, KLReport, _error_family
 from qx.quantum_ops import KrausChannel, choi_matrix, trace_distance
 from qx.quasi_universality import SimTrajectory, unitary_distance
 from qx.rng import make_generator
@@ -252,6 +253,48 @@ def copied_family_compressions(code: CodeIsometry, errors) -> np.ndarray:
         gram += family[lo:lo + _ROW_BLOCK].conj().T @ family[lo:lo + _ROW_BLOCK]
     k, d_l = len(errors), code.d_l
     return gram.reshape(k, d_l, k, d_l).transpose(0, 2, 1, 3)
+
+
+def unsectored_kl_report(compressions, cutoff_rel=CUTOFF_REL) -> KLReport:
+    """The KL report with one ``eigh`` of the whole Gram matrix, modes in
+    the reverse of its ascending order: the reference for the block solve
+    of ``kl_report_from_compressions``."""
+    m = np.asarray(compressions, dtype=complex)
+    k, _, d_l, _ = m.shape
+    gram = np.einsum("ijaa->ij", m) / d_l
+    gram = (gram + gram.conj().T) / 2.0
+    eigvals, vecs = np.linalg.eigh(gram)
+    order = np.argsort(eigvals)[::-1]
+    eigvals, rotation = eigvals[order], vecs[:, order].T
+    cutoff = cutoff_rel * max(eigvals.max(), 0.0)
+    retained = eigvals > cutoff
+    t = (rotation.conj() @ m.reshape(k, -1)).reshape(k, k, d_l * d_l)
+    residuals = (rotation @ t).reshape(k, k, d_l, d_l)
+    residuals[np.arange(k), np.arange(k)] -= eigvals[:, None, None] * np.eye(d_l)
+    weights = np.einsum("klab,klab->kl", residuals.conj(), residuals).real
+    first_order = weights[retained, :].sum(axis=1) @ (1.0 / eigvals[retained]) / (2.0 * d_l)
+    return KLReport(k, d_l, gram, eigvals, rotation, residuals, weights, retained,
+                    int(retained.sum()), float(first_order), float(cutoff), m)
+
+
+def unsectored_epsilon(report: KLReport) -> float:
+    """``epsilon`` as the trace norm of the whole residual Choi matrix: the
+    reference for the per-block sum of ``epsilon_from_report``."""
+    k, d_l = report.error_count, report.logical_dim
+    choi = report.residuals.transpose(0, 3, 1, 2).reshape(k * d_l, k * d_l) / d_l
+    return trace_distance(choi, np.zeros_like(choi))
+
+
+def bond_error_charges(code: VbsCode, bonds=None) -> tuple[np.ndarray, np.ndarray]:
+    """Z2 bitmask charges (errors (K,), logical basis (d,)) of the bond error
+    family under the sign matrices S = diag(+-1), which act transversally on
+    the code: M_ij[a, b] is nonzero only if c_i ^ (1<<a) == c_j ^ (1<<b).  A
+    generator on the pair (j, k) has charge (1<<j) ^ (1<<k), read from its
+    off-diagonal support; the identity and the diagonal ones have 0."""
+    bonds = vc._bond_list(code, bonds)
+    bits = 1 << np.arange(code.d)
+    support = (code.basis.generators != 0) & ~np.eye(code.d, dtype=bool)
+    return np.concatenate([[0], np.tile(support.any(axis=-1) @ bits, len(bonds))]), bits
 
 
 def recovered_logical_channel(code, noise, recovery):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -385,8 +386,8 @@ def test_kl_pauli1_file_memory_scales_with_stacks(tmp_path):
 
 
 def test_kl_pauli1_over_budget_exits_2(tmp_path, capsys):
-    # 17 qubits, d_L = 3: (6 * 17 + 1) * 2^17 * 3 = 40.5M amplitudes > 32M
-    rows, cols = 2**17, 3
+    # 17 qubits, d_L = 5: (3 * 17 + 1) * 5 * (2^17 + 2 * 4096) = 36.2M amplitudes > 32M
+    rows, cols = 2**17, 5
     lines = ["0 0"] * (rows * cols)
     for j in range(cols):
         lines[j * cols + j] = "1 0"
@@ -395,6 +396,28 @@ def test_kl_pauli1_over_budget_exits_2(tmp_path, capsys):
     assert cli.main(["kl", "--code", f"file:{path}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("qx: ") and err.count("\n") == 1 and "budget" in err
+
+
+@pytest.mark.parametrize("n_qubits", [12, 14, 16])
+def test_kl_pauli1_budget_counts_the_route_peak(n_qubits, monkeypatch, capsys):
+    # the refusal bound counts V, the 3n stacks P_i V and two row-block
+    # slabs of them: within 10% of the traced peak of the stacks and their
+    # compressions, V included (14.5, 33.8 and 116 MB at d_L = 2)
+    rng = np.random.default_rng(n_qubits)
+    shape = (2**n_qubits, 2)
+    iso, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    monkeypatch.setattr(cli, "read_isometry", lambda path: iso)
+    monkeypatch.setattr(vc, "DENSE_STACK_CAP", 0)
+    assert cli.main(["kl", "--code", "file:iso"]) == 2
+    counted = 16 * int(re.search(r"needs (\d+) amplitudes", capsys.readouterr().err)[1])
+    tracemalloc.start()
+    try:
+        code = qec_core.CodeIsometry(isometry=iso)
+        qec_core.error_compressions(code, [iso] + ec.weight_one_pauli_stacks(iso))
+        peak = tracemalloc.get_traced_memory()[1] + iso.nbytes
+    finally:
+        tracemalloc.stop()
+    assert abs(counted - peak) <= 0.1 * counted, (counted, peak)
 
 
 @pytest.mark.filterwarnings("error")

@@ -957,19 +957,17 @@ def test_format_kl_report_stable():
 
 
 def _sector_and_plain_reports(d, n, bonds, strength):
-    code = vc.build(d, n)
-    m = vc.bond_error_compressions(code, bonds, strength)
-    charges = vc.bond_error_charges(code, bonds)
-    return qc.kl_report_from_compressions(m, charges=charges), qc.kl_report_from_compressions(m)
+    m = vc.bond_error_compressions(vc.build(d, n), bonds, strength)
+    return qc.kl_report_from_compressions(m), oracles.unsectored_kl_report(m)
 
 
-def _report_gaps(got, want):
+def _report_gaps(got, want, want_epsilon=qc.epsilon_from_report):
     """Relative gaps of the basis-free report values: eigenvalues entrywise."""
     pairs = [
         (got.eigenvalues, want.eigenvalues),
         (got.first_order_distance, want.first_order_distance),
         (got.residual_weights.sum(), want.residual_weights.sum()),
-        (qc.epsilon_from_report(got), qc.epsilon_from_report(want)),
+        (qc.epsilon_from_report(got), want_epsilon(want)),
     ]
     return [float(np.max(np.abs(np.subtract(g, w)) / np.abs(w))) for g, w in pairs]
 
@@ -981,45 +979,102 @@ def test_sector_report_matches_the_unsectored_report(d, n_max, strength):
         # bond keeps fewer digits: epsilon is 2.5e-8 at vbs:3:8
         for bonds, tol in ((list(range(1, n + 1)), 1e-12), ([1], 1e-12), ([n], 1e-9)):
             sector, plain = _sector_and_plain_reports(d, n, bonds, strength)
-            assert max(_report_gaps(sector, plain)) <= tol, (n, bonds)
-            assert sector.env_size == plain.env_size and plain.sectors is None
+            gaps = _report_gaps(sector, plain, oracles.unsectored_epsilon)
+            assert max(gaps) <= tol, (n, bonds)
+            assert sector.env_size == plain.env_size
+
+
+def _spied_blocks(monkeypatch):
+    """Record every block list that ``qc._blocks`` returns."""
+    found, blocks = [], qc._blocks
+
+    def spy(*args):
+        found.append(blocks(*args))
+        return found[-1]
+
+    monkeypatch.setattr(qc, "_blocks", spy)
+    return found
+
+
+def _classes(labels):
+    """The positions of each value of ``labels``, as a set of frozensets."""
+    return {frozenset(np.flatnonzero(labels == x).tolist()) for x in set(labels.tolist())}
+
+
+def _partition(groups):
+    return {frozenset(row.tolist()) for idx in groups for row in idx}
+
+
+def _check_blocks(blocks, labels, exact):
+    """The blocks split the classes of equal label, and are them if ``exact``."""
+    assert all(len(set(labels[list(block)].tolist())) == 1 for block in blocks)
+    assert blocks == _classes(labels) or not exact
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_report_blocks_are_the_sign_charge_classes(d, monkeypatch):
+    # the blocks read from the exact zeros lie inside the charge sectors:
+    # the Gram blocks inside classes of equal error charge, the Choi blocks
+    # inside classes of equal c_k ^ (1<<a); under bond:all they are the
+    # sectors, while a single bond can vanish exactly inside one (all four
+    # bond:1 errors at d = 2 are mutually orthogonal)
+    found = _spied_blocks(monkeypatch)
+    for n in range(1, 7):
+        code = vc.build(d, n)
+        for bonds in ([n], list(range(1, n + 1)), [1]):
+            found.clear()
+            report = qc.kl_report_from_compressions(vc.bond_error_compressions(code, bonds))
+            qc.epsilon_from_report(report)
+            errors, logical = oracles.bond_error_charges(code, bonds)
+            exact = len(bonds) == n > 1
+            _check_blocks(_partition(found[0]), errors, exact)
+            # each mode carries the charge of the errors it mixes
+            modes = np.array([errors[np.flatnonzero(row)[0]] for row in report.rotation])
+            assert not np.any(report.rotation, where=modes[:, None] != errors)
+            _check_blocks(_partition(found[1]), (modes[:, None] ^ logical).ravel(), exact)
 
 
 def test_sector_report_is_exactly_block_sparse():
     code = vc.build(3, 4)
-    bonds = [1, 2, 3, 4]
-    errors, logical = vc.bond_error_charges(code, bonds)
-    report = qc.kl_report_from_compressions(
-        vc.bond_error_compressions(code, bonds), charges=(errors, logical)
-    )
+    report = qc.kl_report_from_compressions(vc.bond_error_compressions(code, [1, 2, 3, 4]))
     k, d_l = report.error_count, report.logical_dim
-    modes = report.sectors.reshape(k, d_l) ^ logical  # the charge of each mode, d_L times
-    assert (modes == modes[:, :1]).all()
-    assert not np.any(report.rotation, where=modes[:, :1] != errors)
-    labels = report.sectors
+    blocks = qc._blocks(*np.nonzero(report.gram), k)
+    block = np.empty(k, dtype=int)
+    for label, row in enumerate(r for idx in blocks for r in idx):
+        block[row] = label
+    # every mode lies in one Gram block; Gram blocks of sizes 1 + 2N and 2N
+    modes = np.array([block[np.flatnonzero(row)[0]] for row in report.rotation])
+    assert not np.any(report.rotation, where=modes[:, None] != block)
+    assert sorted(np.bincount(block).tolist()) == [8, 8, 8, 9]
     choi = report.residuals.transpose(0, 3, 1, 2).reshape(k * d_l, k * d_l)
-    assert not np.any(choi, where=labels[:, None] != labels)
-    # Gram sectors of sizes 1 + 2N and 2N; 2^(d-1) Choi sectors
-    assert np.bincount(modes[:, 0]).tolist() == [9, 0, 0, 8, 0, 8, 8]
-    assert len(set(labels.tolist())) == 4
+    assert len(_partition(qc._blocks(*np.nonzero(choi), k * d_l))) == 4  # 3 + C(3, 3) Choi blocks
     assert np.array_equal(np.sort(report.eigenvalues)[::-1], report.eigenvalues)
-    # the sector epsilon against the SVD trace norm of the whole Choi matrix
+    # the block epsilon against the SVD trace norm of the whole Choi matrix
     want = 0.5 * np.linalg.svd(choi / d_l, compute_uv=False).sum()
     assert abs(qc.epsilon_from_report(report) - want) <= 1e-12 * want
 
 
-def test_charges_that_do_not_split_the_compressions_raise():
-    code = vc.build(2, 3)
-    m = vc.bond_error_compressions(code)
-    errors, logical = vc.bond_error_charges(code)
-    with pytest.raises(ValueError, match="sector"):
-        qc.kl_report_from_compressions(m, charges=(np.roll(errors, 1), logical))
-    with pytest.raises(ValueError, match="sector"):
-        qc.kl_report_from_compressions(m, charges=(errors, np.ones_like(logical)))
-    tampered = m.copy()
-    tampered[0, 1, 0, 0] = tampered[1, 0, 0, 0] = 1e-300
-    with pytest.raises(ValueError, match="sector"):
-        qc.kl_report_from_compressions(tampered, charges=(errors, logical))
+def test_blocks_of_a_full_and_of_a_diagonal_pattern():
+    n = 7
+    rows, cols = np.nonzero(np.ones((n, n)))
+    [one] = qc._blocks(rows, cols, n)
+    assert one.tolist() == [list(range(n))]
+    [single] = qc._blocks(np.arange(n), np.arange(n), n)
+    assert single.tolist() == [[i] for i in range(n)]
+    # no edges at all: n blocks as well
+    [single] = qc._blocks(np.arange(0), np.arange(0), n)
+    assert single.tolist() == [[i] for i in range(n)]
+
+
+def test_epsilon_peaks_below_the_residuals():
+    report = qc.kl_report_from_compressions(vc.bond_error_compressions(vc.build(4, 6), range(1, 7)))
+    tracemalloc.start()
+    try:
+        qc.epsilon_from_report(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < report.residuals.nbytes, (peak, report.residuals.nbytes)
 
 
 @pytest.mark.parametrize("strength", [0.1, 0.27])
@@ -1028,15 +1083,10 @@ def test_charges_that_do_not_split_the_compressions_raise():
     [(2, 4, "bond"), (2, 8, "all"), (3, 3, "all"), (3, 5, "bond"), (2, 6, [2]), (4, 3, "all")],
 )
 def test_sector_transfer_route_matches_the_dense_route(d, n, bonds, strength):
-    # two independent routes: sectors on transfer contractions, and the
-    # unstructured report of the dense stacks
+    # two independent routes: transfer contractions, and the dense stacks
     bonds = [n] if bonds == "bond" else list(range(1, n + 1)) if bonds == "all" else bonds
     code = vc.build(d, n)
     dense = qc.kl_decompose(vc.dense_isometry(code), vc.bond_error_stacks(code, bonds, strength))
-    sector = qc.kl_report_from_compressions(
-        vc.bond_error_compressions(code, bonds, strength),
-        charges=vc.bond_error_charges(code, bonds),
-    )
-    assert dense.sectors is None and sector.sectors is not None
+    sector = qc.kl_report_from_compressions(vc.bond_error_compressions(code, bonds, strength))
     gaps = _report_gaps(sector, dense)
     assert max(gaps[:2] + gaps[3:]) <= 1e-11, gaps

@@ -588,7 +588,7 @@ def test_site_overlap_internal_check_raises_on_tampering():
 
 def _sector_mask(code, bonds):
     """True on the entries of M[i, j, a, b] whose sign charges differ."""
-    errors, logical = vc.bond_error_charges(code, bonds)
+    errors, logical = oracles.bond_error_charges(code, bonds)
     labels = errors[:, None] ^ logical
     return labels[:, None, :, None] != labels[None, :, None, :]
 
@@ -605,7 +605,7 @@ def test_bond_compressions_vanish_exactly_across_sign_sectors(d):
 
 def test_bond_error_charges_follow_the_generator_support():
     code = vc.build(4, 3)
-    errors, logical = vc.bond_error_charges(code, [1, 3])
+    errors, logical = oracles.bond_error_charges(code, [1, 3])
     assert errors.shape == (1 + 2 * 15,) and errors[0] == 0
     for a, g in enumerate(code.basis.generators):
         j, k = np.nonzero(g)
