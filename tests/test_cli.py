@@ -163,16 +163,17 @@ def _physical_columns(text: str) -> str:
 
 
 # sha256 of the physical columns (chi, eta, edge_fixedpoint_distance,
-# epsilon, erasure_bound), captured at commit a13990f
+# epsilon, erasure_bound), captured at commit a13990f and re-captured at
+# d54a75a, whose block solve moved epsilon by at most 1.9e-11 relative
 PHYSICAL_PINS = [
     (
         ["sweep", "--d-min", "2", "--d-max", "4", "--n-min", "3", "--n-max", "6",
          "--strength", "0.13"],
-        "845e1692dc06cfff63e5ccc0036ebb8b44ff3b474c18ee68008ade86e0db2028",
+        "d036deefe5423546f419f4522dfedb8bcffc7a32fe6aaf38253070b24c87a255",
     ),
     (
         ["vbs", "--d", "8", "--n", "4"],
-        "1e390d23f7e72236bc9627c4da3a9c5c2d04a462b33f96126302d639caae2cff",
+        "8273b026d7443df05fd27d7d4c037fddbe3dbb4f00fade9401df5c377f875888",
     ),
 ]
 
@@ -580,10 +581,11 @@ KL_PINS = [
         "0bce841004f099d52cd84e14c4c47e69de610ab13619dca51032474fc1af09a9",
     ),
     # re-captured at commit 3970aa8, whose row-block Gram product moved
-    # exact_distance by 4.1e-11 relative
+    # exact_distance by 4.1e-11 relative, and at d54a75a, whose block solve
+    # moved it by 1.7e-11
     (
         ["--code", "vbs:3:5", "--errors", "bond", "--strength", "0.27"],
-        "cc937d3cf6796923508ba62043a3579b7747554589cb49a6676b4a69617fee10",
+        "0abe1cddb5373feda658fd95f71be3bcd7d57cf6a8160722cea04c423d5c4e35",
     ),
     (
         ["--code", "vbs:2:8", "--errors", "bond:all"],
