@@ -21,9 +21,10 @@ __all__ = [
 ]
 
 UNITARY_TOL = 1e-8
-# steps per chunk of a per-step kernel, whose scratch is a few chunk stacks
-# (4096 was no faster at d = 2); a matrix has the same bits in any chunk
-CHUNK_STEPS = 2048
+# steps per chunk of a per-step kernel at d = 2 (half as many above, see
+# _chunk_steps), whose scratch is a few chunk stacks; a matrix has the same
+# bits in any chunk
+CHUNK_STEPS = 4096
 
 
 def unitary_distance(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
@@ -85,7 +86,7 @@ class SimTrajectory:
 
     def _exponent_stream(self):
         d = self.final_noisy.shape[-1]
-        return _exponent_chunks(d * d - 1, self.length, self.seed, self.error_dist,
+        return _exponent_chunks(d, self.length, self.seed, self.error_dist,
                                 seeded=self.explicit_gates is None)
 
     @property
@@ -136,13 +137,22 @@ class SimTrajectory:
 
 def _algebra(generators: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """sum_k c_k t^k for the (q, d, d) generators and each row c of an
-    (L, q) array, batch-last as (d, d, L); summed term by term in order of
-    k, so each matrix has the same bits whatever the batch (a BLAS product
-    would take a different kernel for a one-column batch)."""
-    columns = np.ascontiguousarray(coefficients.T)
-    out = generators[0, ..., None] * columns[0]
-    for g, c in zip(generators[1:], columns[1:]):
-        out += g[..., None] * c
+    (L, q) array, batch-last as (d, d, L).  Each entry's real and imaginary
+    parts sum t^k c_k in order of k over just the k whose part of t^k is
+    nonzero, one multiply and add at a time, and a part with no such k is
+    zero: for the Gell-Mann generators the dense complex sum over every k
+    adds only exact zeros besides, so the bits are the same, and each
+    matrix has the same bits whatever the batch (a BLAS product would take
+    a different kernel for a one-column batch)."""
+    out = np.zeros(generators.shape[1:] + coefficients.shape[:1], dtype=complex)
+    for plane, parts in ((out.real, generators.real), (out.imag, generators.imag)):
+        entry = None
+        for i, j, k in zip(*np.nonzero(parts.transpose(1, 2, 0))):
+            if (i, j) == entry:
+                plane[i, j] += parts[k, i, j] * coefficients[:, k]
+            else:
+                np.multiply(parts[k, i, j], coefficients[:, k], out=plane[i, j])
+                entry = (i, j)
     return out
 
 
@@ -162,32 +172,49 @@ def _phase_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _arc_distances(np.angle(np.linalg.eigvals(relative)))
 
 
+def _chunk_steps(d: int) -> int:
+    """Steps per chunk at dimension d: CHUNK_STEPS at d = 2, half of it
+    above.  A chunk makes a fixed number of numpy calls, so at d = 2, where
+    each call is short, longer chunks spend less per step on calls; at
+    d >= 3 the Taylor kernel's dozen stacks of scratch outgrow the cache
+    first (at 5e4 steps, d = 3 ran 15-30% slower at 4096 steps than at
+    2048, and d = 4 30-50% slower at 1024)."""
+    return CHUNK_STEPS if d == 2 else max(1, CHUNK_STEPS // 2)
+
+
 def _gate_chunks(generators, length, seed, gates=None):
     """Yield each chunk's gates, batch-last as (d, d, n): a copy of the
     explicit ``gates``, or exp(i sum_k w_k t^k), w the bits of one
     rng.normal(0, 1) of (L, q) on the seed's generator."""
     q, weights = len(generators), make_generator(seed)
-    for i in range(0, length, CHUNK_STEPS):
-        n = min(CHUNK_STEPS, length - i)
+    chunk = _chunk_steps(generators.shape[-1])
+    for i in range(0, length, chunk):
+        n = min(chunk, length - i)
         if gates is None:
             yield _expi_batch_last(_algebra(generators, weights.standard_normal((n, q))))
         else:
             yield np.ascontiguousarray(gates[i:i + n].transpose(1, 2, 0))
 
 
-def _exponent_chunks(q, length, seed, error_dist, seeded):
+def _exponent_chunks(d, length, seed, error_dist, seeded):
     """Yield each chunk's (n, q) error exponents, the bits of one
     rng.uniform(-1, 1) (or rng.normal) of (L, q) on the seed's generator;
     with ``seeded`` gates it first draws and drops their L x q weights."""
-    rng = make_generator(seed)
+    q, chunk, rng = d * d - 1, _chunk_steps(d), make_generator(seed)
     if seeded:
-        dropped = np.empty(CHUNK_STEPS * q)
+        dropped = np.empty(chunk * q)
         for i in range(0, length * q, dropped.size):
             rng.standard_normal(out=dropped[:length * q - i])
     uniform = error_dist == "uniform"  # rng.uniform(-1, 1) is -1 + 2 u
-    for i in range(0, length, CHUNK_STEPS):
-        n = min(CHUNK_STEPS, length - i)
-        yield rng.random((n, q)) * 2.0 - 1.0 if uniform else rng.standard_normal((n, q))
+    for i in range(0, length, chunk):
+        n = min(chunk, length - i)
+        if uniform:
+            exponents = rng.random((n, q))
+            exponents *= 2.0
+            exponents -= 1.0
+            yield exponents
+        else:
+            yield rng.standard_normal((n, q))
 
 
 def _steps(generators, gates, exponents, scale) -> np.ndarray:
@@ -195,14 +222,13 @@ def _steps(generators, gates, exponents, scale) -> np.ndarray:
     return _product(gates, _expi_batch_last(_algebra(generators, scale * exponents)))
 
 
-def _levels(x: np.ndarray) -> list:
-    """The aligned pairwise tree over the last axis of batch-last x:
-    [x, x1, x2, ...] with x_{k+1}[j] = x_k[2j+1] @ x_k[2j], to one entry."""
-    levels = [x]
+def _levels(x: np.ndarray):
+    """Yield the aligned pairwise tree over the last axis of batch-last x:
+    x, x1, x2, ... with x_{k+1}[j] = x_k[2j+1] @ x_k[2j], to one entry."""
+    yield x
     while x.shape[-1] > 1:
         x = _product(x[..., 1::2], x[..., :-1:2])
-        levels.append(x)
-    return levels
+        yield x
 
 
 class _RunningProduct:
@@ -235,14 +261,18 @@ class _RunningProduct:
         while i < n:
             aligned = (self.steps & -self.steps).bit_length() or 64
             steps = 1 << (min(aligned, (n - i).bit_length()) - 1)
-            levels = _levels(x[..., i:i + steps])
             if prefixes:
+                levels = list(_levels(x[..., i:i + steps]))
+                total = levels[-1]
                 run = out[..., i:i + steps]  # after 0 .. steps - 1 of its steps
                 run[...] = self.total()[..., None]
                 for b in reversed(range(len(levels) - 1)):
                     rows = run.reshape(d, d, -1, 2, 1 << b)[..., 1, :]
                     rows[...] = _product(levels[b][..., ::2, None], rows)
-            self.push(levels[-1][..., 0], steps)
+            else:  # straight to the total, holding no level but the last
+                for total in _levels(x[..., i:i + steps]):
+                    pass
+            self.push(total[..., 0], steps)
             i += steps
         if prefixes:
             out[..., n] = self.total()
@@ -274,13 +304,14 @@ def simulate_computation(
     sequence or, when omitted, a seeded special-unitary stream; identical
     seeds and parameters reproduce identical trajectories.
 
-    The run holds nothing L-long but an explicit gate stack: each
-    ``CHUNK_STEPS``-step chunk draws its gate weights and error exponents,
-    forms its gates and steps G_l E_l with the elementwise kernels of
-    :func:`qx.su_algebra._expi_batch_last` and :func:`qx.su_algebra._product`,
-    and feeds both to a :class:`_RunningProduct`, so no result depends on
-    the chunking.  Its tracemalloc peak, 6.8 chunk stacks at d = 2, 8.3 at
-    d = 3 and 8.2 at d = 4, does not grow with L.
+    The run holds nothing L-long but an explicit gate stack: each chunk of
+    ``CHUNK_STEPS`` steps (half as many at d >= 3) draws its gate weights and
+    error exponents, forms its gates and steps G_l E_l with the elementwise
+    kernels of :func:`qx.su_algebra._expi_batch_last` and
+    :func:`qx.su_algebra._product`, and feeds both to a
+    :class:`_RunningProduct`, so no result depends on the chunking.  Its
+    tracemalloc peak, 5.3 stacks of its own chunk at d = 2, 8.3 at d = 3 and
+    8.2 at d = 4, does not grow with L.
     """
     if length < 1:
         raise ValueError("computation length must be at least 1")
@@ -301,7 +332,7 @@ def simulate_computation(
         gates.flags.writeable = False  # the reads hand it out
     noisy, ideal = _RunningProduct(d), _RunningProduct(d)
     draws = zip(_gate_chunks(generators, length, seed, gates),
-                _exponent_chunks(len(generators), length, seed, error_dist, gates is None))
+                _exponent_chunks(d, length, seed, error_dist, gates is None))
     for chunk, exponents in draws:
         ideal.feed(chunk)
         noisy.feed(_steps(generators, chunk, exponents, scale))

@@ -61,6 +61,14 @@ class SuBasis:
         which is t^x t^y - delta_xy I / (2d); formed on first read and kept."""
         return 0.5 * np.tensordot(self.d_sym + 1j * self.f, self.generators, axes=1)
 
+    @cached_property
+    def adjoint_width(self) -> float:
+        """The widest spectral range max_a (lambda_max - lambda_min) of the
+        adjoint generators -i f_a, from one stacked eigvalsh; formed on first
+        read and kept."""
+        spec = np.linalg.eigvalsh(-1j * self.f)
+        return float((spec[:, -1] - spec[:, 0]).max())
+
 
 def gell_mann_basis(d: int) -> SuBasis:
     """Build the generalized Gell-Mann basis of su(d).
@@ -260,7 +268,14 @@ def _expi_batch_last(h: np.ndarray) -> np.ndarray:
     h0^2 = r^2 I and exp(i h) = e^(i tau) (cos r I + i (sin r / r) h0).  It
     reads only h00, h11 and h01, so h must be exactly Hermitian; r =
     hypot(delta, |h01|) with delta = (h00 - h11) / 2 cannot overflow, and
-    sin r / r is 1 at r = 0.  For other n, scaling and squaring (Moler and
+    sin r / r is 1 at r = 0.  The entries are written to the real and
+    imaginary planes with real multiplies, and the e^(i tau) product is
+    skipped when every tau is 0, as for traceless h: each complex product
+    this replaces had a factor with an exactly zero part, or was by 1 + 0i,
+    so the bits are those of the complex arithmetic except that an exactly
+    zero entry may differ in the sign of zero.  |h01| must stay the inner
+    hypot of its parts: np.abs(h01) rounds differently and moves whole
+    trajectories.  For other n, scaling and squaring (Moler and
     Van Loan, SIAM Rev. 45, 3 (2003)): x = i h 2^-s, with s per matrix from
     :func:`_squarings`, has 1-norm at most 1; the degree-18 Taylor
     polynomial of exp(x) is summed by Horner's rule in x^2 with linear
@@ -273,16 +288,27 @@ def _expi_batch_last(h: np.ndarray) -> np.ndarray:
     if h.shape[0] == 2:
         _require_finite(h)
         tau, delta, r = _u2_split(h)
-        i_sinc = 1j * np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
-        u = np.empty(h.shape, dtype=complex)  # cos r I + i sinc h0
-        cos_r = np.cos(r)
-        u[0, 0] = cos_r + i_sinc * delta
-        u[1, 1] = cos_r - i_sinc * delta
-        u[0, 1] = i_sinc * h[0, 1]
-        u[1, 0] = i_sinc * h[0, 1].conj()
-        phase = np.empty(tau.shape, dtype=complex)  # e^(i tau)
-        phase.real, phase.imag = np.cos(tau), np.sin(tau)
-        u *= phase
+        sinc = np.sin(r)
+        if r.all():
+            sinc /= r
+        else:
+            with np.errstate(invalid="ignore"):
+                sinc /= r
+            sinc[r == 0.0] = 1.0
+        u = np.empty(h.shape, dtype=complex)  # cos r I + i sinc h0, plane by plane
+        re, im = u.real, u.imag
+        np.cos(r, out=re[0, 0])
+        re[1, 1] = re[0, 0]
+        np.multiply(sinc, delta, out=im[0, 0])
+        np.negative(im[0, 0], out=im[1, 1])
+        np.multiply(sinc, h[0, 1].imag, out=re[1, 0])
+        np.negative(re[1, 0], out=re[0, 1])
+        np.multiply(sinc, h[0, 1].real, out=im[0, 1])
+        im[1, 0] = im[0, 1]
+        if tau.any():
+            phase = np.empty(tau.shape, dtype=complex)  # e^(i tau)
+            phase.real, phase.imag = np.cos(tau), np.sin(tau)
+            u *= phase
         return u
     squarings = _squarings(h)
     x = h * (1j * np.ldexp(1.0, -squarings))  # i h 2^-s, exactly

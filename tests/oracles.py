@@ -31,7 +31,7 @@ from qx.qec_core import _ROW_BLOCK, CUTOFF_REL, CodeIsometry, KLReport, _error_f
 from qx.quantum_ops import KrausChannel, choi_matrix, trace_distance
 from qx.quasi_universality import SimTrajectory, unitary_distance
 from qx.rng import make_generator
-from qx.su_algebra import SuBasis, expi_hermitian, gell_mann_basis, random_special_unitary
+from qx.su_algebra import SuBasis, _u2_split, expi_hermitian, gell_mann_basis, random_special_unitary
 from qx.vbs_code import VbsCode, _site_term, transfer_power
 
 
@@ -201,6 +201,36 @@ def sequential_products(seq):
         current = u @ current
         out[step] = current
     return out
+
+
+def dense_algebra(generators, coefficients):
+    """sum_k c_k t^k batch-last as (d, d, L), summed over every generator in
+    order of k, zero entries included: the reference whose bits
+    ``quasi_universality._algebra`` keeps."""
+    columns = np.ascontiguousarray(coefficients.T)
+    out = generators[0, ..., None] * columns[0]
+    for g, c in zip(generators[1:], columns[1:]):
+        out += g[..., None] * c
+    return out
+
+
+def complex_u2_exponential(h):
+    """exp(i h) for batch-last 2x2 Hermitian h, (2, 2, batch), by the U(2)
+    closed form in complex arithmetic, e^(i tau) times cos r I + i (sin r / r)
+    h0 with every entry formed as a complex product: the reference whose bits
+    ``su_algebra._expi_batch_last`` keeps at n = 2."""
+    tau, delta, r = _u2_split(h)
+    i_sinc = 1j * np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
+    u = np.empty(h.shape, dtype=complex)
+    cos_r = np.cos(r)
+    u[0, 0] = cos_r + i_sinc * delta
+    u[1, 1] = cos_r - i_sinc * delta
+    u[0, 1] = i_sinc * h[0, 1]
+    u[1, 0] = i_sinc * h[0, 1].conj()
+    phase = np.empty(tau.shape, dtype=complex)
+    phase.real, phase.imag = np.cos(tau), np.sin(tau)
+    u *= phase
+    return u
 
 
 def transfer_superoperator(kraus):

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from qx import quasi_universality as qu
 from qx.rng import make_generator, splitmix64, stable_seed
-from qx.su_algebra import expi_hermitian, gell_mann_basis, random_special_unitary
+from qx.su_algebra import _expi_batch_last, expi_hermitian, gell_mann_basis, random_special_unitary
 from qx.vbs_code import eta
 
 
@@ -382,8 +382,8 @@ def test_simulation_does_not_depend_on_the_chunking(monkeypatch, chunk, d, expli
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_simulation_peak_within_stated_stack_count(d):
     # the run holds nothing L-long: tracemalloc reads the same peak at 2e4
-    # and 2e5 steps, a few chunk stacks of scratch (6.8 at d = 2, 8.3 at
-    # d = 3, 8.2 at d = 4)
+    # and 2e5 steps, a few chunk stacks of scratch (5.3 at d = 2, and 4.1 at
+    # d = 3 and d = 4, whose chunks take half as many steps)
     chunk_stack = qu.CHUNK_STEPS * d * d * 16
     qu.simulate_computation(d, 8, 100, seed=3)  # numpy's own first-call buffers
     peaks = []
@@ -487,6 +487,34 @@ def test_reading_distances_holds_nothing_long_but_its_result():
     reals = 8 * (lengths[1] - lengths[0])
     assert peaks[1] - peaks[0] <= 2 * reals + 0.05 * chunk_stack, peaks
     assert peaks[1] < lengths[1] * d * d * 16, peaks
+
+
+def reference_expi(h):
+    """The exponential with the complex-arithmetic U(2) form at n = 2."""
+    return oracles.complex_u2_exponential(h) if h.shape[0] == 2 else _expi_batch_last(h)
+
+
+@pytest.mark.parametrize("d, length, error_dist", [
+    (2, 100000, "uniform"), (2, 30000, "gaussian"), (3, 5003, "uniform"),
+    (4, 777, "uniform"), (2, 4097, "uniform"),
+])
+def test_seeded_runs_keep_the_bits_of_the_reference_kernels(monkeypatch, d, length, error_dist):
+    # the real-plane U(2) form and the sum over nonzero generator entries
+    # against the complex form and the dense sum they replace
+    names = ("final_noisy", "final_ideal", "distances", "step_errors", "gates")
+    traj = qu.simulate_computation(d, 8, length, seed=d, error_dist=error_dist)
+    got = [getattr(traj, name) for name in names]
+    monkeypatch.setattr(qu, "_algebra", oracles.dense_algebra)
+    monkeypatch.setattr(qu, "_expi_batch_last", reference_expi)
+    traj = qu.simulate_computation(d, 8, length, seed=d, error_dist=error_dist)
+    for name, a in zip(names, got):
+        assert a.tobytes() == getattr(traj, name).tobytes(), name
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_chunk_length_is_a_power_of_two(d):
+    steps = qu._chunk_steps(d)
+    assert steps >= 1 and steps & (steps - 1) == 0, steps
 
 
 def test_trajectory_csv_format():

@@ -5,6 +5,8 @@ import scipy.linalg
 import oracles
 from oracles import adjoint_generator
 from qx.su_algebra import (
+    _expi_batch_last,
+    _u2_split,
     adjoint_group_element,
     check_unitary,
     expi_hermitian,
@@ -293,3 +295,32 @@ def test_expi_hermitian_2x2_closed_form():
         strided = np.repeat(np.insert(others[:6], 5, hi, axis=0), 2, axis=0)[::2]
         assert not strided.flags.c_contiguous
         assert np.array_equal(expi_hermitian(strided)[5], alone)
+
+
+def test_u2_closed_form_keeps_the_bits_of_complex_arithmetic():
+    # the closed form written plane by plane against the complex products
+    # it replaces, byte for byte: Hermitian 2x2 matrices with a nonzero
+    # trace and norms up to 30, so that r passes pi; the same made traceless,
+    # tau exactly 0, where the phase product is skipped; and the zero matrix,
+    # equal in value (an exactly zero entry may differ in the sign of zero)
+    rng = np.random.default_rng(37)
+    h = two_by_two(rng, rng.uniform(0.0, 30.0, size=20000)).transpose(1, 2, 0).copy()
+    tau, delta, r = _u2_split(h)
+    assert tau.all() and (r > np.pi).any()
+    assert _expi_batch_last(h).tobytes() == oracles.complex_u2_exponential(h).tobytes()
+    h[0, 0], h[1, 1] = delta, -delta
+    assert not _u2_split(h)[0].any()
+    assert _expi_batch_last(h).tobytes() == oracles.complex_u2_exponential(h).tobytes()
+    zero = np.zeros((2, 2, 3), dtype=complex)
+    assert np.array_equal(_expi_batch_last(zero), oracles.complex_u2_exponential(zero))
+    assert np.array_equal(_expi_batch_last(zero), np.eye(2)[..., None] * np.ones(3))
+
+
+def test_u2_split_takes_r_from_two_hypots():
+    # r = hypot(delta, hypot(Re h01, Im h01)) byte for byte: np.abs(h01) in
+    # place of the inner hypot rounds differently and moves whole trajectories
+    rng = np.random.default_rng(38)
+    h = two_by_two(rng, rng.uniform(0.0, 30.0, size=20000)).transpose(1, 2, 0).copy()
+    _, delta, r = _u2_split(h)
+    h01 = h[0, 1].copy()
+    assert r.tobytes() == np.hypot(delta, np.hypot(h01.real.copy(), h01.imag.copy())).tobytes()
