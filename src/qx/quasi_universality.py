@@ -174,11 +174,12 @@ def _phase_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _chunk_steps(d: int) -> int:
     """Steps per chunk at dimension d: CHUNK_STEPS at d = 2, half of it
-    above.  A chunk makes a fixed number of numpy calls, so at d = 2, where
-    each call is short, longer chunks spend less per step on calls; at
-    d >= 3 the Taylor kernel's dozen stacks of scratch outgrow the cache
-    first (at 5e4 steps, d = 3 ran 15-30% slower at 4096 steps than at
-    2048, and d = 4 30-50% slower at 1024)."""
+    above.  A chunk makes a fixed number of numpy calls, so longer chunks
+    spend less per step on calls, but the lengths above d = 2 are measured,
+    not derived: at 5e4 steps (in-process, 2 vCPUs) d = 3 ran 0.15 s at
+    2048 steps, 0.16-0.17 s at 1024 and 0.16-0.19 s at 4096, and d = 4
+    0.33-0.35 s at 2048 against 0.68-0.74 s at 1024, where its scratch
+    took four times as many minor page faults."""
     return CHUNK_STEPS if d == 2 else max(1, CHUNK_STEPS // 2)
 
 

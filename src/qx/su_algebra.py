@@ -289,12 +289,9 @@ def _expi_batch_last(h: np.ndarray) -> np.ndarray:
         _require_finite(h)
         tau, delta, r = _u2_split(h)
         sinc = np.sin(r)
-        if r.all():
+        with np.errstate(invalid="ignore"):  # 0 / 0, set to 1 below
             sinc /= r
-        else:
-            with np.errstate(invalid="ignore"):
-                sinc /= r
-            sinc[r == 0.0] = 1.0
+        sinc[r == 0.0] = 1.0
         u = np.empty(h.shape, dtype=complex)  # cos r I + i sinc h0, plane by plane
         re, im = u.real, u.imag
         np.cos(r, out=re[0, 0])

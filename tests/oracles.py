@@ -1,7 +1,8 @@
 """Brute-force oracles: the eigendecomposition exponential, dense ones for
 the transfer contractions and the transversal collapse check, the
 insertion-by-insertion closed-form check and bond error compressions, a
-step-by-step product for the trajectory scan, the einsum rotation of the
+step-by-step product for the trajectory scan, the dense generator sum and
+the complex-arithmetic U(2) exponential of its steps, the einsum rotation of the
 KL report, the compression tensor from a copied error family and the looped
 physical-space logical channel; the correlation
 closed form with its own h_bac t^c product per call, and the structure
