@@ -61,14 +61,6 @@ class SuBasis:
         which is t^x t^y - delta_xy I / (2d); formed on first read and kept."""
         return 0.5 * np.tensordot(self.d_sym + 1j * self.f, self.generators, axes=1)
 
-    @cached_property
-    def adjoint_width(self) -> float:
-        """The widest spectral range max_a (lambda_max - lambda_min) of the
-        adjoint generators -i f_a, from one stacked eigvalsh; formed on first
-        read and kept."""
-        spec = np.linalg.eigvalsh(-1j * self.f)
-        return float((spec[:, -1] - spec[:, 0]).max())
-
 
 def gell_mann_basis(d: int) -> SuBasis:
     """Build the generalized Gell-Mann basis of su(d).

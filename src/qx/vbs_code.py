@@ -462,7 +462,8 @@ def erasure_bound(code: VbsCode) -> float:
     Reported as a relative scaling quantity with unit proportionality
     constant, not an absolute error.
     """
-    return 1.0 / (code.n_sites * code.basis.adjoint_width)
+    spec = np.linalg.eigvalsh(-1j * code.basis.f)  # every adjoint generator
+    return 1.0 / (code.n_sites * float((spec[:, -1] - spec[:, 0]).max()))
 
 
 def bond_error_weights(code: VbsCode, bonds, strength: float) -> tuple[float, float]:

@@ -382,9 +382,9 @@ def test_simulation_does_not_depend_on_the_chunking(monkeypatch, chunk, d, expli
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_simulation_peak_within_stated_stack_count(d):
     # the run holds nothing L-long: tracemalloc reads the same peak at 2e4
-    # and 2e5 steps, a few chunk stacks of scratch (5.3 at d = 2, and 4.1 at
-    # d = 3 and d = 4, whose chunks take half as many steps)
-    chunk_stack = qu.CHUNK_STEPS * d * d * 16
+    # and 2e5 steps, a few stacks of the run's own chunk of scratch (5.3 at
+    # d = 2, 8.3 at d = 3, 8.2 at d = 4)
+    chunk_stack = qu._chunk_steps(d) * d * d * 16
     qu.simulate_computation(d, 8, 100, seed=3)  # numpy's own first-call buffers
     peaks = []
     for length in (20000, 200000):

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -436,17 +435,6 @@ def test_erasure_bound():
     b1 = vc.erasure_bound(vc.build(2, 5))
     b2 = vc.erasure_bound(vc.build(2, 10))
     assert abs(b1 - 2 * b2) < 1e-14
-
-
-def test_erasure_bound_solves_the_spectrum_once_per_basis(monkeypatch):
-    # a sweep derives every N of one d from one code, so the adjoint
-    # spectrum is solved once for the basis they share
-    code, calls = vc.build(3, 3), []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-    bounds = [vc.erasure_bound(replace(code, n_sites=n)) for n in (3, 4, 5, 6)]
-    assert calls == [(8, 8, 8)]
-    assert bounds[0] == 1.0 / (3 * code.basis.adjoint_width)
 
 
 @pytest.mark.parametrize("d,n_sites", [(2, 4), (3, 3)])
