@@ -81,7 +81,7 @@ def four_two_two_code() -> CodeIsometry:
 def single_qubit_depolarizing(n_qubits: int, strength: float) -> KrausChannel:
     """Trace-preserving noise: identity plus uniformly weighted weight-1 Paulis."""
     ops = np.stack([np.eye(2**n_qubits, dtype=complex)] + weight_one_paulis(n_qubits))
-    return KrausChannel.from_kraus(depolarizing_weights(n_qubits, strength)[:, None, None] * ops)
+    return KrausChannel(depolarizing_weights(n_qubits, strength)[:, None, None] * ops)
 
 
 def depolarizing_weights(n_qubits: int, strength: float) -> np.ndarray:

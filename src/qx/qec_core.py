@@ -374,7 +374,7 @@ def recovery_from_kl(
     kraus = code.isometry @ (x @ t_adj)
     if core is not None:
         kraus = np.concatenate([kraus, (np.eye(code.d_q) - (t @ core) @ t_adj)[None]])
-    return KrausChannel.from_kraus(kraus)
+    return KrausChannel(kraus)
 
 
 def logical_recovery_channel(
@@ -406,17 +406,16 @@ def logical_recovery_channel(
         v_t = np.einsum("kj,jab->akb", w, d).reshape(d_l, -1)
         v_noise = np.einsum("lj,jab->lab", c[:, 1:], d) + c[:, 0, None, None] * np.eye(d_l)
         kraus = np.concatenate([kraus, v_noise - (v_t @ core) @ t_noise])
-    return KrausChannel.from_kraus(kraus)
+    return KrausChannel(kraus)
 
 
 def recovery_error(q_channel: KrausChannel):
-    """Distance of a logical channel from the identity.
+    """Distance of a logical channel from the identity, from one Choi matrix.
 
     Returns (choi_trace_distance, diamond_bracket, fidelity, bures) where the
-    bracket (2 D, 2 d_L D) sandwiches the diamond-norm distance.
+    bracket (2 D, 2 d_L D) sandwiches the diamond-norm distance; the
+    fidelity is read from the Kraus traces.
     """
-    if not q_channel.is_square:
-        raise ValueError("recovery error is defined for square channels")
     d_l = q_channel.in_dim
     dist = trace_distance(choi_matrix(q_channel), omega_matrix(d_l))
     fid, bures = entanglement_fidelity(q_channel)

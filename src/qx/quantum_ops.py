@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "KrausChannel",
     "choi_matrix",
-    "omega_vector",
     "omega_matrix",
     "trace_distance",
     "entanglement_fidelity",
@@ -23,66 +22,42 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A completely positive map given by its Kraus operators.
+    """A completely positive map on a d-dimensional space, given by its
+    Kraus operators.
 
-    ``kraus`` is one (K, out_dim, in_dim) complex array; any sequence of
-    equally shaped operators is stacked into it.  Trace preservation,
-    sum K+K = I, is neither assumed nor checked.  An empty Kraus list is
-    allowed when the dimensions are given explicitly; it becomes the
-    (0, out_dim, in_dim) zero map.
+    ``kraus`` is one nonempty (K, d, d) complex array; any sequence of
+    equally shaped square operators is stacked into it.  Trace
+    preservation, sum K+K = I, is neither assumed nor checked.
     """
 
     kraus: np.ndarray
-    in_dim: int
-    out_dim: int
-
-    @classmethod
-    def from_kraus(cls, kraus) -> "KrausChannel":
-        ops = np.asarray(kraus, dtype=complex)
-        if ops.ndim != 3 or not len(ops):
-            raise ValueError(
-                f"cannot infer dimensions from Kraus input of shape {ops.shape}; "
-                "expected a nonempty list of matrices"
-            )
-        return cls(kraus=ops, in_dim=ops.shape[2], out_dim=ops.shape[1])
 
     def __post_init__(self):
-        ops = np.asarray(self.kraus, dtype=complex)
-        if ops.shape == (0,):
-            ops = ops.reshape(0, self.out_dim, self.in_dim)
-        if ops.shape[1:] != (self.out_dim, self.in_dim) or ops.ndim != 3:
-            raise ValueError(
-                f"Kraus stack shape {ops.shape} does not match "
-                f"(K, {self.out_dim}, {self.in_dim})"
-            )
+        ops = np.asarray(self.kraus, dtype=complex)  # ragged input raises here
+        if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:
+            raise ValueError(f"Kraus stack shape {ops.shape} is not a nonempty (K, d, d)")
         object.__setattr__(self, "kraus", ops)
 
     @property
-    def is_square(self) -> bool:
-        return self.in_dim == self.out_dim
-
-
-def omega_vector(dim: int) -> np.ndarray:
-    """The maximally entangled state sum_i |ii> / sqrt(dim) on dim x dim."""
-    vec = np.zeros(dim * dim, dtype=complex)
-    vec[:: dim + 1] = 1.0 / sqrt(dim)
-    return vec
+    def in_dim(self) -> int:
+        """The dimension d the channel acts on."""
+        return self.kraus.shape[-1]
 
 
 def omega_matrix(dim: int) -> np.ndarray:
-    vec = omega_vector(dim)
+    """|omega><omega| for the maximally entangled state sum_i |ii> / sqrt(dim)."""
+    vec = np.zeros(dim * dim, dtype=complex)
+    vec[:: dim + 1] = 1.0 / sqrt(dim)
     return np.outer(vec, vec.conj())
 
 
 def choi_matrix(ch: KrausChannel) -> np.ndarray:
-    """Choi matrix (ch x id)(omega) of a square channel.
+    """Choi matrix (ch x id)(omega) of the channel.
 
     With the system factor first, C = (1/d) sum_k vec(K_k) vec(K_k)+, where
     vec is row-major flattening.  The channel is recovered through
     ch(rho) = d * Tr_ref[(I x rho^T) C].
     """
-    if not ch.is_square:
-        raise ValueError("Choi matrix requires a square channel")
     d = ch.in_dim
     v = ch.kraus.reshape(len(ch.kraus), d * d)
     # np.outer's complex products, summed over k in Kraus order: equal bit for
@@ -106,10 +81,11 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray):
 
 
 def entanglement_fidelity(ch: KrausChannel) -> tuple[float, float]:
-    """Entanglement fidelity F = <omega| C |omega> and Bures distance sqrt(1-F)."""
-    c = choi_matrix(ch)
-    omega = omega_vector(ch.in_dim)
-    f = float(np.real(omega.conj() @ c @ omega))
+    """Entanglement fidelity F = <omega| C |omega> = sum_k |tr K_k|^2 / d^2,
+    read from the Kraus traces with no Choi matrix (Schumacher, PRA 54,
+    2614 (1996)), and the Bures distance sqrt(1-F)."""
+    d = ch.in_dim
+    f = float(np.sum(np.abs(np.trace(ch.kraus, axis1=1, axis2=2)) ** 2)) / (d * d)
     f = min(max(f, 0.0), 1.0)
     return f, sqrt(1.0 - f)
 

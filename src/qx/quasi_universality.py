@@ -70,6 +70,7 @@ class SimTrajectory:
     holding nothing L-long but its result.
     """
 
+    d: int
     seed: int
     length: int
     error_scale: float
@@ -79,14 +80,13 @@ class SimTrajectory:
     final_ideal: np.ndarray
 
     def _generators(self) -> np.ndarray:
-        return gell_mann_basis(self.final_noisy.shape[-1]).generators
+        return gell_mann_basis(self.d).generators
 
     def _gate_stream(self, generators):
         return _gate_chunks(generators, self.length, self.seed, self.explicit_gates)
 
     def _exponent_stream(self):
-        d = self.final_noisy.shape[-1]
-        return _exponent_chunks(d, self.length, self.seed, self.error_dist,
+        return _exponent_chunks(self.d, self.length, self.seed, self.error_dist,
                                 seeded=self.explicit_gates is None)
 
     @property
@@ -119,9 +119,8 @@ class SimTrajectory:
 
     @cached_property
     def distances(self) -> np.ndarray:
-        d = self.final_noisy.shape[-1]
         generators = self._generators()
-        noisy, ideal = _RunningProduct(d), _RunningProduct(d)
+        noisy, ideal = _RunningProduct(self.d), _RunningProduct(self.d)
         distances = []
         for gates, exponents in zip(self._gate_stream(generators), self._exponent_stream()):
             steps = _steps(generators, gates, exponents, self.error_scale)
@@ -338,6 +337,7 @@ def simulate_computation(
         ideal.feed(chunk)
         noisy.feed(_steps(generators, chunk, exponents, scale))
     return SimTrajectory(
+        d=d,
         seed=seed,
         length=length,
         error_scale=scale,

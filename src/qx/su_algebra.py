@@ -352,13 +352,11 @@ def expi_hermitian(h: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_expi_batch_last(sym).transpose(2, 0, 1)).reshape(h.shape)
 
 
-def random_special_unitary(
-    basis: SuBasis, rng: np.random.Generator, scale: float = 1.0
-) -> np.ndarray:
+def random_special_unitary(basis: SuBasis, rng: np.random.Generator) -> np.ndarray:
     """Seeded pseudo-random element of SU(d).
 
     Draws Gaussian weights for the generators and exponentiates; the result
     has unit determinant exactly because the generators are traceless.
     """
-    x = rng.normal(0.0, scale, size=basis.size)
+    x = rng.normal(0.0, 1.0, size=basis.size)
     return expi_hermitian(np.einsum("a,aij->ij", x, basis.generators))

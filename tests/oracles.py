@@ -3,8 +3,9 @@ the transfer contractions and the transversal collapse check, the
 insertion-by-insertion closed-form check and bond error compressions, a
 step-by-step product for the trajectory scan, the dense generator sum and
 the complex-arithmetic U(2) exponential of its steps, the einsum rotation of the
-KL report, the compression tensor from a copied error family and the looped
-physical-space logical channel; the correlation
+KL report, the compression tensor from a copied error family, the looped
+physical-space logical channel and the entanglement fidelity read from its
+Choi matrix; the correlation
 closed form with its own h_bac t^c product per call, and the structure
 constants as two einsum traces; the bond error family written as its
 own noise; the KL report and its ``epsilon`` with one eigenproblem each,
@@ -29,7 +30,7 @@ import numpy as np
 
 from qx import vbs_code as vc
 from qx.qec_core import _ROW_BLOCK, CUTOFF_REL, CodeIsometry, KLReport, _error_family
-from qx.quantum_ops import KrausChannel, choi_matrix, trace_distance
+from qx.quantum_ops import KrausChannel, choi_matrix, omega_matrix, trace_distance
 from qx.quasi_universality import SimTrajectory, unitary_distance
 from qx.rng import make_generator
 from qx.su_algebra import SuBasis, _u2_split, expi_hermitian, gell_mann_basis, random_special_unitary
@@ -332,17 +333,22 @@ def recovered_logical_channel(code, noise, recovery):
     """Logical channel V+ R N V from explicit noise and recovery channels,
     one physical-space product per Kraus pair: the reference for
     ``logical_recovery_channel``."""
-    if noise.in_dim != code.d_q or recovery.in_dim != noise.out_dim:
+    if noise.in_dim != code.d_q or recovery.in_dim != code.d_q:
         raise ValueError("channel dimensions do not chain with the code")
-    if recovery.out_dim != code.d_q:
-        raise ValueError("recovery must return to the physical space")
     v = code.isometry
     kraus = []
     for nk in noise.kraus:
         nv = nk @ v
         for rk in recovery.kraus:
             kraus.append(v.conj().T @ (rk @ nv))
-    return KrausChannel.from_kraus(kraus)
+    return KrausChannel(kraus)
+
+
+def choi_fidelity(ch: KrausChannel) -> float:
+    """Entanglement fidelity <omega| C |omega> = tr(|omega><omega| C) read
+    from the Choi matrix C, unclipped: the reference for the Kraus-trace
+    form of ``entanglement_fidelity``."""
+    return float(np.vdot(omega_matrix(ch.in_dim), choi_matrix(ch)).real)
 
 
 TP_TOL = 1e-10
@@ -365,14 +371,14 @@ def cptp_residuals(ch: KrausChannel) -> tuple[float, float]:
     """Operator norms of sum K+K - I (trace) and sum K K+ - I (unitality)."""
     k = ch.kraus
     tp = np.einsum("kji,kjl->il", k.conj(), k, optimize=True) - np.eye(ch.in_dim)
-    un = np.einsum("kij,klj->il", k, k.conj(), optimize=True) - np.eye(ch.out_dim)
+    un = np.einsum("kij,klj->il", k, k.conj(), optimize=True) - np.eye(ch.in_dim)
     return float(np.linalg.norm(tp, 2)), float(np.linalg.norm(un, 2))
 
 
 def dilation_isometry(ch: KrausChannel) -> np.ndarray:
     """Isometry W stacking the Kraus blocks, with the environment index first.
 
-    W maps in_dim -> len(kraus) * out_dim and satisfies W+W = I; tracing the
+    W maps d -> len(kraus) * d and satisfies W+W = I; tracing the
     environment factor of W rho W+ reproduces :func:`apply_channel`.
     """
     tp, _ = cptp_residuals(ch)
@@ -477,9 +483,9 @@ def effective_noise_channel(
     scales = code.chi ** np.array(bonds, dtype=float)
     # one stacked call: the bond gates, then the proxy at the mean scale
     gates = expi_hermitian(np.append(scales, scales.mean())[:, None, None] * h)
-    mixture = KrausChannel.from_kraus(gates[:-1] * (1.0 / sqrt(len(bonds))))
+    mixture = KrausChannel(gates[:-1] * (1.0 / sqrt(len(bonds))))
     unitary = gates[-1]
-    proxy = KrausChannel.from_kraus([unitary])
+    proxy = KrausChannel([unitary])
     discrepancy = trace_distance(choi_matrix(mixture), choi_matrix(proxy))
     return mixture, unitary, discrepancy
 

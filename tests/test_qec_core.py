@@ -393,7 +393,7 @@ def test_logical_recovery_matches_dense_composition(normalization, d, n_sites):
     bulk = np.eye(code.site_dim**n_sites)
     noise_ops = [w0 * np.eye(iso.d_q)]
     noise_ops += [w * np.kron(bulk, g) for g in code.basis.generators]
-    noise = KrausChannel.from_kraus(noise_ops)
+    noise = KrausChannel(noise_ops)
     dense = oracles.recovered_logical_channel(iso, noise, recovery)
     assert np.abs(choi_matrix(thin) - choi_matrix(dense)).max() < 1e-10
 
@@ -452,20 +452,18 @@ def test_first_order_gap_shrinks_with_chain_length():
 
 def test_recovered_logical_channel_identity_case():
     code = qc.CodeIsometry(isometry=np.eye(3))
-    ident = KrausChannel.from_kraus([np.eye(3)])
+    ident = KrausChannel([np.eye(3)])
     q_ch = oracles.recovered_logical_channel(code, ident, ident)
     rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
     assert np.abs(apply_channel(q_ch, rho) - rho).max() < 1e-14
 
 
 def test_recovery_error_reference_values():
-    ident = KrausChannel.from_kraus([np.eye(2)])
+    ident = KrausChannel([np.eye(2)])
     dist, bracket, fid, bures = qc.recovery_error(ident)
     assert dist < 1e-14 and fid > 1 - 1e-14 and bures < 1e-6
     paulis = ec.weight_one_paulis(1)
-    dep = KrausChannel.from_kraus(
-        [0.5 * np.eye(2)] + [0.5 * p for p in paulis]
-    )
+    dep = KrausChannel([0.5 * np.eye(2)] + [0.5 * p for p in paulis])
     dist_dep = qc.recovery_error(dep)[0]
     assert abs(dist_dep - 0.75) < 1e-12
 

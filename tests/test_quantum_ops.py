@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import ChannelError, apply_channel, cptp_residuals, dilation_isometry, partial_trace
+from oracles import (
+    ChannelError,
+    apply_channel,
+    choi_fidelity,
+    cptp_residuals,
+    dilation_isometry,
+    partial_trace,
+)
+from qx import qec_core as qc
 from qx import vbs_code as vc
 from qx.quantum_ops import (
     KrausChannel,
@@ -20,11 +28,11 @@ PAULIS = [
 
 
 def vbs_channel(d: int) -> KrausChannel:
-    return KrausChannel.from_kraus(list(vc.build(d, 1).kraus))
+    return KrausChannel(list(vc.build(d, 1).kraus))
 
 
 def depolarizing2() -> KrausChannel:
-    return KrausChannel.from_kraus([p / 2.0 for p in PAULIS])
+    return KrausChannel([p / 2.0 for p in PAULIS])
 
 
 def random_channel(dim: int, n_kraus: int, seed: int) -> KrausChannel:
@@ -33,7 +41,7 @@ def random_channel(dim: int, n_kraus: int, seed: int) -> KrausChannel:
     total = sum(k.conj().T @ k for k in raw)
     w, v = np.linalg.eigh(total)
     norm = (v * w**-0.5) @ v.conj().T
-    return KrausChannel.from_kraus([k @ norm for k in raw])
+    return KrausChannel([k @ norm for k in raw])
 
 
 def random_density(dim: int, seed: int) -> np.ndarray:
@@ -44,7 +52,7 @@ def random_density(dim: int, seed: int) -> np.ndarray:
 
 
 def test_apply_identity_channel():
-    ch = KrausChannel.from_kraus([np.eye(3)])
+    ch = KrausChannel([np.eye(3)])
     rho = random_density(3, 0)
     assert np.abs(apply_channel(ch, rho) - rho).max() < 1e-14
 
@@ -58,14 +66,14 @@ def test_vbs_channel_fixed_point_and_scaling():
 
 
 def test_apply_channel_dimension_mismatch():
-    ch = KrausChannel.from_kraus([np.eye(2)])
+    ch = KrausChannel([np.eye(2)])
     with pytest.raises(ValueError):
         apply_channel(ch, np.eye(3))
 
 
 def test_dilation_single_unitary():
     u = np.array([[0, 1], [1, 0]], dtype=complex)
-    w = dilation_isometry(KrausChannel.from_kraus([u]))
+    w = dilation_isometry(KrausChannel([u]))
     assert np.abs(w - u).max() == 0.0
 
 
@@ -87,11 +95,11 @@ def test_dilation_stinespring_consistency():
 
 def test_dilation_requires_trace_preservation():
     with pytest.raises(ChannelError):
-        dilation_isometry(KrausChannel.from_kraus([0.5 * np.eye(2)]))
+        dilation_isometry(KrausChannel([0.5 * np.eye(2)]))
 
 
 def test_choi_identity_and_depolarizing():
-    ident = choi_matrix(KrausChannel.from_kraus([np.eye(2)]))
+    ident = choi_matrix(KrausChannel([np.eye(2)]))
     assert np.abs(ident - omega_matrix(2)).max() < 1e-14
     dep = choi_matrix(depolarizing2())
     assert np.abs(dep - np.eye(4) / 4).max() < 1e-14
@@ -111,27 +119,15 @@ def test_choi_equals_sequential_outer_product_sum():
 def test_kraus_channel_stacks_its_input():
     ch = random_channel(3, 4, seed=1)
     assert isinstance(ch.kraus, np.ndarray) and ch.kraus.shape == (4, 3, 3)
-    rect = KrausChannel.from_kraus(np.ones((2, 5, 3)))
-    assert (rect.out_dim, rect.in_dim) == (5, 3) and rect.kraus.dtype == complex
+    assert ch.kraus.dtype == complex and ch.in_dim == 3
     assert dilation_isometry(ch).shape == (12, 3)
 
 
-def test_kraus_channel_empty_and_ragged():
-    empty = KrausChannel(kraus=(), in_dim=2, out_dim=3)
-    assert empty.kraus.shape == (0, 3, 2)
-    assert np.array_equal(apply_channel(empty, np.eye(2)), np.zeros((3, 3)))
-    square = KrausChannel(kraus=[], in_dim=2, out_dim=2)
-    assert np.array_equal(choi_matrix(square), np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        KrausChannel.from_kraus([])
-    with pytest.raises(ValueError):
-        KrausChannel.from_kraus([np.eye(2), np.eye(3)])
-    with pytest.raises(ValueError):
-        KrausChannel.from_kraus([np.ones(2)])
-    with pytest.raises(ValueError):
-        KrausChannel(kraus=np.zeros((1, 2, 2)), in_dim=3, out_dim=2)
-    with pytest.raises(ValueError):
-        KrausChannel(kraus=np.zeros((2, 2)), in_dim=2, out_dim=2)
+def test_kraus_channel_rejects_what_is_not_a_nonempty_square_stack():
+    ragged, flat = [np.eye(2), np.eye(3)], [np.ones(2)]
+    for kraus in ([], (), ragged, flat, np.zeros((2, 2)), np.ones((2, 5, 3))):
+        with pytest.raises(ValueError):
+            KrausChannel(kraus)
 
 
 def test_choi_reproduces_channel():
@@ -168,7 +164,7 @@ def test_trace_distance_shape_mismatch():
 
 
 def test_entanglement_fidelity():
-    f, bures = entanglement_fidelity(KrausChannel.from_kraus([np.eye(2)]))
+    f, bures = entanglement_fidelity(KrausChannel([np.eye(2)]))
     assert abs(f - 1.0) < 1e-14 and bures < 1e-7
     f_dep, _ = entanglement_fidelity(depolarizing2())
     assert abs(f_dep - 0.25) < 1e-14
@@ -177,8 +173,26 @@ def test_entanglement_fidelity():
     h = h + h.T
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(1j * w)) @ v.conj().T
-    f_u, _ = entanglement_fidelity(KrausChannel.from_kraus([u]))
+    f_u, _ = entanglement_fidelity(KrausChannel([u]))
     assert abs(f_u - abs(np.trace(u)) ** 2 / 9.0) < 1e-12
+
+
+def test_entanglement_fidelity_matches_the_choi_form():
+    # sum_k |tr K_k|^2 / d^2 against <omega| C |omega>, on seeded channels
+    # and on the recovered logical channel of vbs:3:5 bond
+    channels = [
+        random_channel(dim, n_kraus, seed=10 * dim + n_kraus)
+        for dim in range(2, 6)
+        for n_kraus in range(1, 9)
+    ]
+    code = vc.build(3, 5)
+    m = vc.bond_error_compressions(code, None, 0.2)
+    channels.append(
+        qc.logical_recovery_channel(qc.kl_report_from_compressions(m), *vc.bond_noise(code, m, 0.2))
+    )
+    for ch in channels:
+        f, bures = entanglement_fidelity(ch)
+        assert abs(f - choi_fidelity(ch)) <= 1e-15 and bures == np.sqrt(1.0 - f)
 
 
 def test_partial_trace_product_state():
@@ -215,7 +229,7 @@ def test_cptp_residuals():
     tp, un = cptp_residuals(vbs_channel(3))
     assert tp < 1e-12 and un < 1e-12
     gamma = 0.3
-    damp = KrausChannel.from_kraus(
+    damp = KrausChannel(
         [
             np.array([[1.0, 0.0], [0.0, np.sqrt(1 - gamma)]]),
             np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]),
@@ -223,9 +237,6 @@ def test_cptp_residuals():
     )
     tp_d, un_d = cptp_residuals(damp)
     assert tp_d < 1e-12 and un_d > 0.1
-    empty = KrausChannel(kraus=(), in_dim=2, out_dim=2)
-    tp_e, un_e = cptp_residuals(empty)
-    assert abs(tp_e - 1.0) < 1e-14 and abs(un_e - 1.0) < 1e-14
 
 
 def test_trace_distance_of_a_stack_has_the_bits_of_each_matrix():
