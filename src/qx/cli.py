@@ -87,18 +87,17 @@ def cmd_algebra(args) -> int:
 def _closed_form_residuals(code) -> tuple[float, float]:
     """Max deviations of transfer contraction from the detection and
     correlation closed forms, over all generators and bond pairs, read from
-    the one pass of vbs_code.insertion_overlaps: one closed form per batch."""
-    a = np.arange(code.site_dim)
-    det = corr = 0.0
+    the one pass of vbs_code.insertion_overlaps: one closed-form stack per batch."""
+    worst = [0.0, 0.0]  # detection, correlation
     for m, n, got in vbs_code.insertion_overlaps(code):
         if m is None:
-            want = vbs_code.detection_closed_form(code, a, n[:, None, None, None])
-            det = max(det, float(np.abs(got - want).max()))
+            want = vbs_code.detection_closed_form(code, n)
         else:
-            n = n[:, None, None, None, None]
-            want = vbs_code.correlation_closed_form(code, a[:, None], a[None, :], m, n)
-            corr = max(corr, float(np.abs(got - want).max()))
-    return det, corr
+            want = vbs_code.correlation_closed_form(code, m, n)
+        want -= got  # in place, and dropped before the pass forms its next batch
+        worst[m is not None] = max(worst[m is not None], float(np.abs(want).max()))
+        del want
+    return worst[0], worst[1]
 
 
 def _sweep_point(code, strength: float) -> dict:

@@ -93,11 +93,8 @@ def structure_constants(generators) -> tuple[np.ndarray, np.ndarray]:
     """Antisymmetric and symmetric structure constants of a generator set.
 
     f_abc = -2i tr([t^a, t^b] t^c) and d_abc = 2 tr({t^a, t^b} t^c); both
-    must be real for a consistent orthonormal Hermitian basis.  Accepts a
-    :class:`SuBasis` or a raw generator stack.
+    must be real for a consistent orthonormal Hermitian basis.
     """
-    if isinstance(generators, SuBasis):
-        generators = generators.generators
     g = np.asarray(generators, dtype=complex)
     q, d = len(g), g.shape[-1]
     prod = np.einsum("aij,bjk->abik", g, g)

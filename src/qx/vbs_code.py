@@ -215,7 +215,7 @@ def insertion_overlaps(code: VbsCode):
     :func:`bond_error_compressions`.
 
     Yields (m, n, overlaps).  A pair batch has a bond m and an array n of
-    consecutive bonds above it, with overlaps[k, a, b] the logical matrix of
+    consecutive bonds above it, with overlaps[k, b, a] the logical matrix of
     t^b at bond n[k] and t^a at bond m.  The last item has m = None, n =
     0..N and overlaps[n, b] the matrix of t^b at bond n.  Every matrix is
     bitwise the :func:`edge_overlap` of the same insertions.
@@ -242,7 +242,7 @@ def insertion_overlaps(code: VbsCode):
             pairs = rows[lo:hi].reshape(-1, d * d) @ right
             for _ in range(m):
                 pairs = transfer_apply(code, pairs)
-            yield m, np.arange(lo, hi), pairs.reshape(hi - lo, q, q, d, d).swapaxes(1, 2)
+            yield m, np.arange(lo, hi), pairs.reshape(hi - lo, q, q, d, d)
         if m > 0:
             rows[m:] = transfer_apply(code, rows[m:])
             c = transfer_apply(code, c)
@@ -318,28 +318,24 @@ def edge_state(code: VbsCode, alpha: int, n: int) -> tuple[np.ndarray, np.ndarra
     return iterated, closed
 
 
-def detection_closed_form(code: VbsCode, a, bond) -> np.ndarray:
-    """Closed-form logical matrix chi^n t^a for a single bond insertion;
-    an index array ``a`` gives the stack of matrices, and a bond array
-    shaped to broadcast against it, such as (N + 1, 1, 1, 1), one stack per
-    bond."""
-    return code.chi**bond * code.basis.generators[a]
+def detection_closed_form(code: VbsCode, bond) -> np.ndarray:
+    """Closed-form logical matrices chi^n t^a of every generator at bond n:
+    (q, d, d), or (len(n), q, d, d) for a 1-D array of bonds."""
+    return np.multiply.outer(code.chi**bond, code.basis.generators)
 
 
-def correlation_closed_form(code: VbsCode, a, b, m: int, n) -> np.ndarray:
-    """Closed-form logical matrix for the two-bond insertion.
-
-    chi^(n-m) delta_ab I / (2d) + chi^n h_bac t^c / 2 with
-    h_bac = d_bac + i f_bac.  The product h_bac t^c / 2 is read from the
-    basis (:attr:`qx.su_algebra.SuBasis.h_t`), formed once per basis.
-    Index arrays ``a`` and ``b`` broadcast to a stack of matrices; an array
-    ``n`` shaped to broadcast against that stack gives one stack per bond.
+def correlation_closed_form(code: VbsCode, m: int, n) -> np.ndarray:
+    """Closed-form logical matrices of every two-bond insertion: entry [b, a],
+    for t^b at bond n and t^a at bond m, is chi^(n-m) delta_ab I / (2d) +
+    chi^n h_bac t^c / 2 with h_bac = d_bac + i f_bac, read from the basis
+    (:attr:`qx.su_algebra.SuBasis.h_t`, formed once).  The stack is
+    (q, q, d, d), or (len(n), q, q, d, d) for a 1-D array of bonds n.
     """
-    h_t, every = code.basis.h_t, np.arange(code.basis.size)
-    full = np.array_equal(a, every[:, None]) and np.array_equal(b, every[None, :])
-    mat = code.chi**n * (h_t.swapaxes(0, 1) if full else h_t[b, a])  # the full range: a view
-    diagonal = np.equal(a, b)[..., None, None]
-    return mat + diagonal * (code.chi ** (n - m) / (2.0 * code.d) * np.eye(code.d))
+    mat = np.multiply.outer(code.chi**n, code.basis.h_t)
+    delta = np.multiply.outer(code.chi ** (n - m) / (2.0 * code.d), np.eye(code.d))
+    diagonal = np.einsum("...aaij->...aij", mat)  # a writeable view of blocks [a, a]
+    diagonal += delta[..., None, :, :]
+    return mat
 
 
 def _site_term(code: VbsCode, upper: list, site: int, t: np.ndarray) -> np.ndarray:
@@ -542,11 +538,11 @@ def bond_error_compressions(
     for low, highs, overlaps in insertion_overlaps(code):
         if low not in rows_at:
             continue  # the single-insertion rows (low None) or an unlisted bond
-        # overlaps[k, a, b] is M[(highs[k], b), (low, a)] / w^2: the pass puts
+        # overlaps[k, b, a] is M[(highs[k], b), (low, a)] / w^2: the pass puts
         # t^b right of the matrix carried down to bond highs[k], edge_overlap
         # puts (t^b)+ = t^b (Hermitian generators) left of it; they agree as
         # that matrix is the identity (the transfer is unital)
-        for n, block in zip(highs, (w * w) * overlaps.swapaxes(1, 2)):
+        for n, block in zip(highs, (w * w) * overlaps):
             for r, s in product(rows_at.get(int(n), ()), rows_at[low]):
                 m[r, s], m[s, r] = block, block.conj().transpose(1, 0, 3, 2)
     return m

@@ -89,31 +89,31 @@ def pairwise_closed_form_residuals(code):
     and pair insertion contracted from the edge on its own by
     ``edge_overlap``: O(N^3) transfer steps, one closed form per insertion."""
     g = code.basis.generators
-    a = np.arange(code.site_dim)
     n_sites = code.n_sites
     det = 0.0
     for bond in range(n_sites + 1):
         got = vc.edge_overlap(code, ket_insertions=[(bond, g)])
-        want = vc.detection_closed_form(code, a, bond)
+        want = vc.detection_closed_form(code, bond)
         det = max(det, float(np.abs(got - want).max()))
     corr = 0.0
     for m in range(n_sites):
         for n in range(m + 1, n_sites + 1):
-            got = vc.edge_overlap(code, ket_insertions=[(n, g[None, :]), (m, g[:, None])])
-            want = vc.correlation_closed_form(code, a[:, None], a[None, :], m, n)
+            got = vc.edge_overlap(code, ket_insertions=[(n, g[:, None]), (m, g[None, :])])
+            want = vc.correlation_closed_form(code, m, n)
             corr = max(corr, float(np.abs(got - want).max()))
     return det, corr
 
 
-def tensordot_correlation_closed_form(code, a, b, m, n):
+def tensordot_correlation_closed_form(code, m, n):
     """``vbs_code.correlation_closed_form`` with h_bac = d_bac + i f_bac
-    gathered for the given indices and contracted with the generators on
-    each call, instead of read from ``SuBasis.h_t``."""
-    basis = code.basis
-    h = basis.d_sym[b, a, :] + 1j * basis.f[b, a, :]
-    mat = 0.5 * code.chi**n * np.tensordot(h, basis.generators, axes=1)
-    diagonal = np.equal(a, b)[..., None, None]
-    return mat + diagonal * (code.chi ** (n - m) / (2.0 * code.d) * np.eye(code.d))
+    contracted with the generators for every pair [b, a] on each call,
+    instead of read from ``SuBasis.h_t``, and the delta_ab term added as a
+    masked product over the whole stack."""
+    basis, d = code.basis, code.d
+    h = basis.d_sym + 1j * basis.f
+    mat = np.multiply.outer(0.5 * code.chi**n, np.tensordot(h, basis.generators, axes=1))
+    diagonal = np.eye(basis.size)[:, :, None, None] * np.eye(d)
+    return mat + np.multiply.outer(code.chi ** (n - m) / (2.0 * d), diagonal)
 
 
 def einsum_structure_constants(generators):

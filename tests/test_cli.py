@@ -226,6 +226,22 @@ def test_closed_form_pass_memory_bound():
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+@pytest.mark.parametrize("d, n_sites", [(8, 4), (6, 5)])
+def test_closed_form_pass_peak_in_pair_batch_stacks(d, n_sites):
+    # each batch holds one pair at these sizes, a stack of q^2 d^2
+    # amplitudes; h_t is formed first, so the peak counts only the check
+    code = vc.build(d, n_sites)
+    code.basis.h_t
+    stack = code.site_dim**2 * d * d * 16
+    tracemalloc.start()
+    try:
+        cli._closed_form_residuals(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * stack
+
+
 def test_kl_five_qubit(tmp_path):
     code, text = run_cli(
         ["kl", "--code", "five_one_three", "--errors", "pauli1"], tmp_path, "kl.txt"

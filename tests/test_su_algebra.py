@@ -98,8 +98,6 @@ def test_structure_constants_recompute():
     f, d_sym = structure_constants(basis.generators)
     assert np.abs(f - basis.f).max() == 0.0
     assert np.abs(d_sym - basis.d_sym).max() == 0.0
-    f2, _ = structure_constants(basis)
-    assert np.abs(f2 - basis.f).max() == 0.0
 
 
 def test_adjoint_generator_d2():

@@ -233,7 +233,7 @@ def test_correlation_matches_dense_oracle(d, n_sites):
                 code, 0, 1, ket_insertions=[(n, g[b]), (m, g[a])]
             )
             assert abs(got - want) < 1e-12
-            closed = vc.correlation_closed_form(code, a, b, m, n)[0, 1]
+            closed = vc.correlation_closed_form(code, m, n)[b, a][0, 1]
             assert abs(got - closed) < 1e-12
 
 
@@ -537,7 +537,7 @@ def test_insertion_overlaps_are_edge_overlaps(d):
             assert len(overlaps) == len(bonds)
             split |= m is not None and len(bonds) < n_sites - m
             for n, got in zip(bonds, overlaps):
-                ins = [(n, g)] if m is None else [(n, g[None, :]), (m, g[:, None])]
+                ins = [(n, g)] if m is None else [(n, g[:, None]), (m, g[None, :])]
                 assert np.array_equal(got, vc.edge_overlap(code, ket_insertions=ins))
                 seen.append((m, int(n)))
         pairs = [(m, n) for m in range(n_sites) for n in range(m + 1, n_sites + 1)]
@@ -546,29 +546,28 @@ def test_insertion_overlaps_are_edge_overlaps(d):
     assert split == (d >= 4)
 
 
-def test_closed_forms_accept_index_arrays():
+def test_closed_forms_of_a_bond_array_are_the_per_bond_stacks():
     code = vc.build(3, 5)
-    idx = np.arange(code.site_dim)
-    det = vc.detection_closed_form(code, idx, 3)
-    corr = vc.correlation_closed_form(code, idx[:, None], idx[None, :], 1, 4)
-    assert corr.shape == (code.site_dim, code.site_dim, 3, 3)
-    for a in idx:
-        assert np.array_equal(det[a], vc.detection_closed_form(code, int(a), 3))
-        for b in idx:
-            want = vc.correlation_closed_form(code, int(a), int(b), 1, 4)
-            assert np.abs(corr[a, b] - want).max() < 1e-14
+    q, bonds = code.site_dim, np.arange(code.n_sites + 1)
+    det = vc.detection_closed_form(code, bonds)
+    assert det.shape == (len(bonds), q, 3, 3)
+    for n, got in zip(bonds, det):
+        assert np.array_equal(got, vc.detection_closed_form(code, int(n)))
+    for m in range(code.n_sites):
+        corr = vc.correlation_closed_form(code, m, bonds[m + 1 :])
+        assert corr.shape == (code.n_sites - m, q, q, 3, 3)
+        for n, got in zip(bonds[m + 1 :], corr):
+            assert np.array_equal(got, vc.correlation_closed_form(code, m, int(n)))
 
 
 @pytest.mark.parametrize("d, n_sites", [(3, 5), (4, 4)])
 def test_correlation_closed_form_matches_the_per_call_product(d, n_sites):
     # the form reads h_bac t^c / 2 from the basis; the oracle forms it per call
     code = vc.build(d, n_sites)
-    idx = np.arange(code.site_dim)
-    a, b = idx[:, None], idx[None, :]
     for m in range(n_sites):
-        for n in (np.arange(m + 1, n_sites + 1)[:, None, None, None, None], n_sites):
-            got = vc.correlation_closed_form(code, a, b, m, n)
-            want = oracles.tensordot_correlation_closed_form(code, a, b, m, n)
+        for n in (np.arange(m + 1, n_sites + 1), n_sites):
+            got = vc.correlation_closed_form(code, m, n)
+            want = oracles.tensordot_correlation_closed_form(code, m, n)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-15
 
@@ -614,21 +613,6 @@ def test_bond_error_charges_follow_the_generator_support():
     assert np.array_equal(logical, [1, 2, 4, 8])
     # 1 + d(d-1)/2 Gram sectors
     assert len(set(errors.tolist())) == 1 + 4 * 3 // 2
-
-
-def test_bond_compressions_budget_refuses_before_allocating(monkeypatch):
-    code = vc.build(3, 4)
-    k = 1 + 4 * code.site_dim
-    monkeypatch.setattr(vc, "DENSE_STACK_CAP", k * k * 9)
-    assert vc.bond_error_compressions(code, range(1, 5)).shape == (k, k, 3, 3)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("contracted past the budget")
-
-    monkeypatch.setattr(vc, "DENSE_STACK_CAP", k * k * 9 - 1)
-    monkeypatch.setattr(vc, "edge_overlap", refuse)
-    with pytest.raises(ValueError, match="budget"):
-        vc.bond_error_compressions(code, range(1, 5))
 
 
 def _oracle_bond_lists(n):
