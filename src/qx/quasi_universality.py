@@ -10,7 +10,9 @@ from math import floor, isfinite
 import numpy as np
 
 from .rng import make_generator
-from .su_algebra import _expi_batch_last, _product, _u2_split, check_unitary, gell_mann_basis
+from .su_algebra import (
+    _expi_batch_last, _product, _require_finite, _u2_exponential, check_unitary, gell_mann_basis,
+)
 from .vbs_code import eta
 
 __all__ = [
@@ -105,11 +107,11 @@ class SimTrajectory:
         generators = self._generators()
         step_errors = []
         for exponents in self._exponent_stream():
-            h = _algebra(generators, self.error_scale * exponents)
-            if h.shape[0] == 2:  # eigenvalues -r and r
-                eigs = _u2_split(h)[2][:, None] * np.array([-1.0, 1.0])
+            coefficients = self.error_scale * exponents
+            if self.d == 2:  # eigenvalues -r and r
+                eigs = _u2_parts(generators, coefficients)[1][:, None] * np.array([-1.0, 1.0])
             else:
-                eigs = np.linalg.eigvalsh(h.transpose(2, 0, 1))
+                eigs = np.linalg.eigvalsh(_algebra(generators, coefficients).transpose(2, 0, 1))
             step_errors.append(_arc_distances(np.mod(eigs + np.pi, 2.0 * np.pi) - np.pi))
         return np.concatenate(step_errors)
 
@@ -155,6 +157,43 @@ def _algebra(generators: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return out
 
 
+def _u2_parts(generators: np.ndarray, coefficients: np.ndarray):
+    """(u, r) for h = sum_k c_k t^k at d = 2 and each row c of an (L, q)
+    array: u, (2, 2, L), holds delta in Im u00, Re h01 in Im u01 and Im h01
+    in Re u10, as :func:`qx.su_algebra._u2_exponential` reads them, and r =
+    hypot(delta, |h01|), all with the bits :func:`_algebra` and
+    :func:`qx.su_algebra._u2_split` give, straight from the coefficient
+    columns.  h01 and h00 are the products of _algebra; h11 = -h00 and
+    halving rounds alike at either sign, so delta = h00 / 2 - h11 / 2 is
+    a + a with a = h00 / 2, and tau = a - a is +0.  r is NaN or infinite
+    exactly where some coefficient is, so checking r raises ValueError as
+    the check of h does."""
+    x, y, z = generators  # sigma / 2 in the order x, y, z
+    u = np.empty(generators.shape[1:] + coefficients.shape[:1], dtype=complex)
+    delta, re01, im01 = u.imag[0, 0], u.imag[0, 1], u.real[1, 0]
+    np.multiply(x[0, 1].real, coefficients[:, 0], out=re01)
+    np.multiply(y[0, 1].imag, coefficients[:, 1], out=im01)
+    np.multiply(z[0, 0].real, coefficients[:, 2], out=delta)
+    delta *= 0.5
+    delta += delta
+    r = np.hypot(re01, im01)
+    np.hypot(delta, r, out=r)
+    _require_finite(r)
+    return u, r
+
+
+def _exponentials(generators: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """exp(i sum_k c_k t^k) for each row c of an (L, q) array, batch-last as
+    (d, d, L), with the bits of ``_expi_batch_last(_algebra(generators,
+    coefficients))``.  At d = 2 no h is formed: the U(2) closed form is
+    written over :func:`_u2_parts`, with no e^(i tau) for tau = 0."""
+    if generators.shape[-1] == 2:
+        return _u2_exponential(*_u2_parts(generators, coefficients))
+    h = _algebra(generators, coefficients)
+    del coefficients  # freed before the kernel, whose peak is h and its scratch
+    return _expi_batch_last(h)
+
+
 def _arc_distances(phases: np.ndarray) -> np.ndarray:
     """Phase-minimized distances 2 sin(W/4) for stacked eigenphase rows
     (..., d), each phase in [-pi, pi] as np.angle returns it."""
@@ -175,10 +214,11 @@ def _chunk_steps(d: int) -> int:
     """Steps per chunk at dimension d: CHUNK_STEPS at d = 2, half of it
     above.  A chunk makes a fixed number of numpy calls, so longer chunks
     spend less per step on calls, but the lengths above d = 2 are measured,
-    not derived: at 5e4 steps (in-process, 2 vCPUs) d = 3 ran 0.15 s at
-    2048 steps, 0.16-0.17 s at 1024 and 0.16-0.19 s at 4096, and d = 4
-    0.33-0.35 s at 2048 against 0.68-0.74 s at 1024, where its scratch
-    took four times as many minor page faults."""
+    not derived: at 5e4 steps (fresh processes, 2 vCPUs, three runs each)
+    d = 3 ran 0.13-0.15 s at 2048 steps, 0.18-0.19 s at 1024 and
+    0.12-0.13 s at 4096, and d = 4 0.24-0.28 s at 2048, 0.26 s at 1024
+    and 0.28-0.29 s at 4096, with 3,200-6,100 minor page faults per run at
+    any of these lengths."""
     return CHUNK_STEPS if d == 2 else max(1, CHUNK_STEPS // 2)
 
 
@@ -191,7 +231,7 @@ def _gate_chunks(generators, length, seed, gates=None):
     for i in range(0, length, chunk):
         n = min(chunk, length - i)
         if gates is None:
-            yield _expi_batch_last(_algebra(generators, weights.standard_normal((n, q))))
+            yield _exponentials(generators, weights.standard_normal((n, q)))
         else:
             yield np.ascontiguousarray(gates[i:i + n].transpose(1, 2, 0))
 
@@ -219,7 +259,7 @@ def _exponent_chunks(d, length, seed, error_dist, seeded):
 
 def _steps(generators, gates, exponents, scale) -> np.ndarray:
     """A chunk's steps G_l exp(i scale sum_k eps_k t^k), batch-last."""
-    return _product(gates, _expi_batch_last(_algebra(generators, scale * exponents)))
+    return _product(gates, _exponentials(generators, scale * exponents))
 
 
 def _levels(x: np.ndarray):
@@ -307,11 +347,13 @@ def simulate_computation(
     The run holds nothing L-long but an explicit gate stack: each chunk of
     ``CHUNK_STEPS`` steps (half as many at d >= 3) draws its gate weights and
     error exponents, forms its gates and steps G_l E_l with the elementwise
-    kernels of :func:`qx.su_algebra._expi_batch_last` and
+    kernels of :func:`_exponentials` (the U(2) closed form written from the
+    draws at d = 2, :func:`qx.su_algebra._expi_batch_last` above) and
     :func:`qx.su_algebra._product`, and feeds both to a
     :class:`_RunningProduct`, so no result depends on the chunking.  Its
     tracemalloc peak, 5.3 stacks of its own chunk at d = 2, 8.3 at d = 3 and
-    8.2 at d = 4, does not grow with L.
+    8.2 at d = 4 (at 2e4 and 2e5 steps alike), does not grow with L.  A NaN
+    or infinite error scale raises ValueError, as a non-unitary gate does.
     """
     if length < 1:
         raise ValueError("computation length must be at least 1")

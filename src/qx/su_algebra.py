@@ -196,7 +196,7 @@ def check_unitary(u: np.ndarray, dim=None, ndim: int = 2, tol: float = UNITARY_T
     return u
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product(a: np.ndarray, b: np.ndarray, out=None, term=None) -> np.ndarray:
     """a @ b for complex matrices held batch-last, (n, n, ...), whose batch
     axes broadcast.
 
@@ -207,11 +207,13 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (contiguous or strided, vector body or tail).  tests/test_su_algebra.py
     checks that at n = 2..8.  A BLAS product may switch kernels with the
     batch length, and a sum over a (n, n, n, ...) temporary would hold n
-    stacks.
+    stacks.  Given ``out`` and ``term``, arrays of the product's shape that
+    share no memory with a or b, the sum goes to ``out`` and each k's
+    product through ``term``, with the same bits and no allocation.
     """
-    out = a[:, :1] * b[None, 0]
+    out = np.multiply(a[:, :1], b[None, 0], out=out)
     for k in range(1, a.shape[1]):
-        out += a[:, k:k + 1] * b[None, k]
+        out += np.multiply(a[:, k:k + 1], b[None, k], out=term)
     return out
 
 
@@ -249,22 +251,50 @@ def _u2_split(h: np.ndarray):
     return tau, delta, np.hypot(delta, np.hypot(h[0, 1].real, h[0, 1].imag))
 
 
+def _u2_exponential(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Overwrite u, (2, 2, batch), with exp(i h0) = cos r I + i (sin r / r) h0
+    for the traceless h0 = [[delta, h01], [h01*, -delta]], given with delta
+    in Im u00, Re h01 in Im u01 and Im h01 in Re u10, and r = hypot(delta,
+    hypot(Re h01, Im h01)), all finite; returns u.  Each entry is written
+    to its real or imaginary plane by a real multiply with sin r / r, which
+    is 1 at r = 0.  Every complex product this replaces had a factor with
+    an exactly zero part, so the bits are those of the complex arithmetic
+    except that an exactly zero entry may differ in the sign of zero."""
+    sinc = np.sin(r)
+    with np.errstate(invalid="ignore"):  # 0 / 0, set to 1 below
+        sinc /= r
+    sinc[r == 0.0] = 1.0
+    re, im = u.real, u.imag
+    np.cos(r, out=re[0, 0])
+    re[1, 1] = re[0, 0]
+    im[0, 0] *= sinc
+    np.negative(im[0, 0], out=im[1, 1])
+    re[1, 0] *= sinc
+    np.negative(re[1, 0], out=re[0, 1])
+    im[0, 1] *= sinc
+    im[1, 0] = im[0, 1]
+    return u
+
+
+def _head(stack: np.ndarray, m: int) -> np.ndarray:
+    """The first n n m entries of a contiguous batch-last stack (n, n, batch)
+    as a contiguous (n, n, m) stack: scratch for a product over m matrices."""
+    n = stack.shape[0]
+    return stack.reshape(-1)[:n * n * m].reshape(n, n, m)
+
+
 def _expi_batch_last(h: np.ndarray) -> np.ndarray:
     """exp(i h) for complex Hermitian matrices held batch-last, (n, n,
     batch); returns that layout.
 
     At n = 2, the closed form of U(2): with h = tau I + h0, h0 traceless,
-    h0^2 = r^2 I and exp(i h) = e^(i tau) (cos r I + i (sin r / r) h0).  It
-    reads only h00, h11 and h01, so h must be exactly Hermitian; r =
-    hypot(delta, |h01|) with delta = (h00 - h11) / 2 cannot overflow, and
-    sin r / r is 1 at r = 0.  The entries are written to the real and
-    imaginary planes with real multiplies, and the e^(i tau) product is
-    skipped when every tau is 0, as for traceless h: each complex product
-    this replaces had a factor with an exactly zero part, or was by 1 + 0i,
-    so the bits are those of the complex arithmetic except that an exactly
-    zero entry may differ in the sign of zero.  |h01| must stay the inner
-    hypot of its parts: np.abs(h01) rounds differently and moves whole
-    trajectories.  For other n, scaling and squaring (Moler and
+    h0^2 = r^2 I and exp(i h) = e^(i tau) exp(i h0), exp(i h0) written by
+    :func:`_u2_exponential`.  It reads only h00, h11 and h01, so h must be
+    exactly Hermitian; r = hypot(delta, |h01|) with delta = (h00 - h11) / 2
+    cannot overflow.  The e^(i tau) product is skipped when every tau is 0,
+    as for traceless h, since it would be by 1 + 0i.  |h01| must stay the
+    inner hypot of its parts: np.abs(h01) rounds differently and moves
+    whole trajectories.  For other n, scaling and squaring (Moler and
     Van Loan, SIAM Rev. 45, 3 (2003)): x = i h 2^-s, with s per matrix from
     :func:`_squarings`, has 1-norm at most 1; the degree-18 Taylor
     polynomial of exp(x) is summed by Horner's rule in x^2 with linear
@@ -272,25 +302,17 @@ def _expi_batch_last(h: np.ndarray) -> np.ndarray:
     times.  Both are elementwise operations on each matrix alone, so a
     matrix has the same bits alone as anywhere in any batch on the terms
     :func:`_product` states, and a zero matrix gives the identity exactly.
-    A NaN or infinite entry raises ValueError before any work.
+    The products write into x^2, a term and two stacks for y, allocated once
+    per call and swapped, so a call holds at most x and four stacks and
+    faults their pages in once, not once per product.  A NaN or infinite
+    entry raises ValueError before any work.
     """
     if h.shape[0] == 2:
         _require_finite(h)
         tau, delta, r = _u2_split(h)
-        sinc = np.sin(r)
-        with np.errstate(invalid="ignore"):  # 0 / 0, set to 1 below
-            sinc /= r
-        sinc[r == 0.0] = 1.0
-        u = np.empty(h.shape, dtype=complex)  # cos r I + i sinc h0, plane by plane
-        re, im = u.real, u.imag
-        np.cos(r, out=re[0, 0])
-        re[1, 1] = re[0, 0]
-        np.multiply(sinc, delta, out=im[0, 0])
-        np.negative(im[0, 0], out=im[1, 1])
-        np.multiply(sinc, h[0, 1].imag, out=re[1, 0])
-        np.negative(re[1, 0], out=re[0, 1])
-        np.multiply(sinc, h[0, 1].real, out=im[0, 1])
-        im[1, 0] = im[0, 1]
+        u = np.empty(h.shape, dtype=complex)
+        u.imag[0, 0], u.imag[0, 1], u.real[1, 0] = delta, h[0, 1].real, h[0, 1].imag
+        _u2_exponential(u, r)
         if tau.any():
             phase = np.empty(tau.shape, dtype=complex)  # e^(i tau)
             phase.real, phase.imag = np.cos(tau), np.sin(tau)
@@ -298,23 +320,25 @@ def _expi_batch_last(h: np.ndarray) -> np.ndarray:
         return u
     squarings = _squarings(h)
     x = h * (1j * np.ldexp(1.0, -squarings))  # i h 2^-s, exactly
-    x2 = _product(x, x)
+    x2, term, y, spare = (np.empty_like(x) for _ in range(4))
+    _product(x, x, out=x2, term=term)
     # sum_k c_k x^k = sum_j (c_2j + c_2j+1 x) x^2j, Horner in x^2
-    y = x2 * _TAYLOR[-1]
-    y += _TAYLOR[-2] * x
+    np.multiply(x2, _TAYLOR[-1], out=y)
+    y += np.multiply(_TAYLOR[-2], x, out=term)
     _add_identity(y, _TAYLOR[-3])
     for j in range(len(_TAYLOR) // 2 - 2, -1, -1):
-        y = _product(y, x2)
-        y += _TAYLOR[2 * j + 1] * x
+        y, spare = _product(y, x2, out=spare, term=term), y
+        y += np.multiply(_TAYLOR[2 * j + 1], x, out=term)
         _add_identity(y, _TAYLOR[2 * j])
-    del x, x2
+    del x  # a partial squaring gathers into spare and squares into x^2
     for j in range(int(squarings.max(initial=0))):
         active = np.flatnonzero(squarings > j)
         if len(active) == len(squarings):
-            y = _product(y, y)
+            y, spare = _product(y, y, out=spare, term=term), y
         else:
-            sub = y[..., active]
-            y[..., active] = _product(sub, sub)
+            m = len(active)  # mode="clip" takes without buffering; no index is out of range
+            sub = np.take(y, active, axis=-1, out=_head(spare, m), mode="clip")
+            y[..., active] = _product(sub, sub, out=_head(x2, m), term=_head(term, m))
     return y
 
 

@@ -1,8 +1,9 @@
 """Brute-force oracles: the eigendecomposition exponential, dense ones for
 the transfer contractions and the transversal collapse check, the
 insertion-by-insertion closed-form check and bond error compressions, a
-step-by-step product for the trajectory scan, the dense generator sum and
-the complex-arithmetic U(2) exponential of its steps, the einsum rotation of the
+step-by-step product for the trajectory scan, the dense generator sum,
+the complex-arithmetic U(2) exponential of its steps and the Taylor
+exponential with a fresh stack per product, the einsum rotation of the
 KL report, the compression tensor from a copied error family, the looped
 physical-space logical channel and the entanglement fidelity read from its
 Choi matrix; the correlation
@@ -33,7 +34,10 @@ from qx.qec_core import _ROW_BLOCK, CUTOFF_REL, CodeIsometry, KLReport, _error_f
 from qx.quantum_ops import KrausChannel, choi_matrix, omega_matrix, trace_distance
 from qx.quasi_universality import SimTrajectory, unitary_distance
 from qx.rng import make_generator
-from qx.su_algebra import SuBasis, _u2_split, expi_hermitian, gell_mann_basis, random_special_unitary
+from qx.su_algebra import (
+    _TAYLOR, SuBasis, _add_identity, _product, _squarings, _u2_split, expi_hermitian,
+    gell_mann_basis, random_special_unitary,
+)
 from qx.vbs_code import VbsCode, _site_term, transfer_power
 
 
@@ -233,6 +237,29 @@ def complex_u2_exponential(h):
     phase.real, phase.imag = np.cos(tau), np.sin(tau)
     u *= phase
     return u
+
+
+def allocating_taylor_exponential(h):
+    """exp(i h) for batch-last Hermitian h, (n, n, batch) with n >= 3, by
+    the scaling-and-squaring Taylor kernel with a fresh stack for every
+    product and scaled term, each partial squaring on a gathered copy: the
+    reference whose bits ``su_algebra._expi_batch_last`` keeps in its
+    reused scratch."""
+    squarings = _squarings(h)
+    x = h * (1j * np.ldexp(1.0, -squarings))
+    x2 = _product(x, x)
+    y = x2 * _TAYLOR[-1]
+    y += _TAYLOR[-2] * x
+    _add_identity(y, _TAYLOR[-3])
+    for j in range(len(_TAYLOR) // 2 - 2, -1, -1):
+        y = _product(y, x2)
+        y += _TAYLOR[2 * j + 1] * x
+        _add_identity(y, _TAYLOR[2 * j])
+    for j in range(int(squarings.max(initial=0))):
+        active = np.flatnonzero(squarings > j)
+        sub = y[..., active]
+        y[..., active] = _product(sub, sub)
+    return y
 
 
 def transfer_superoperator(kraus):

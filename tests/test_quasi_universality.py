@@ -7,7 +7,7 @@ import pytest
 import oracles
 from qx import quasi_universality as qu
 from qx.rng import make_generator, splitmix64, stable_seed
-from qx.su_algebra import _expi_batch_last, expi_hermitian, gell_mann_basis, random_special_unitary
+from qx.su_algebra import _expi_batch_last, _u2_split, expi_hermitian, gell_mann_basis, random_special_unitary
 from qx.vbs_code import eta
 
 
@@ -446,6 +446,7 @@ def test_each_read_draws_only_its_own_stream(monkeypatch, d):
     assert np.array_equal(traj.gates, gates)
     monkeypatch.undo()
     monkeypatch.setattr(qu, "_gate_chunks", refuse)
+    monkeypatch.setattr(qu, "_exponentials", refuse)
     monkeypatch.setattr(qu, "_expi_batch_last", refuse)
     assert np.array_equal(traj.exponents, exponents)
     assert np.array_equal(traj.step_errors, step_errors)
@@ -490,8 +491,25 @@ def test_reading_distances_holds_nothing_long_but_its_result():
 
 
 def reference_expi(h):
-    """The exponential with the complex-arithmetic U(2) form at n = 2."""
-    return oracles.complex_u2_exponential(h) if h.shape[0] == 2 else _expi_batch_last(h)
+    """The exponential with the complex-arithmetic U(2) form at n = 2 and
+    the Taylor kernel on fresh stacks above."""
+    if h.shape[0] == 2:
+        return oracles.complex_u2_exponential(h)
+    return oracles.allocating_taylor_exponential(h)
+
+
+def reference_exponentials(generators, coefficients):
+    """exp(i sum_k c_k t^k) from the dense generator sum."""
+    return reference_expi(oracles.dense_algebra(generators, coefficients))
+
+
+def reference_u2_parts(generators, coefficients):
+    """_u2_parts from the dense generator sum and _u2_split."""
+    h = oracles.dense_algebra(generators, coefficients)
+    _, delta, r = _u2_split(h)
+    u = np.empty(h.shape, dtype=complex)
+    u.imag[0, 0], u.imag[0, 1], u.real[1, 0] = delta, h[0, 1].real, h[0, 1].imag
+    return u, r
 
 
 @pytest.mark.parametrize("d, length, error_dist", [
@@ -499,16 +517,68 @@ def reference_expi(h):
     (4, 777, "uniform"), (2, 4097, "uniform"),
 ])
 def test_seeded_runs_keep_the_bits_of_the_reference_kernels(monkeypatch, d, length, error_dist):
-    # the real-plane U(2) form and the sum over nonzero generator entries
-    # against the complex form and the dense sum they replace
+    # the exponentials formed from the draws, the sum over nonzero
+    # generator entries and the Taylor kernel on reused scratch against the
+    # dense sum, the complex U(2) form and fresh stacks they replace
     names = ("final_noisy", "final_ideal", "distances", "step_errors", "gates")
     traj = qu.simulate_computation(d, 8, length, seed=d, error_dist=error_dist)
     got = [getattr(traj, name) for name in names]
+    monkeypatch.setattr(qu, "_exponentials", reference_exponentials)
     monkeypatch.setattr(qu, "_algebra", oracles.dense_algebra)
-    monkeypatch.setattr(qu, "_expi_batch_last", reference_expi)
+    monkeypatch.setattr(qu, "_u2_parts", reference_u2_parts)
     traj = qu.simulate_computation(d, 8, length, seed=d, error_dist=error_dist)
     for name, a in zip(names, got):
         assert a.tobytes() == getattr(traj, name).tobytes(), name
+
+
+def coefficient_stacks(rng, q):
+    """(L, q) coefficient rows: unit Gaussian, uniform on [-1, 1], Gaussian
+    directions with norms up to 40, three zero rows, and a tenth of all
+    entries zeroed, so that some rows have zero columns."""
+    normal = rng.normal(size=(600, q))
+    uniform = rng.uniform(-1.0, 1.0, size=(600, q))
+    wide = rng.normal(size=(600, q))
+    wide *= (rng.uniform(0.0, 40.0, size=600) / np.linalg.norm(wide, axis=1))[:, None]
+    c = np.concatenate([normal, uniform, wide, np.zeros((3, q))])
+    c[rng.random(c.shape) < 0.1] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("scale", [1.0, eta(2, 8), 1e-310], ids=["1", "eta", "subnormal"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_exponentials_keep_the_bits_of_the_algebra_and_kernel(d, scale):
+    # byte for byte, down to a scale that makes every product subnormal,
+    # where a product folded into another rounds differently
+    generators = gell_mann_basis(d).generators
+    c = scale * coefficient_stacks(np.random.default_rng(60 + d), d * d - 1)
+    got = qu._exponentials(generators, c)
+    assert got.tobytes() == _expi_batch_last(qu._algebra(generators, c)).tobytes()
+    if d == 2:
+        r = qu._u2_parts(generators, c)[1]
+        assert r.tobytes() == _u2_split(qu._algebra(generators, c))[2].tobytes()
+        assert (r > np.pi).any() == (scale == 1.0)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_exponentials_reject_non_finite_coefficients(d, entry):
+    # in any column, as the exponential of the generator sum does
+    generators, q = gell_mann_basis(d).generators, d * d - 1
+    for k in range(q):
+        c = np.random.default_rng(k).normal(size=(5, q))
+        c[3, k] = entry
+        for form in (qu._exponentials, lambda g, c: _expi_batch_last(qu._algebra(g, c))):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                form(generators, c)
+
+
+# at d = 3 an infinite scale sums inf and -inf into a diagonal entry
+@pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("d", [2, 3])
+def test_simulation_rejects_a_non_finite_error_scale(d, scale):
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        qu.simulate_computation(d, 8, 10, seed=0, error_scale=scale)
 
 
 @pytest.mark.parametrize("d", range(2, 9))

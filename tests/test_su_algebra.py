@@ -241,6 +241,8 @@ def test_batch_last_product_bits_do_not_depend_on_the_batch(d):
     re, im = rng.normal(size=(2, 2, d, d, 2049))
     a, b = re + 1j * im
     full = _product(a, b)
+    # into given out and term stacks, the same bits
+    assert np.array_equal(_product(a, b, out=np.empty_like(a), term=np.empty_like(a)), full)
     extra = _product(a.reshape(d, d, 3, 683), b.reshape(d, d, 3, 683))
     odd = _product(a[..., 1::2], b[..., 1::2])
     for i in (1, 7, 1001, 2047):
@@ -254,6 +256,23 @@ def test_batch_last_product_bits_do_not_depend_on_the_batch(d):
         assert np.array_equal(_product(a, b[..., i:i + 1])[..., i], alone)
         assert np.array_equal(odd[..., i // 2], alone)
         assert np.array_equal(extra[..., i // 683, i % 683], alone)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_taylor_kernel_keeps_the_bits_of_fresh_stacks(n):
+    # the products into reused scratch against a fresh stack per product,
+    # byte for byte: norms up to 40, so the matrices take from 0 to 6
+    # squarings and most squarings are partial, and two zero matrices
+    rng = np.random.default_rng(41 + n)
+    re, im = rng.normal(size=(2, 700, n, n))
+    h = re + 1j * im
+    h = h + h.conj().transpose(0, 2, 1)
+    h *= (rng.uniform(0.0, 40.0, size=700) / np.linalg.norm(h, 2, axis=(1, 2)))[:, None, None]
+    h[[3, 500]] = 0.0
+    h = h.transpose(1, 2, 0).copy()
+    got = _expi_batch_last(h)
+    assert got.tobytes() == oracles.allocating_taylor_exponential(h).tobytes()
+    assert np.array_equal(got[..., 3], np.eye(n))
 
 
 def two_by_two(rng, norms):
