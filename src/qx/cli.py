@@ -105,7 +105,7 @@ def _sweep_point(code, strength: float) -> dict:
     the rest as floats."""
     d, n = code.d, code.n_sites
     det, corr = _closed_form_residuals(code)
-    iterated, _ = vbs_code.edge_state(code, 0, n)
+    deviation, _ = vbs_code.edge_state(code, 0, n)
     report = qec_core.kl_report_from_compressions(
         vbs_code.bond_error_compressions(code, strength=strength)
     )
@@ -116,7 +116,7 @@ def _sweep_point(code, strength: float) -> dict:
         vbs_code.eta(d, n),
         det,
         corr,
-        trace_distance(iterated, np.eye(d) / d),
+        trace_distance(deviation, np.zeros_like(deviation)),
         qec_core.epsilon_from_report(report),
         vbs_code.erasure_bound(code),
     ]

@@ -17,8 +17,9 @@ there, for the tests that pin them: ``apply_channel``,
 ``cptp_residuals``, ``dilation_isometry`` (with ``ChannelError`` and
 ``TP_TOL``) and ``partial_trace`` from ``quantum_ops``;
 ``adjoint_generator`` from ``su_algebra``; ``detect_condition`` from
-``qec_core``; ``bulk_state``, ``site_expectation`` and
-``effective_noise_channel`` from ``vbs_code``; and the gate-cell table
+``qec_core``; ``transfer_power``, ``bulk_state``, ``site_expectation``
+and ``effective_noise_channel`` from ``vbs_code``, and the eigensolve that
+``erasure_bound`` made before it became 1/(2N); and the gate-cell table
 (``GateCellTable``, ``build_gate_cell_table``, ``cell_assign`` and
 ``TIE_DECIMALS``), ``compose_error_bound`` and ``trajectory_csv`` from
 ``quasi_universality``."""
@@ -38,7 +39,7 @@ from qx.su_algebra import (
     _TAYLOR, SuBasis, _add_identity, _product, _squarings, _u2_split, expi_hermitian,
     gell_mann_basis, random_special_unitary,
 )
-from qx.vbs_code import VbsCode, _site_term, transfer_power
+from qx.vbs_code import VbsCode, _site_term, transfer_apply
 
 
 def expi_reference(h):
@@ -465,6 +466,20 @@ def detect_condition(code: CodeIsometry, errors) -> list[tuple[complex, float]]:
     e = np.trace(compressed, axis1=1, axis2=2) / d_l
     residuals = np.linalg.norm(compressed - e[:, None, None] * np.eye(d_l), 2, axis=(-2, -1))
     return [(complex(ei), float(r)) for ei, r in zip(e, residuals)]
+
+
+def transfer_power(code: VbsCode, x: np.ndarray, n: int) -> np.ndarray:
+    out = np.asarray(x, dtype=complex)
+    for _ in range(n):
+        out = transfer_apply(code, out)
+    return out
+
+
+def erasure_bound_eigensolve(code: VbsCode) -> float:
+    """1/(N * widest spectral range) of the adjoint generators -i f_a, from q
+    eigensolves of q x q: the reference for ``vbs_code.erasure_bound``."""
+    spec = np.linalg.eigvalsh(-1j * code.basis.f)
+    return 1.0 / (code.n_sites * float((spec[:, -1] - spec[:, 0]).max()))
 
 
 def bulk_state(code: VbsCode, alpha: int, n: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +161,28 @@ def _physical_columns(text: str) -> str:
     rows = [line.split(",") for line in lines]
     keep = [i for i, name in enumerate(rows[0]) if not name.endswith("_closedform_residual")]
     return "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
+
+
+def test_sweep_edge_column_follows_its_law(tmp_path):
+    # the printed column is (d - 1)/d |chi|^N to 1e-12 relative, on top of
+    # the half unit in the 12th digit that printing rounds away
+    args = ["sweep", "--d-min", "2", "--d-max", "3", "--n-min", "1", "--n-max", "30"]
+    code, text = run_cli(args, tmp_path, "edge.csv")
+    assert code == 0
+    lines = text.decode().splitlines()
+    assert len(lines) == 61
+    for line in lines[1:]:
+        row = dict(zip(cli.SWEEP_HEADER.split(","), line.split(",")))
+        d, n = int(row["d"]), int(row["N"])
+        law = (d - 1) / d * (1.0 / (d * d - 1)) ** n
+        assert abs(float(row["edge_fixedpoint_distance"]) - law) <= 6e-12 * law
+
+
+def test_readme_glossary_names_every_sweep_column():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    glossary = readme.split(cli.SWEEP_HEADER, 1)[1].split("`qx kl` selectors", 1)[0]
+    missing = [name for name in cli.SWEEP_HEADER.split(",") if f"\n- `{name}`: " not in glossary]
+    assert not missing, f"SWEEP_HEADER columns the README glossary leaves out: {missing}"
 
 
 # sha256 of the physical columns (chi, eta, edge_fixedpoint_distance,

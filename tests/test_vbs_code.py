@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,12 +135,18 @@ def test_dense_isometry_shapes_and_projector():
 
 
 def test_edge_state_values():
+    # traceless parts: |0><0| - I/2, then chi times it, chi = -1/3
     code = vc.build(2, 3)
     it0, _ = vc.edge_state(code, 0, 0)
-    assert np.abs(it0 - np.diag([1.0, 0.0])).max() < 1e-14
+    assert np.abs(it0 - np.diag([0.5, -0.5])).max() < 1e-14
     it1, cl1 = vc.edge_state(code, 0, 1)
-    assert np.abs(it1 - np.diag([1 / 3, 2 / 3])).max() < 1e-12
-    assert np.abs(cl1 - it1).max() < 1e-12
+    assert np.abs(it1 - np.diag([-1 / 6, 1 / 6])).max() < 1e-15
+    assert np.abs(cl1 - it1).max() < 1e-15
+
+
+def _edge_law(d, n):
+    """Trace distance of the edge state from I/d: (d - 1)/d |chi|^N."""
+    return (d - 1) / d * (1.0 / (d * d - 1)) ** n
 
 
 def test_edge_state_converges_to_maximally_mixed():
@@ -147,11 +154,32 @@ def test_edge_state_converges_to_maximally_mixed():
     prev = None
     for n in (4, 8, 12):
         it, _ = vc.edge_state(code, 0, n)
-        dist = trace_distance(it, np.eye(2) / 2)
-        assert dist < abs(code.chi) ** n + 1e-12
+        dist = trace_distance(it, np.zeros_like(it))
+        assert abs(dist - _edge_law(2, n)) < 1e-12 * _edge_law(2, n)
         if prev is not None:
             assert dist < prev
         prev = dist
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_edge_column_follows_its_law_to_relative_precision(d):
+    # the qx sweep column, by the CLI's formula, at every N <= 64; the law is
+    # a normal float throughout (smallest: 7/8 * 63^-64, about 1e-115)
+    code = vc.build(d, 64)
+    for n in range(65):
+        deviation, closed = vc.edge_state(code, 0, n)
+        law = _edge_law(d, n)
+        assert law >= np.finfo(float).tiny
+        assert abs(trace_distance(deviation, np.zeros_like(deviation)) - law) <= 1e-12 * law
+        assert abs(trace_distance(closed, np.zeros_like(closed)) - law) <= 1e-12 * law
+
+
+@pytest.mark.parametrize("d, n", [(2, 1000), (3, 400)])
+def test_edge_state_where_chi_to_the_n_underflows(d, n):
+    # the relative check has a floor at the smallest normal float, so a
+    # state that underflows passes it; below that range no digit is claimed
+    deviation, _ = vc.edge_state(vc.build(d, n), 0, n)
+    assert trace_distance(deviation, np.zeros_like(deviation)) < 1e-300
 
 
 def test_bulk_state_properties():
@@ -426,15 +454,17 @@ def test_covariant_gate_rejects_nonunitary():
         vc.covariant_gate(vc.build(2, 3), np.array([[1.0, 0.2], [0.0, 1.0]]))
 
 
-def test_erasure_bound():
-    assert abs(vc.erasure_bound(vc.build(2, 4)) - 1 / 8) < 1e-14
-    for d in (2, 3, 4, 5):
-        code = vc.build(d, 3)
-        widths = [np.ptp(np.linalg.eigvalsh(-1j * f)) for f in code.basis.f]
-        assert vc.erasure_bound(code) == 1.0 / (3 * max(widths))
-    b1 = vc.erasure_bound(vc.build(2, 5))
-    b2 = vc.erasure_bound(vc.build(2, 10))
-    assert abs(b1 - 2 * b2) < 1e-14
+def test_erasure_bound_is_the_adjoint_eigensolve():
+    # 1/(2N) against q eigensolves of q x q, which read widths such as
+    # 2.0000000000000004 at d = 3; both print the same 12 digits
+    for d in range(2, 9):
+        code = vc.build(d, 1)
+        want = oracles.erasure_bound_eigensolve(code)
+        assert abs(vc.erasure_bound(code) - want) <= 1e-15 * want
+        for n in range(1, 41):
+            code = replace(code, n_sites=n)
+            got = qc._fmt_float(vc.erasure_bound(code))
+            assert got == qc._fmt_float(oracles.erasure_bound_eigensolve(code))
 
 
 @pytest.mark.parametrize("d,n_sites", [(2, 4), (3, 3)])
@@ -487,7 +517,7 @@ def test_transfer_self_consistency():
     one = vc.transfer_apply(code, x)
     direct = sum(k @ x @ k.conj().T for k in code.kraus)
     assert np.abs(one - direct).max() < 1e-14
-    assert np.abs(vc.transfer_power(code, x, 3) - vc.transfer_apply(
+    assert np.abs(oracles.transfer_power(code, x, 3) - vc.transfer_apply(
         code, vc.transfer_apply(code, one)
     )).max() < 1e-14
     rng = np.random.default_rng(5)
