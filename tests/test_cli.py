@@ -187,16 +187,18 @@ def test_readme_glossary_names_every_sweep_column():
 
 # sha256 of the physical columns (chi, eta, edge_fixedpoint_distance,
 # epsilon, erasure_bound), captured at commit a13990f and re-captured at
-# d54a75a, whose block solve moved epsilon by at most 1.9e-11 relative
+# d54a75a, whose block solve moved epsilon by at most 1.9e-11 relative, and
+# after 63ffe64, which forms edge_fixedpoint_distance from the traceless
+# edge state and moved six printed values onto (d - 1)/d |chi|^N
 PHYSICAL_PINS = [
     (
         ["sweep", "--d-min", "2", "--d-max", "4", "--n-min", "3", "--n-max", "6",
          "--strength", "0.13"],
-        "d036deefe5423546f419f4522dfedb8bcffc7a32fe6aaf38253070b24c87a255",
+        "0058d60520dcb55ee259edff7d1bf83581cb9afa72c8a17fb7786da805432b25",
     ),
     (
         ["vbs", "--d", "8", "--n", "4"],
-        "8273b026d7443df05fd27d7d4c037fddbe3dbb4f00fade9401df5c377f875888",
+        "e95bfdb72526acb0ddc995f154169c7c499b657b446aad2bf88c895197ace922",
     ),
 ]
 
