@@ -454,7 +454,7 @@ def test_covariant_gate_rejects_nonunitary():
         vc.covariant_gate(vc.build(2, 3), np.array([[1.0, 0.2], [0.0, 1.0]]))
 
 
-def test_erasure_bound_is_the_adjoint_eigensolve():
+def test_erasure_bound():
     # 1/(2N) against q eigensolves of q x q, which read widths such as
     # 2.0000000000000004 at d = 3; both print the same 12 digits
     for d in range(2, 9):
