@@ -10,7 +10,8 @@ Choi matrix; the correlation
 closed form with its own h_bac t^c product per call, and the structure
 constants as two einsum traces; the bond error family written as its
 own noise; the KL report and its ``epsilon`` with one eigenproblem each,
-unsplit; and the sign charges of the bond error family.
+unsplit; the sign charges of the bond error family; and the adjoint
+eigensolve behind ``erasure_bound``'s 1/(2N).
 
 Below them sit helpers that no ``qx`` code reads, under the names they had
 there, for the tests that pin them: ``apply_channel``,
@@ -18,8 +19,7 @@ there, for the tests that pin them: ``apply_channel``,
 ``TP_TOL``) and ``partial_trace`` from ``quantum_ops``;
 ``adjoint_generator`` from ``su_algebra``; ``detect_condition`` from
 ``qec_core``; ``transfer_power``, ``bulk_state``, ``site_expectation``
-and ``effective_noise_channel`` from ``vbs_code``, and the eigensolve that
-``erasure_bound`` made before it became 1/(2N); and the gate-cell table
+and ``effective_noise_channel`` from ``vbs_code``; and the gate-cell table
 (``GateCellTable``, ``build_gate_cell_table``, ``cell_assign`` and
 ``TIE_DECIMALS``), ``compose_error_bound`` and ``trajectory_csv`` from
 ``quasi_universality``."""
@@ -357,6 +357,13 @@ def bond_error_charges(code: VbsCode, bonds=None) -> tuple[np.ndarray, np.ndarra
     return np.concatenate([[0], np.tile(support.any(axis=-1) @ bits, len(bonds))]), bits
 
 
+def erasure_bound_eigensolve(code: VbsCode) -> float:
+    """1/(N * widest spectral range) of the adjoint generators -i f_a, from q
+    eigensolves of q x q: the reference for ``vbs_code.erasure_bound``."""
+    spec = np.linalg.eigvalsh(-1j * code.basis.f)
+    return 1.0 / (code.n_sites * float((spec[:, -1] - spec[:, 0]).max()))
+
+
 def recovered_logical_channel(code, noise, recovery):
     """Logical channel V+ R N V from explicit noise and recovery channels,
     one physical-space product per Kraus pair: the reference for
@@ -473,13 +480,6 @@ def transfer_power(code: VbsCode, x: np.ndarray, n: int) -> np.ndarray:
     for _ in range(n):
         out = transfer_apply(code, out)
     return out
-
-
-def erasure_bound_eigensolve(code: VbsCode) -> float:
-    """1/(N * widest spectral range) of the adjoint generators -i f_a, from q
-    eigensolves of q x q: the reference for ``vbs_code.erasure_bound``."""
-    spec = np.linalg.eigvalsh(-1j * code.basis.f)
-    return 1.0 / (code.n_sites * float((spec[:, -1] - spec[:, 0]).max()))
 
 
 def bulk_state(code: VbsCode, alpha: int, n: int) -> np.ndarray:
