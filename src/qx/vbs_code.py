@@ -10,17 +10,15 @@ Expectation values are available along two independent routes: transfer
 contraction (cost linear in N, any N) and dense brute-force encoding
 (bounded by an amplitude cap).  One downward transfer pass of O(N^2) steps
 gives every single and pair insertion, in batches of at least one pair, for
-the closed-form check and the cross-bond blocks of the bond error family
-(:func:`insertion_overlaps`).  Bond bookkeeping: bond n+ sits between
-sites n and n+1, so an operator inserted at bond n is separated from the
-logical ket by n channel applications; bond N is the edge site itself and
-bond 0 is adjacent to the logical ket.
+the closed-form check (:func:`insertion_overlaps`).  Bond bookkeeping:
+bond n+ sits between sites n and n+1, so an operator inserted at bond n is
+separated from the logical ket by n channel applications; bond N is the
+edge site itself and bond 0 is adjacent to the logical ket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from math import prod, sqrt
 
 import numpy as np
@@ -66,8 +64,7 @@ DENSE_CAP = 2_000_000
 # peak, plus two row-block slabs of K d_L x 4096 amplitudes inside
 # kl_decompose, and nothing after kl_decompose has a d_Q axis
 DENSE_STACK_CAP = 32_000_000
-# amplitudes in one batch of pair insertions in insertion_overlaps (128 KiB),
-# for the closed-form check or the cross-bond blocks of bond_error_compressions;
+# amplitudes in one batch of pair insertions in insertion_overlaps (128 KiB);
 # a batch holds at least one pair, so a large-d code holds one at a time
 PAIR_BATCH_CAP = 2**13
 
@@ -203,8 +200,7 @@ def edge_overlap(code: VbsCode, bra_insertions=(), ket_insertions=()) -> np.ndar
 
 def insertion_overlaps(code: VbsCode):
     """Every single and pair generator insertion, in one downward transfer
-    pass: the closed-form check and the cross-bond blocks of
-    :func:`bond_error_compressions`.
+    pass, for the closed-form check.
 
     Yields (m, n, overlaps).  A pair batch has a bond m and an array n of
     consecutive bonds above it, with overlaps[k, b, a] the logical matrix of
@@ -469,7 +465,10 @@ def bond_error_weights(code: VbsCode, bonds, strength: float) -> tuple[float, fl
 def _bond_list(code: VbsCode, bonds) -> list[int]:
     if bonds is None:
         return [code.n_sites]
-    out = [int(n) for n in bonds]
+    given = np.asarray(bonds).tolist()
+    if not all(float(n).is_integer() for n in given):
+        raise ValueError(f"bond list {given} holds a bond that is not an integer")
+    out = [int(n) for n in given]
     if not out or not all(0 <= n <= code.n_sites for n in out):
         raise ValueError(f"bond list {out} outside 0..{code.n_sites}")
     return out
@@ -500,43 +499,39 @@ def bond_error_compressions(
     code: VbsCode, bonds=None, strength: float = 0.1
 ) -> np.ndarray:
     """Compression tensor M[i, j] = V+ E_i+ E_j V for the bond error family,
-    contracted entirely by transfer so any N is reachable: the identity row
-    and the same-bond blocks by :func:`edge_overlap`, the cross-bond blocks
-    by one :func:`insertion_overlaps` pass (within 1e-15 of edge_overlap's)."""
+    contracted by :func:`edge_overlap` so any N is reachable: the norm block,
+    the identity row and one same-bond block per listed bond.  The transfer
+    is unital and scales every generator by chi, so below the upper of two
+    insertions only the traceless part of t^a t^b decays: the block between
+    bonds n and n' is the same-bond block at max(n, n') with chi^|n-n'|
+    I/(2d) in place of I/(2d) on its diagonal (times w^2)."""
     bonds = _bond_list(code, bonds)
-    k = 1 + len(bonds) * code.site_dim
-    if k * k * code.d * code.d > DENSE_STACK_CAP:
+    d, q = code.d, code.site_dim
+    k = 1 + len(bonds) * q
+    if k * k * d * d > DENSE_STACK_CAP:
         raise ValueError(
-            f"bond error compressions need {k * k * code.d * code.d} amplitudes, "
+            f"bond error compressions need {k * k * d * d} amplitudes, "
             f"over the budget of {DENSE_STACK_CAP}"
         )
     w0, w = bond_error_weights(code, bonds, strength)
-    families = [(0, w0 * np.eye(code.d)[None])]
-    families += [(n, w * code.basis.generators) for n in bonds]
-    start = np.cumsum([0] + [len(ops) for _, ops in families])
-    rows = [slice(lo, hi) for lo, hi in zip(start, start[1:])]
-    m = np.zeros((start[-1], start[-1], code.d, code.d), dtype=complex)
-    rows_at = {n: [r for b, r in zip(bonds, rows[1:]) if b == n] for n in bonds}
-    for i, (bond_i, ops_i) in enumerate(families):
-        for j, (bond_j, ops_j) in enumerate(families[i:], start=i):
-            if i and bond_j != bond_i:
-                continue  # a cross-bond block, filled from the pass below
-            bra, ket = [(bond_i, ops_i[:, None])], [(bond_j, ops_j[None, :])]
-            m[rows[i], rows[j]] = edge_overlap(code, bra, ket)
-            if j > i:
-                m[rows[j], rows[i]] = m[rows[i], rows[j]].conj().transpose(1, 0, 3, 2)
-    if len(rows_at) == 1:
-        return m
-    for low, highs, overlaps in insertion_overlaps(code):
-        if low not in rows_at:
-            continue  # the single-insertion rows (low None) or an unlisted bond
-        # overlaps[k, b, a] is M[(highs[k], b), (low, a)] / w^2: the pass puts
-        # t^b right of the matrix carried down to bond highs[k], edge_overlap
-        # puts (t^b)+ = t^b (Hermitian generators) left of it; they agree as
-        # that matrix is the identity (the transfer is unital)
-        for n, block in zip(highs, (w * w) * overlaps):
-            for r, s in product(rows_at.get(int(n), ()), rows_at[low]):
-                m[r, s], m[s, r] = block, block.conj().transpose(1, 0, 3, 2)
+    ident, ops = [(0, w0 * np.eye(d)[None, None])], w * code.basis.generators
+    row = {n: edge_overlap(code, ident, [(n, ops[None, :])])[0] for n in set(bonds)}
+    same = {n: edge_overlap(code, [(n, ops[:, None])], [(n, ops[None, :])]) for n in set(bonds)}
+    half = w * w / (2.0 * d) * np.eye(d)
+    m = np.empty((k, k, d, d), dtype=complex)
+    m[0, 0] = edge_overlap(code, ident, ident)[0, 0]
+    rows = [slice(1 + i * q, 1 + (i + 1) * q) for i in range(len(bonds))]
+    for i, (n, r) in enumerate(zip(bonds, rows)):
+        m[0, r], m[r, 0] = row[n], row[n].conj().swapaxes(-1, -2)
+        m[r, r] = same[n]
+        for n2, s in zip(bonds[i + 1 :], rows[i + 1 :]):
+            block = same[max(n, n2)]
+            if n2 != n:
+                block = block.copy()
+                diagonal = np.einsum("aaij->aij", block)  # a writeable view of blocks [a, a]
+                diagonal -= half
+                diagonal += code.chi ** abs(n - n2) * half
+            m[r, s], m[s, r] = block, block.conj().transpose(1, 0, 3, 2)
     return m
 
 

@@ -1025,7 +1025,15 @@ def test_report_blocks_are_the_sign_charge_classes(d, monkeypatch):
             qc.epsilon_from_report(report)
             errors, logical = oracles.bond_error_charges(code, bonds)
             exact = len(bonds) == n > 1
-            _check_blocks(_partition(found[0]), errors, exact)
+            gram = _partition(found[0])
+            _check_blocks(gram, errors, exact and d > 2)
+            if exact and d == 2:
+                # at d = 2 some same-bond blocks t^a t^b (a != b) have an
+                # exactly zero trace, and each cross-bond block copies the
+                # same-bond block at its upper bond, zeros included, so the
+                # Gram blocks at N = 2 and 4 are finer than the classes
+                sizes = {2: [2, 2, 3], 3: [4, 6], 4: [4, 4, 5], 5: [6, 10], 6: [7, 12]}
+                assert sorted(map(len, gram)) == sizes[n]
             # each mode carries the charge of the errors it mixes
             modes = np.array([errors[np.flatnonzero(row)[0]] for row in report.rotation])
             assert not np.any(report.rotation, where=modes[:, None] != errors)

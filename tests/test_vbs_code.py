@@ -669,8 +669,29 @@ def test_bond_error_compressions_match_pairwise_oracle(d):
                 assert np.abs(got - want).max() <= 1e-15, (d, n, bonds)
 
 
-def test_bond_error_compressions_take_cross_bond_blocks_from_one_pass(monkeypatch):
-    calls = dict.fromkeys(["edge_overlap", "insertion_overlaps", "transfer_apply"], 0)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_kl_report_of_bond_compressions_matches_pairwise_oracle(d):
+    for n in (1, 2, 3, 5, 8):
+        code = vc.build(d, n)
+        for bonds in _oracle_bond_lists(n):
+            for strength in (0.05, 0.1, 0.27):
+                got, want = (
+                    qc.kl_report_from_compressions(f(code, bonds, strength))
+                    for f in (vc.bond_error_compressions, oracles.pairwise_bond_error_compressions)
+                )
+                assert np.abs(got.eigenvalues - want.eigenvalues).max() <= 1e-14
+                for g, w in (
+                    (got.first_order_distance, want.first_order_distance),
+                    (qc.epsilon_from_report(got), qc.epsilon_from_report(want)),
+                    (got.residual_weights.sum(), want.residual_weights.sum()),
+                ):
+                    assert abs(g - w) <= 1e-12 * abs(w), (d, n, bonds, strength)
+
+
+def test_bond_error_compressions_make_no_pass(monkeypatch):
+    names = ["edge_overlap", "insertion_overlaps", "detection_closed_form",
+             "correlation_closed_form"]
+    calls, none = dict.fromkeys(names, 0), dict.fromkeys(names, 0)
     for name in calls:
         def counted(*args, _name=name, _f=getattr(vc, name), **kwargs):
             calls[_name] += 1
@@ -684,19 +705,29 @@ def test_bond_error_compressions_take_cross_bond_blocks_from_one_pass(monkeypatc
 
     code = vc.build(3, 10)
     got = count(vc.bond_error_compressions, code, range(1, 11))
-    want = count(oracles.pairwise_bond_error_compressions, code, range(1, 11))
-    # the identity row, the identity-identity block and the same-bond blocks
-    assert got["edge_overlap"] == 2 * 10 + 1 and want["edge_overlap"] == 11 * 12 // 2
-    assert got["insertion_overlaps"] == 1 and got["transfer_apply"] < want["transfer_apply"] / 2
-    # a family at one bond has no cross-bond blocks and makes no pass
+    # the norm block, then the identity row and the same-bond block per bond
+    assert got == dict(none, edge_overlap=2 * 10 + 1)
+    assert count(vc.bond_error_compressions, code, [4]) == dict(none, edge_overlap=3)
     code = vc.build(2, 40)
-    for bonds in ([40], [40, 40]):
+    for bonds in ([40, 40], [1, 40]):
         got = count(vc.bond_error_compressions, code, bonds)
+        want = count(oracles.pairwise_bond_error_compressions, code, bonds)
         assert got["insertion_overlaps"] == 0
-        assert got == count(oracles.pairwise_bond_error_compressions, code, bonds)
+        assert got["edge_overlap"] <= want["edge_overlap"]
 
 
-def test_bond_compressions_budget_refuses_before_the_pass(monkeypatch):
+def test_bond_lists_take_only_integer_bonds():
+    code = vc.build(2, 4)
+    for bonds in ([2.7], np.array([1.9, 3.2])):
+        for f in (vc.bond_error_compressions, vc.bond_error_stacks):
+            with pytest.raises(ValueError, match=r"bond list \[.*\] holds a bond that is not"):
+                f(code, bonds)
+    for f in (vc.bond_error_compressions, vc.bond_error_stacks):
+        got, want = f(code, np.array([2.0, 4.0])), f(code, [2, 4])
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_bond_compressions_budget_refuses_before_any_contraction(monkeypatch):
     code = vc.build(3, 4)
     k = 1 + 4 * code.site_dim
     monkeypatch.setattr(vc, "DENSE_STACK_CAP", k * k * 9)
