@@ -84,27 +84,37 @@ def cmd_algebra(args) -> int:
     return 0 if ok else 1
 
 
-def _closed_form_residuals(code) -> tuple[float, float]:
+def _closed_form_residuals(code) -> tuple[np.ndarray, np.ndarray]:
     """Max deviations of transfer contraction from the detection and
-    correlation closed forms, over all generators and bond pairs, read from
-    the one pass of vbs_code.insertion_overlaps: one closed-form stack per batch."""
-    worst = [0.0, 0.0]  # detection, correlation
+    correlation closed forms, over all generators, read from the one pass of
+    vbs_code.insertion_overlaps: one closed-form stack per batch.
+
+    Returns two arrays indexed by N' = 0..N: entry N' is the largest
+    residual over insertions at bonds <= N', singles at n <= N' for the
+    detection check and pairs (m, n) with n <= N' for the correlation
+    check, so the last entries cover the whole code.  The transfer is
+    unital, so an insertion's overlap does not depend on the sites above
+    its upper bond, and entry N' is the check of the code with N' sites in
+    exact arithmetic."""
+    at_bond = np.zeros((2, code.n_sites + 1))  # detection, correlation: max per upper bond
     for m, n, got in vbs_code.insertion_overlaps(code):
         if m is None:
             want = vbs_code.detection_closed_form(code, n)
         else:
             want = vbs_code.correlation_closed_form(code, m, n)
         want -= got  # in place, and dropped before the pass forms its next batch
-        worst[m is not None] = max(worst[m is not None], float(np.abs(want).max()))
+        worst = np.abs(want).reshape(len(n), -1).max(axis=1)
         del want
-    return worst[0], worst[1]
+        row = at_bond[int(m is not None)]
+        row[n] = np.maximum(row[n], worst)
+    det, corr = np.maximum.accumulate(at_bond, axis=1)
+    return det, corr
 
 
-def _sweep_point(code, strength: float) -> dict:
+def _sweep_point(code, strength: float, det: float, corr: float) -> dict:
     """The SWEEP_HEADER columns of one code, by name: d and N as integers,
-    the rest as floats."""
+    the rest as floats.  det and corr are its two closed-form residuals."""
     d, n = code.d, code.n_sites
-    det, corr = _closed_form_residuals(code)
     deviation, _ = vbs_code.edge_state(code, 0, n)
     report = qec_core.kl_report_from_compressions(
         vbs_code.bond_error_compressions(code, strength=strength)
@@ -136,21 +146,28 @@ def _format_points(points, fmt: str) -> str:
 
 def cmd_sweep(args) -> int:
     # one build per d: its checks do not depend on N, and the codes at the
-    # other N share its basis (and so its structure constants and h_t)
+    # other N share its basis (and so its structure constants and h_t).
+    # One closed-form pass per d, at --n-max, holds the residuals of every
+    # smaller N: entry N maximises over the insertions at bonds <= N
     sizes = range(args.n_min, args.n_max + 1)
-    codes = (vbs_code.build(d, args.n_min) for d in range(args.d_min, args.d_max + 1) if sizes)
-    points = [
-        _sweep_point(replace(code, n_sites=n), args.strength) for code in codes for n in sizes
-    ]
+    points = []
+    for d in range(args.d_min, args.d_max + 1) if sizes else ():
+        code = vbs_code.build(d, args.n_min)
+        det, corr = _closed_form_residuals(replace(code, n_sites=args.n_max))
+        points.extend(
+            _sweep_point(replace(code, n_sites=n), args.strength, det[n], corr[n]) for n in sizes
+        )
     _emit(_format_points(points, args.format), args.output)
-    return 0
+    residuals = [v for p in points for k, v in p.items() if k.endswith("_closedform_residual")]
+    return 0 if all(r < CLOSED_FORM_TOL for r in residuals) else 1
 
 
 def cmd_vbs(args) -> int:
-    point = _sweep_point(vbs_code.build(args.d, args.n), args.strength)
+    code = vbs_code.build(args.d, args.n)
+    det, corr = _closed_form_residuals(code)
+    point = _sweep_point(code, args.strength, det[-1], corr[-1])
     _emit(_format_points([point], "text"), args.output)
-    residual = max(point["max_detect_closedform_residual"], point["max_corr_closedform_residual"])
-    return 0 if residual < args.tol else 1
+    return 0 if det[-1] < args.tol and corr[-1] < args.tol else 1
 
 
 def _parse_bonds(spec: str, code) -> list[int]:

@@ -90,22 +90,23 @@ def dense_overlap(code, alpha, beta, bra_insertions=(), ket_insertions=()):
 
 
 def pairwise_closed_form_residuals(code):
-    """The two floats of ``cli._closed_form_residuals`` with every single
+    """The two arrays of ``cli._closed_form_residuals`` with every single
     and pair insertion contracted from the edge on its own by
-    ``edge_overlap``: O(N^3) transfer steps, one closed form per insertion."""
+    ``edge_overlap``: O(N^3) transfer steps, one closed form per insertion.
+    Entry N' of each is the largest residual over insertions whose upper
+    bond is at most N'."""
     g = code.basis.generators
     n_sites = code.n_sites
-    det = 0.0
+    det, corr = np.zeros(n_sites + 1), np.zeros(n_sites + 1)
     for bond in range(n_sites + 1):
         got = vc.edge_overlap(code, ket_insertions=[(bond, g)])
         want = vc.detection_closed_form(code, bond)
-        det = max(det, float(np.abs(got - want).max()))
-    corr = 0.0
+        det[bond:] = np.maximum(det[bond:], np.abs(got - want).max())
     for m in range(n_sites):
         for n in range(m + 1, n_sites + 1):
             got = vc.edge_overlap(code, ket_insertions=[(n, g[:, None]), (m, g[None, :])])
             want = vc.correlation_closed_form(code, m, n)
-            corr = max(corr, float(np.abs(got - want).max()))
+            corr[n:] = np.maximum(corr[n:], np.abs(got - want).max())
     return det, corr
 
 

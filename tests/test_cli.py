@@ -93,20 +93,52 @@ def test_sweep_builds_one_code_per_dimension(tmp_path, monkeypatch):
         bases.append(d)
         return gell_mann_basis(d)
 
+    # and one closed-form pass per d, at --n-max, serves every N of it
+    passes = []
+    insertion_overlaps = vc.insertion_overlaps
+
+    def pass_spy(code):
+        passes.append((code.d, code.n_sites))
+        return insertion_overlaps(code)
+
     monkeypatch.setattr(vc, "build", build_spy)
+    monkeypatch.setattr(vc, "insertion_overlaps", pass_spy)
     for module in (su, vc):  # vbs_code calls its own binding
         monkeypatch.setattr(module, "gell_mann_basis", basis_spy)
     args = ["sweep", "--d-min", "2", "--d-max", "4", "--n-min", "3", "--n-max", "6"]
     code, text = run_cli(args, tmp_path, "sweep.csv")
     assert code == 0 and len(text.decode().splitlines()) == 1 + 3 * 4
     assert built == [(2, 3), (3, 3), (4, 3)] and bases == [2, 3, 4]
+    assert passes == [(2, 6), (3, 6), (4, 6)]
 
 
 def test_sweep_rows_match_codes_built_alone(tmp_path):
+    # every column but the two residuals is that of the code built alone;
+    # the residuals are the --n-max pass's entries at N, here its oracle's
     args = ["sweep", "--d-min", "2", "--d-max", "3", "--n-min", "3", "--n-max", "5"]
     _, text = run_cli(args, tmp_path, "shared.csv")
-    points = [cli._sweep_point(vc.build(d, n), 0.1) for d in (2, 3) for n in (3, 4, 5)]
+    points = []
+    for d in (2, 3):
+        det, corr = oracles.pairwise_closed_form_residuals(vc.build(d, 5))
+        points.extend(cli._sweep_point(vc.build(d, n), 0.1, det[n], corr[n]) for n in (3, 4, 5))
     assert text.decode() == cli._format_points(points, "csv")
+
+
+def test_sweep_exits_1_when_a_residual_fails(tmp_path, monkeypatch):
+    # the benchmark grid passes its checks; a correlation closed form off by
+    # 1e-9 fails them, and every row is still written
+    args = ["sweep", "--d-min", "2", "--d-max", "4", "--n-min", "3", "--n-max", "6"]
+    code, text = run_cli(args, tmp_path, "pass.csv")
+    assert code == 0
+    correlation_closed_form = vc.correlation_closed_form
+    monkeypatch.setattr(
+        vc, "correlation_closed_form", lambda code, m, n: correlation_closed_form(code, m, n) + 1e-9
+    )
+    code, text = run_cli(args, tmp_path, "fail.csv")
+    lines = text.decode().splitlines()
+    assert code == 1 and lines[0] == cli.SWEEP_HEADER and len(lines) == 1 + 3 * 4
+    column = cli.SWEEP_HEADER.split(",").index("max_corr_closedform_residual")
+    assert all(float(line.split(",")[column]) >= cli.CLOSED_FORM_TOL for line in lines[1:])
 
 
 @pytest.mark.parametrize(
@@ -232,7 +264,8 @@ def test_closed_form_pass_matches_pairwise_oracle(d, n_sites):
     # the benchmark sweep grid and three large points: the one transfer pass
     # gives exactly the floats of contracting every insertion on its own
     code = vc.build(d, n_sites)
-    assert cli._closed_form_residuals(code) == oracles.pairwise_closed_form_residuals(code)
+    got, want = cli._closed_form_residuals(code), oracles.pairwise_closed_form_residuals(code)
+    np.testing.assert_array_equal(got, want, strict=True)
 
 
 def test_closed_form_pass_memory_bound():
