@@ -7,9 +7,9 @@
 Each side is unpacked from git with ``git archive`` into its own directory
 and byte-compiled with ``compileall`` (imports read bytecode even where
 ``PYTHONDONTWRITEBYTECODE`` stops them writing it), so neither side pays
-compilation inside a run.  The change is ``--change`` or, by default, the
-working tree's tracked files (``git stash create``; new files count once
-they are staged).  For each workload and seed the script runs
+compilation inside a run.  The change is the working tree's tracked files
+(``git stash create``, or ``HEAD`` when the tree is clean; new files count
+once they are staged).  For each workload and seed the script runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -152,8 +152,6 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="parent revision")
-    parser.add_argument("--change", default=None,
-                        help="change revision (default: the working tree's tracked files)")
     parser.add_argument("--pr", required=True, help="writes BENCH_<pr>.json at the repo root")
     parser.add_argument("--runs", action="append", required=True, metavar="WORKLOAD:SEEDS",
                         help="a workload and its seeds, e.g. sweep:11-20; repeatable")
@@ -163,10 +161,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     plan = [parse_seeds(spec) for spec in args.runs]
 
-    change = args.change or _git("stash", "create") or "HEAD"
-    commits = {"parent": _git("rev-parse", args.parent)}
-    commits["change"] = (_git("rev-parse", args.change) if args.change
-                         else f"working tree on {_git('rev-parse', 'HEAD')}")
+    change = _git("stash", "create") or "HEAD"
+    commits = {"parent": _git("rev-parse", args.parent),
+               "change": f"working tree on {_git('rev-parse', 'HEAD')}"}
     work = Path(args.workdir or tempfile.mkdtemp(prefix="bench-pairs-"))
     trees = {side: work / side for side in SIDES}
     unpack(commits["parent"], trees["parent"])
