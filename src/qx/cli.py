@@ -111,11 +111,11 @@ def _closed_form_residuals(code) -> tuple[np.ndarray, np.ndarray]:
     return det, corr
 
 
-def _sweep_point(code, strength: float, det: float, corr: float) -> dict:
+def _sweep_point(code, strength: float, det: float, corr: float, deviation) -> dict:
     """The SWEEP_HEADER columns of one code, by name: d and N as integers,
-    the rest as floats.  det and corr are its two closed-form residuals."""
+    the rest as floats.  det and corr are its two closed-form residuals and
+    deviation its edge state, the traceless part after N transfer steps."""
     d, n = code.d, code.n_sites
-    deviation, _ = vbs_code.edge_state(code, 0, n)
     report = qec_core.kl_report_from_compressions(
         vbs_code.bond_error_compressions(code, strength=strength)
     )
@@ -148,15 +148,19 @@ def cmd_sweep(args) -> int:
     # one build per d: its checks do not depend on N, and the codes at the
     # other N share its basis (and so its structure constants and h_t).
     # One closed-form pass per d, at --n-max, holds the residuals of every
-    # smaller N: entry N maximises over the insertions at bonds <= N
+    # smaller N: entry N maximises over the insertions at bonds <= N; and
+    # one edge-state chain per d holds the edge state of every N
     sizes = range(args.n_min, args.n_max + 1)
     points = []
     ok = True
     for d in range(args.d_min, args.d_max + 1) if sizes else ():
         code = vbs_code.build(d, args.n_min)
-        det, corr = _closed_form_residuals(replace(code, n_sites=args.n_max))
+        widest = replace(code, n_sites=args.n_max)
+        det, corr = _closed_form_residuals(widest)
+        edge, _ = vbs_code.edge_state(widest, 0)
         points.extend(
-            _sweep_point(replace(code, n_sites=n), args.strength, det[n], corr[n]) for n in sizes
+            _sweep_point(replace(code, n_sites=n), args.strength, det[n], corr[n], edge[n])
+            for n in sizes
         )
         # running maxima: the last entries bound every printed row's
         ok = ok and det[-1] < CLOSED_FORM_TOL and corr[-1] < CLOSED_FORM_TOL
@@ -167,7 +171,8 @@ def cmd_sweep(args) -> int:
 def cmd_vbs(args) -> int:
     code = vbs_code.build(args.d, args.n)
     det, corr = _closed_form_residuals(code)
-    point = _sweep_point(code, args.strength, det[-1], corr[-1])
+    edge, _ = vbs_code.edge_state(code, 0)
+    point = _sweep_point(code, args.strength, det[-1], corr[-1], edge[-1])
     _emit(_format_points([point], "text"), args.output)
     return 0 if det[-1] < args.tol and corr[-1] < args.tol else 1
 

@@ -12,7 +12,8 @@ physical d_Q x d_Q arrays are the gates handed to
 :meth:`CodeIsometry.projector`, and the physical-space oracle
 :func:`recovery_from_kl`.  The report solves its Gram and ``epsilon``
 eigenproblems one block at a time, the blocks read from the exact zeros of
-the matrices themselves (one block when there are none).
+the matrices themselves (one block when there are none), and rotates the
+compressions by each Gram block's eigenvectors alone.
 """
 
 from __future__ import annotations
@@ -211,6 +212,21 @@ def _sector_groups(labels: np.ndarray) -> list[np.ndarray]:
     return [order[np.array(firsts)[:, None] + np.arange(s)] for s, firsts in starts.items()]
 
 
+def _rotate_blocks(t: np.ndarray, units, conj: bool = False) -> np.ndarray:
+    """u^T t (u^H t if ``conj``) for the block-diagonal u whose blocks are
+    ``units``, t's leading axis ordered block by block: one batched product
+    per block size, written into one new array."""
+    out = np.empty_like(t)
+    lo = 0
+    for u in units:
+        n, s, _ = u.shape
+        u = u.conj() if conj else u
+        hi = lo + n * s
+        np.matmul(u.swapaxes(-1, -2), t[lo:hi].reshape(n, s, -1), out=out[lo:hi].reshape(n, s, -1))
+        lo = hi
+    return out
+
+
 def kl_report_from_compressions(
     compressions: np.ndarray, cutoff_rel: float = CUTOFF_REL
 ) -> KLReport:
@@ -222,15 +238,27 @@ def kl_report_from_compressions(
     it exactly block sparse, and the rotation and residuals are then
     exactly zero across blocks.  Modes are sorted by descending eigenvalue,
     ties in reverse error order, as on one ``eigh`` of the whole matrix.
+
+    The compressions are rotated one block at a time: gathered once with
+    the errors ordered block by block and the second error index leading,
+    each block size's eigenvectors applied to its contiguous rows as one
+    batched product, transposed back, and rotated the same way, then
+    gathered into mode order.  Beside M the rotation holds two
+    (K, K, d_L, d_L) arrays at a time, and the residual weights are read
+    from the residuals' float view.
     """
     m = np.asarray(compressions, dtype=complex)
     k, _, d_l, _ = m.shape
     gram = np.einsum("ijaa->ij", m) / d_l
     gram = (gram + gram.conj().T) / 2.0
     eigvals, vecs = np.empty(k), np.zeros((k, k), dtype=complex)
-    for idx in _blocks(*np.nonzero(gram), k):
+    groups = _blocks(*np.nonzero(gram), k)
+    units = []  # per block size: the (blocks, s, s) eigenvectors u[b, error, mode]
+    for idx in groups:
         rows, cols = idx[:, :, None], idx[:, None, :]
-        eigvals[idx], vecs[rows, cols] = np.linalg.eigh(gram[rows, cols])
+        eigvals[idx], u = np.linalg.eigh(gram[rows, cols])
+        vecs[rows, cols] = u
+        units.append(u)
     order = np.argsort(eigvals, kind="stable")[::-1]
     eigvals = eigvals[order]
     rotation = vecs[:, order].T
@@ -238,12 +266,24 @@ def kl_report_from_compressions(
     retained = eigvals > cutoff
     if not retained.any():
         raise DegenerateNoiseError("all noise eigenvalues are below the cutoff")
-    # F_k+ F_l compressions: rotate the first error index, then the second
-    t = (rotation.conj() @ m.reshape(k, -1)).reshape(k, k, d_l * d_l)
-    residuals = (rotation @ t).reshape(k, k, d_l, d_l)
+    # F_k+ F_l compressions, with the errors ordered block by block so that
+    # each block's rotation acts on contiguous rows: rotate the second error
+    # index (leading in t), transpose, then rotate the first
+    perm = np.concatenate([idx.ravel() for idx in groups])
+    t = m.reshape(k, k, d_l * d_l)[perm[None, :], perm[:, None]]
+    t = _rotate_blocks(t, units)
+    t = t.transpose(1, 0, 2).copy()
+    t = _rotate_blocks(t, units, conj=True)
+    # residual row a is mode order[a], found at position pos[order[a]] of perm
+    pos = np.empty(k, dtype=int)
+    pos[perm] = np.arange(k)
+    pos = pos[order]
+    residuals = t[pos[:, None], pos[None, :]].reshape(k, k, d_l, d_l)
+    del t
     idx = np.arange(k)
     residuals[idx, idx] -= eigvals[:, None, None] * np.eye(d_l)
-    weights = np.einsum("klab,klab->kl", residuals.conj(), residuals).real
+    flat = residuals.view(float).reshape(k, k, -1)
+    weights = np.einsum("klx,klx->kl", flat, flat)
     first_order = float(
         weights[retained, :].sum(axis=1) @ (1.0 / eigvals[retained]) / (2.0 * d_l)
     )

@@ -10,7 +10,10 @@ Expectation values are available along two independent routes: transfer
 contraction (cost linear in N, any N) and dense brute-force encoding
 (bounded by an amplitude cap).  One downward transfer pass of O(N^2) steps
 gives every single and pair insertion, in batches of at least one pair, for
-the closed-form check (:func:`insertion_overlaps`).  Bond bookkeeping:
+the closed-form check (:func:`insertion_overlaps`); one pass of O(N) steps
+gives the bond error family's compression tensor
+(:func:`bond_error_compressions`), and one chain of N steps the edge state
+at every n <= N (:func:`edge_state`).  Bond bookkeeping:
 bond n+ sits between sites n and n+1, so an operator inserted at bond n is
 separated from the logical ket by n channel applications; bond N is the
 edge site itself and bond 0 is adjacent to the logical ket.
@@ -286,23 +289,30 @@ def dense_isometry(code: VbsCode):
     return CodeIsometry(isometry=states.T, site_dims=code.site_dims)
 
 
-def edge_state(code: VbsCode, alpha: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Traceless part of the edge-site density matrix after n transfer steps
-    from |alpha><alpha|, two ways: (iterated, closed) with closed = 2 chi^n
-    sum_a t^a t^a_aa.  The iteration projects out the trace after each step,
-    as the unital transfer keeps any trace part rounding leaves.  The two are
-    checked to agree relative to closed, down to the smallest normal float.
+def edge_state(code: VbsCode, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """Traceless part of the edge-site density matrix after n = 0..N
+    transfer steps from |alpha><alpha|, two ways, as (N + 1, d, d) stacks
+    (iterated, closed) with closed[n] = 2 chi^n sum_a t^a t^a_aa.  One chain
+    gives every n: the iteration projects out the trace after each step, as
+    the unital transfer keeps any trace part rounding leaves.  Each entry is
+    checked to agree with its closed form relative to it, down to the
+    smallest normal float.
     """
-    if not 0 <= n <= code.n_sites:
-        raise ValueError(f"step count {n} outside 0..{code.n_sites}")
     d = code.d
-    iterated = np.diag((np.arange(d) == alpha) - 1.0 / d + 0j)
-    for _ in range(n):
-        iterated = transfer_apply(code, iterated)
-        iterated -= np.trace(iterated) / d * np.eye(d)
+    if not 0 <= alpha < d:
+        raise ValueError(f"basis index {alpha} outside 0..{d - 1}")
+    iterated = np.empty((code.n_sites + 1, d, d), dtype=complex)
+    iterated[0] = np.diag((np.arange(d) == alpha) - 1.0 / d + 0j)
+    for n in range(code.n_sites):
+        step = transfer_apply(code, iterated[n])
+        step -= np.trace(step) / d * np.eye(d)
+        iterated[n + 1] = step
     g = code.basis.generators
-    closed = 2.0 * code.chi**n * np.einsum("a,aij->ij", g[:, alpha, alpha], g)
-    if np.abs(iterated - closed).max() > max(1e-12 * np.abs(closed).max(), np.finfo(float).tiny):
+    scale = np.array([2.0 * code.chi**n for n in range(code.n_sites + 1)])
+    closed = scale[:, None, None] * np.einsum("a,aij->ij", g[:, alpha, alpha], g)
+    gap = np.abs(iterated - closed).reshape(len(closed), -1).max(axis=1)
+    bound = np.abs(closed).reshape(len(closed), -1).max(axis=1) * 1e-12
+    if np.any(gap > np.maximum(bound, np.finfo(float).tiny)):
         raise ContractionError("edge state closed form disagrees with iteration")
     return iterated, closed
 
@@ -499,12 +509,19 @@ def bond_error_compressions(
     code: VbsCode, bonds=None, strength: float = 0.1
 ) -> np.ndarray:
     """Compression tensor M[i, j] = V+ E_i+ E_j V for the bond error family,
-    contracted by :func:`edge_overlap` so any N is reachable: the norm block,
-    the identity row and one same-bond block per listed bond.  The transfer
-    is unital and scales every generator by chi, so below the upper of two
-    insertions only the traceless part of t^a t^b decays: the block between
-    bonds n and n' is the same-bond block at max(n, n') with chi^|n-n'|
-    I/(2d) in place of I/(2d) on its diagonal (times w^2)."""
+    contracted by transfer so any N is reachable: the norm block by
+    :func:`edge_overlap`, then the identity row and one same-bond block per
+    listed bond from one downward pass.  The identity is transferred alone,
+    as in :func:`edge_overlap`, down to the lowest listed bond; at each
+    listed bond the row c t^b and the block t^a+ c t^b are born into one
+    stack, which crosses each lower bond in one transfer, so every block is
+    bitwise that of :func:`edge_overlap` (up to the sign of exact zeros).
+    The transfer is unital and scales every generator by chi, so below the
+    upper of two insertions only the traceless part of t^a t^b decays: the
+    block between bonds n and n' is the same-bond block at max(n, n') with
+    chi^|n-n'| I/(2d) in place of I/(2d) on its diagonal (times w^2),
+    written straight into M by the listed bond that holds the upper
+    insertion, one listed bond at a time."""
     bonds = _bond_list(code, bonds)
     d, q = code.d, code.site_dim
     k = 1 + len(bonds) * q
@@ -515,23 +532,51 @@ def bond_error_compressions(
         )
     w0, w = bond_error_weights(code, bonds, strength)
     ident, ops = [(0, w0 * np.eye(d)[None, None])], w * code.basis.generators
-    row = {n: edge_overlap(code, ident, [(n, ops[None, :])])[0] for n in set(bonds)}
-    same = {n: edge_overlap(code, [(n, ops[:, None])], [(n, ops[None, :])]) for n in set(bonds)}
-    half = w * w / (2.0 * d) * np.eye(d)
+    norm_bra = ident[0][1].conj().swapaxes(-1, -2)
+    bra, ket = ops[:, None].conj().swapaxes(-1, -2), ops[None, :]
     m = np.empty((k, k, d, d), dtype=complex)
     m[0, 0] = edge_overlap(code, ident, ident)[0, 0]
-    rows = [slice(1 + i * q, 1 + (i + 1) * q) for i in range(len(bonds))]
-    for i, (n, r) in enumerate(zip(bonds, rows)):
-        m[0, r], m[r, 0] = row[n], row[n].conj().swapaxes(-1, -2)
-        m[r, r] = same[n]
-        for n2, s in zip(bonds[i + 1 :], rows[i + 1 :]):
-            block = same[max(n, n2)]
-            if n2 != n:
-                block = block.copy()
-                diagonal = np.einsum("aaij->aij", block)  # a writeable view of blocks [a, a]
-                diagonal -= half
-                diagonal += code.chi ** abs(n - n2) * half
-            m[r, s], m[s, r] = block, block.conj().transpose(1, 0, 3, 2)
+    levels = sorted(set(bonds), reverse=True)
+    # stack[i] = [row, same-bond block] of the i-th listed bond from the top
+    stack = np.empty((len(levels), q + q * q, d, d), dtype=complex)
+    c = np.eye(d, dtype=complex)
+    for i, n in enumerate(levels):
+        for _ in range(n, levels[i - 1] if i else code.n_sites):
+            if i:
+                stack[:i] = transfer_apply(code, stack[:i])
+            c = transfer_apply(code, c)
+        # at bond 0 the bra acts before the ket, as in edge_overlap
+        stack[i, :q] = ((norm_bra @ c if n == 0 else c) @ ket)[0]
+        stack[i, q:] = ((bra @ c) @ ket).reshape(q * q, d, d)
+    for _ in range(levels[-1]):
+        stack = transfer_apply(code, stack)
+    above = len(levels) - (levels[-1] == 0)  # the rows that reach bond 0 without their bra
+    stack[:above, :q] = norm_bra @ stack[:above, :q]
+    at = {n: i for i, n in enumerate(levels)}
+    rows, same = stack[:, :q], stack[:, q:].reshape(len(levels), q, q, d, d)
+    own = rows[[at[n] for n in bonds]].reshape(-1, d, d)
+    m[0, 1:], m[1:, 0] = own, own.conj().swapaxes(-1, -2)
+    # each block above the diagonal is written once, by the listed bond with
+    # the upper insertion (the first of equal ones): row i takes the blocks
+    # M[(i), (j)] with j >= i, column i those M[(j), (i)] with j < i
+    half = w * w / (2.0 * d) * np.eye(d)
+    for i, n in enumerate(bonds):
+        r = slice(1 + i * q, 1 + (i + 1) * q)
+        row = m[r, 1:].reshape(q, -1, q, d, d).swapaxes(0, 1)  # row[j] = M[(i), (j)]
+        col = m[1:, r].reshape(-1, q, q, d, d)  # col[j] = M[(j), (i)]
+        for part, js in ((row, range(i, len(bonds))), (col, range(i))):
+            js = [j for j in js if bonds[j] < n or bonds[j] == n and j >= i]
+            part[js] = same[at[n]]
+            moved = [j for j in js if bonds[j] != n]
+            if moved:
+                diagonal = np.einsum("jaaxy->jaxy", part)  # a writeable view of blocks [a, a]
+                diagonal[moved] -= half
+                decay = np.array([code.chi ** (n - bonds[j]) for j in moved])
+                diagonal[moved] += decay[:, None, None, None] * half
+    for i in range(len(bonds)):
+        r = slice(1 + i * q, 1 + (i + 1) * q)
+        upper = m[r, r.stop:].reshape(q, -1, q, d, d)
+        np.conjugate(upper.transpose(1, 2, 0, 4, 3), out=m[r.stop:, r].reshape(-1, q, q, d, d))
     return m
 
 

@@ -1,10 +1,13 @@
 """Brute-force oracles: the eigendecomposition exponential, dense ones for
 the transfer contractions and the transversal collapse check, the
-insertion-by-insertion closed-form check and bond error compressions, a
+insertion-by-insertion closed-form check and bond error compressions, the
+bond error compressions from one ``edge_overlap`` per identity row and
+same-bond block, the edge state from its own n steps, a
 step-by-step product for the trajectory scan, the dense generator sum,
 the complex-arithmetic U(2) exponential of its steps and the Taylor
 exponential with a fresh stack per product, the einsum rotation of the
-KL report, the compression tensor from a copied error family, the looped
+KL report, the KL report rotated by the whole K x K rotation, the
+compression tensor from a copied error family, the looped
 physical-space logical channel and the entanglement fidelity read from its
 Choi matrix; the correlation
 closed form with its own h_bac t^c product per call, and the structure
@@ -31,7 +34,9 @@ from math import prod, sqrt
 import numpy as np
 
 from qx import vbs_code as vc
-from qx.qec_core import _ROW_BLOCK, CUTOFF_REL, CodeIsometry, KLReport, _error_family
+from qx.qec_core import (
+    _ROW_BLOCK, CUTOFF_REL, CodeIsometry, KLReport, _blocks, _error_family,
+)
 from qx.quantum_ops import KrausChannel, choi_matrix, omega_matrix, trace_distance
 from qx.quasi_universality import SimTrajectory, unitary_distance
 from qx.rng import make_generator
@@ -153,6 +158,51 @@ def pairwise_bond_error_compressions(code, bonds=None, strength=0.1):
             if j > i:
                 m[rows[j], rows[i]] = m[rows[i], rows[j]].conj().transpose(1, 0, 3, 2)
     return m
+
+
+def per_bond_bond_error_compressions(code, bonds=None, strength=0.1):
+    """``vbs_code.bond_error_compressions`` with the identity row and the
+    same-bond block of each listed bond contracted from the edge on its own
+    by ``edge_overlap`` (2B' + 1 calls for B' distinct bonds), and the
+    cross-bond blocks written one pair at a time: the reference, bit for
+    bit, for the one downward pass."""
+    bonds = vc._bond_list(code, bonds)
+    d, q = code.d, code.site_dim
+    k = 1 + len(bonds) * q
+    w0, w = vc.bond_error_weights(code, bonds, strength)
+    ident, ops = [(0, w0 * np.eye(d)[None, None])], w * code.basis.generators
+    row = {n: vc.edge_overlap(code, ident, [(n, ops[None, :])])[0] for n in set(bonds)}
+    same = {n: vc.edge_overlap(code, [(n, ops[:, None])], [(n, ops[None, :])]) for n in set(bonds)}
+    half = w * w / (2.0 * d) * np.eye(d)
+    m = np.empty((k, k, d, d), dtype=complex)
+    m[0, 0] = vc.edge_overlap(code, ident, ident)[0, 0]
+    rows = [slice(1 + i * q, 1 + (i + 1) * q) for i in range(len(bonds))]
+    for i, (n, r) in enumerate(zip(bonds, rows)):
+        m[0, r], m[r, 0] = row[n], row[n].conj().swapaxes(-1, -2)
+        m[r, r] = same[n]
+        for n2, s in zip(bonds[i + 1 :], rows[i + 1 :]):
+            block = same[max(n, n2)]
+            if n2 != n:
+                block = block.copy()
+                diagonal = np.einsum("aaij->aij", block)  # a writeable view of blocks [a, a]
+                diagonal -= half
+                diagonal += code.chi ** abs(n - n2) * half
+            m[r, s], m[s, r] = block, block.conj().transpose(1, 0, 3, 2)
+    return m
+
+
+def stepwise_edge_state(code, alpha, n):
+    """Entry n of ``vbs_code.edge_state``'s two stacks, its own n transfer
+    steps from |alpha><alpha| and its own closed form 2 chi^n sum_a t^a
+    t^a_aa: the reference, bit for bit, for the column from one chain."""
+    d = code.d
+    iterated = np.diag((np.arange(d) == alpha) - 1.0 / d + 0j)
+    for _ in range(n):
+        iterated = transfer_apply(code, iterated)
+        iterated -= np.trace(iterated) / d * np.eye(d)
+    g = code.basis.generators
+    closed = 2.0 * code.chi**n * np.einsum("a,aij->ij", g[:, alpha, alpha], g)
+    return iterated, closed
 
 
 def apply_site_operator(state, dims, axis, op):
@@ -326,6 +376,33 @@ def unsectored_kl_report(compressions, cutoff_rel=CUTOFF_REL) -> KLReport:
     gram = (gram + gram.conj().T) / 2.0
     eigvals, vecs = np.linalg.eigh(gram)
     order = np.argsort(eigvals)[::-1]
+    eigvals, rotation = eigvals[order], vecs[:, order].T
+    cutoff = cutoff_rel * max(eigvals.max(), 0.0)
+    retained = eigvals > cutoff
+    t = (rotation.conj() @ m.reshape(k, -1)).reshape(k, k, d_l * d_l)
+    residuals = (rotation @ t).reshape(k, k, d_l, d_l)
+    residuals[np.arange(k), np.arange(k)] -= eigvals[:, None, None] * np.eye(d_l)
+    weights = np.einsum("klab,klab->kl", residuals.conj(), residuals).real
+    first_order = weights[retained, :].sum(axis=1) @ (1.0 / eigvals[retained]) / (2.0 * d_l)
+    return KLReport(k, d_l, gram, eigvals, rotation, residuals, weights, retained,
+                    int(retained.sum()), float(first_order), float(cutoff), m)
+
+
+def full_rotation_kl_report(compressions, cutoff_rel=CUTOFF_REL) -> KLReport:
+    """The KL report with its Gram blocks solved as in
+    ``kl_report_from_compressions`` but the compressions rotated by the whole
+    K x K rotation, as K products of K x K by K x d_L^2, zeros across blocks
+    included: the reference, bit for bit in eigenvalues and rotation, for
+    the block-by-block rotation."""
+    m = np.asarray(compressions, dtype=complex)
+    k, _, d_l, _ = m.shape
+    gram = np.einsum("ijaa->ij", m) / d_l
+    gram = (gram + gram.conj().T) / 2.0
+    eigvals, vecs = np.empty(k), np.zeros((k, k), dtype=complex)
+    for idx in _blocks(*np.nonzero(gram), k):
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        eigvals[idx], vecs[rows, cols] = np.linalg.eigh(gram[rows, cols])
+    order = np.argsort(eigvals, kind="stable")[::-1]
     eigvals, rotation = eigvals[order], vecs[:, order].T
     cutoff = cutoff_rel * max(eigvals.max(), 0.0)
     retained = eigvals > cutoff

@@ -113,14 +113,18 @@ def test_sweep_builds_one_code_per_dimension(tmp_path, monkeypatch):
 
 
 def test_sweep_rows_match_codes_built_alone(tmp_path):
-    # every column but the two residuals is that of the code built alone;
-    # the residuals are the --n-max pass's entries at N, here its oracle's
+    # every column but the two residuals is that of the code built alone,
+    # its edge state from its own N steps; the residuals are the --n-max
+    # pass's entries at N, here its oracle's
     args = ["sweep", "--d-min", "2", "--d-max", "3", "--n-min", "3", "--n-max", "5"]
     _, text = run_cli(args, tmp_path, "shared.csv")
     points = []
     for d in (2, 3):
         det, corr = oracles.pairwise_closed_form_residuals(vc.build(d, 5))
-        points.extend(cli._sweep_point(vc.build(d, n), 0.1, det[n], corr[n]) for n in (3, 4, 5))
+        for n in (3, 4, 5):
+            code = vc.build(d, n)
+            edge, _ = oracles.stepwise_edge_state(code, 0, n)
+            points.append(cli._sweep_point(code, 0.1, det[n], corr[n], edge))
     assert text.decode() == cli._format_points(points, "csv")
 
 

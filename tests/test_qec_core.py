@@ -566,6 +566,45 @@ def test_rotation_matches_einsum_oracle(source):
     _assert_close(qc.epsilon_from_report(report), qc.epsilon_from_report(reference))
 
 
+def _report_sources():
+    """(label, compressions) on every route that reaches the report."""
+    yield "random", _random_compressions(17, 3, seed=5)
+    for d, n in ((2, 8), (3, 6), (4, 4), (5, 3)):
+        code = vc.build(d, n)
+        for bonds in ([n], list(range(1, n + 1)), [n, 0, n // 2]):
+            yield (d, n, bonds), vc.bond_error_compressions(code, bonds, strength=0.27)
+    iso = ec.five_qubit_code()
+    m = qc.error_compressions(iso, [iso.isometry] + ec.weight_one_pauli_stacks(iso.isometry))
+    yield "five_one_three", m[1:, 1:]
+
+
+def test_block_rotation_keeps_the_full_rotation_report():
+    # the rotation is exactly block diagonal, so rotating one Gram block at
+    # a time changes only the order of the sums in the residuals
+    for label, m in _report_sources():
+        got, want = qc.kl_report_from_compressions(m), oracles.full_rotation_kl_report(m)
+        for field in ("gram", "eigenvalues", "rotation", "retained"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (label, field)
+        gap = np.abs(got.residuals - want.residuals).max()
+        assert gap <= 1e-15 * np.abs(m).max(), (label, gap)
+
+
+def test_block_rotation_holds_fewer_report_arrays_than_the_full_one():
+    # the full rotation peaks with three (K, K, d_L, d_L) arrays beside M
+    # (two rotation products and the conjugate the weights read), the
+    # block rotation with two
+    m = vc.bond_error_compressions(vc.build(4, 6), range(1, 7))
+    peaks = []
+    for f in (qc.kl_report_from_compressions, oracles.full_rotation_kl_report):
+        tracemalloc.start()
+        try:
+            f(m)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] and peaks[0] < 2.5 * m.nbytes, (peaks, m.nbytes)
+
+
 def _report_fields(text):
     return dict(line.split(": ", 1) for line in text.strip().splitlines())
 

@@ -214,7 +214,7 @@ def test_partial_trace_vbs_edge_matches_closed_form():
     psi = vc.encode_dense(code, 0)
     rho = np.outer(psi, psi.conj())
     edge = partial_trace(rho, code.site_dims, keep=[3])
-    _, closed = vc.edge_state(code, 0, 3)
+    closed = vc.edge_state(code, 0)[1][3]
     assert np.abs(edge - (closed + np.eye(2) / 2)).max() < 1e-12
 
 

@@ -137,11 +137,37 @@ def test_dense_isometry_shapes_and_projector():
 def test_edge_state_values():
     # traceless parts: |0><0| - I/2, then chi times it, chi = -1/3
     code = vc.build(2, 3)
-    it0, _ = vc.edge_state(code, 0, 0)
+    iterated, closed = vc.edge_state(code, 0)
+    it0, it1, cl1 = iterated[0], iterated[1], closed[1]
     assert np.abs(it0 - np.diag([0.5, -0.5])).max() < 1e-14
-    it1, cl1 = vc.edge_state(code, 0, 1)
     assert np.abs(it1 - np.diag([-1 / 6, 1 / 6])).max() < 1e-15
     assert np.abs(cl1 - it1).max() < 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_edge_state_column_is_the_stepwise_oracle(d):
+    # every entry of the one chain, bit for bit, against its own n steps
+    for n_sites in range(1, 13):
+        code = vc.build(d, n_sites)
+        for alpha in (0, d - 1):
+            iterated, closed = vc.edge_state(code, alpha)
+            assert iterated.shape == closed.shape == (n_sites + 1, d, d)
+            for n in range(n_sites + 1):
+                want = oracles.stepwise_edge_state(code, alpha, n)
+                assert iterated[n].tobytes() == want[0].tobytes(), (n_sites, alpha, n)
+                assert closed[n].tobytes() == want[1].tobytes(), (n_sites, alpha, n)
+
+
+def test_edge_state_rejects_a_bad_basis_index(monkeypatch):
+    code = vc.build(3, 4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stepped with a bad basis index")
+
+    monkeypatch.setattr(vc, "transfer_apply", refuse)
+    for alpha in (-1, 3, 7):
+        with pytest.raises(ValueError, match=r"basis index -?\d+ outside 0\.\.2"):
+            vc.edge_state(code, alpha)
 
 
 def _edge_law(d, n):
@@ -152,8 +178,9 @@ def _edge_law(d, n):
 def test_edge_state_converges_to_maximally_mixed():
     code = vc.build(2, 12)
     prev = None
+    column, _ = vc.edge_state(code, 0)
     for n in (4, 8, 12):
-        it, _ = vc.edge_state(code, 0, n)
+        it = column[n]
         dist = trace_distance(it, np.zeros_like(it))
         assert abs(dist - _edge_law(2, n)) < 1e-12 * _edge_law(2, n)
         if prev is not None:
@@ -166,8 +193,9 @@ def test_edge_column_follows_its_law_to_relative_precision(d):
     # the qx sweep column, by the CLI's formula, at every N <= 64; the law is
     # a normal float throughout (smallest: 7/8 * 63^-64, about 1e-115)
     code = vc.build(d, 64)
+    column = vc.edge_state(code, 0)
     for n in range(65):
-        deviation, closed = vc.edge_state(code, 0, n)
+        deviation, closed = column[0][n], column[1][n]
         law = _edge_law(d, n)
         assert law >= np.finfo(float).tiny
         assert abs(trace_distance(deviation, np.zeros_like(deviation)) - law) <= 1e-12 * law
@@ -178,7 +206,7 @@ def test_edge_column_follows_its_law_to_relative_precision(d):
 def test_edge_state_where_chi_to_the_n_underflows(d, n):
     # the relative check has a floor at the smallest normal float, so a
     # state that underflows passes it; below that range no digit is claimed
-    deviation, _ = vc.edge_state(vc.build(d, n), 0, n)
+    deviation = vc.edge_state(vc.build(d, n), 0)[0][n]
     assert trace_distance(deviation, np.zeros_like(deviation)) < 1e-300
 
 
@@ -690,7 +718,7 @@ def test_kl_report_of_bond_compressions_matches_pairwise_oracle(d):
 
 def test_bond_error_compressions_make_no_pass(monkeypatch):
     names = ["edge_overlap", "insertion_overlaps", "detection_closed_form",
-             "correlation_closed_form"]
+             "correlation_closed_form", "transfer_apply"]
     calls, none = dict.fromkeys(names, 0), dict.fromkeys(names, 0)
     for name in calls:
         def counted(*args, _name=name, _f=getattr(vc, name), **kwargs):
@@ -703,17 +731,28 @@ def test_bond_error_compressions_make_no_pass(monkeypatch):
         f(code, bonds)
         return dict(calls)
 
-    code = vc.build(3, 10)
-    got = count(vc.bond_error_compressions, code, range(1, 11))
-    # the norm block, then the identity row and the same-bond block per bond
-    assert got == dict(none, edge_overlap=2 * 10 + 1)
-    assert count(vc.bond_error_compressions, code, [4]) == dict(none, edge_overlap=3)
-    code = vc.build(2, 40)
-    for bonds in ([40, 40], [1, 40]):
+    # the norm block by edge_overlap, then one downward pass: the identity
+    # alone and one stack of rows and same-bond blocks, one transfer each
+    # per bond crossed
+    for code, bonds in ((vc.build(3, 10), range(1, 11)), (vc.build(3, 10), [4]),
+                        (vc.build(2, 40), [40, 40]), (vc.build(2, 40), [1, 40]),
+                        (vc.build(2, 40), [0, 40, 7])):
         got = count(vc.bond_error_compressions, code, bonds)
-        want = count(oracles.pairwise_bond_error_compressions, code, bonds)
-        assert got["insertion_overlaps"] == 0
-        assert got["edge_overlap"] <= want["edge_overlap"]
+        assert got == dict(none, edge_overlap=1, transfer_apply=got["transfer_apply"])
+        assert got["transfer_apply"] <= 3 * code.n_sites, (code.n_sites, bonds)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_bond_error_compressions_are_the_per_bond_oracle(d):
+    # the one downward pass against each block contracted from the edge by
+    # edge_overlap, cross-bond blocks one pair at a time: equal entry for
+    # entry (np.array_equal does not tell the sign of an exact zero apart)
+    for n in (1, 2, 3, 5, 8):
+        code = vc.build(d, n)
+        for bonds in _oracle_bond_lists(n):
+            got = vc.bond_error_compressions(code, bonds, strength=0.2)
+            want = oracles.per_bond_bond_error_compressions(code, bonds, strength=0.2)
+            assert np.array_equal(got, want), (d, n, bonds)
 
 
 def test_bond_lists_take_only_integer_bonds():
