@@ -102,9 +102,9 @@ def _closed_form_residuals(code) -> tuple[np.ndarray, np.ndarray]:
             want = vbs_code.detection_closed_form(code, n)
         else:
             want = vbs_code.correlation_closed_form(code, m, n)
-        want -= got  # in place, and dropped before the pass forms its next batch
+        want -= got  # in place; both are dropped before the pass forms its next batch
         worst = np.abs(want).reshape(len(n), -1).max(axis=1)
-        del want
+        del want, got
         row = at_bond[int(m is not None)]
         row[n] = np.maximum(row[n], worst)
     det, corr = np.maximum.accumulate(at_bond, axis=1)

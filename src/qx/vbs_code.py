@@ -234,6 +234,7 @@ def insertion_overlaps(code: VbsCode):
             for _ in range(m):
                 pairs = transfer_apply(code, pairs)
             yield m, np.arange(lo, hi), pairs.reshape(hi - lo, q, q, d, d)
+            del pairs  # before the next batch is formed
         if m > 0:
             rows[m:] = transfer_apply(code, rows[m:])
             c = transfer_apply(code, c)
@@ -473,14 +474,20 @@ def bond_error_weights(code: VbsCode, bonds, strength: float) -> tuple[float, fl
 
 
 def _bond_list(code: VbsCode, bonds) -> list[int]:
+    """The bond list as ints (default: the edge bond N): a strictly increasing
+    set in 0..N, refused otherwise, never sorted (that reorders the errors)."""
     if bonds is None:
         return [code.n_sites]
     given = np.asarray(bonds).tolist()
+    if not given:
+        raise ValueError("bond list is empty")
     if not all(float(n).is_integer() for n in given):
         raise ValueError(f"bond list {given} holds a bond that is not an integer")
     out = [int(n) for n in given]
-    if not out or not all(0 <= n <= code.n_sites for n in out):
+    if not all(0 <= n <= code.n_sites for n in out):
         raise ValueError(f"bond list {out} outside 0..{code.n_sites}")
+    if any(a >= b for a, b in zip(out, out[1:])):
+        raise ValueError(f"bond list {out} is not strictly increasing")
     return out
 
 
@@ -488,9 +495,10 @@ def bond_error_stacks(code: VbsCode, bonds=None, strength: float = 0.1) -> list[
     """Dense code-state stacks E_i V for the bond error family.
 
     The family is the weighted identity followed by every generator inserted
-    at every listed bond (default: the edge bond N), ordered bond-major.
-    Each bond is one batched :func:`encode_dense` call; the K (d_Q, d_L)
-    stacks are returned as a list of views into those blocks.
+    at every listed bond (default: the edge bond N), ordered bond-major; the
+    bonds are a strictly increasing list in 0..N, checked before anything is
+    encoded.  Each bond is one batched :func:`encode_dense` call; the K
+    (d_Q, d_L) stacks are returned as a list of views into those blocks.
     """
     bonds = _bond_list(code, bonds)
     w0, w = bond_error_weights(code, bonds, strength)
@@ -511,17 +519,18 @@ def bond_error_compressions(
     """Compression tensor M[i, j] = V+ E_i+ E_j V for the bond error family,
     contracted by transfer so any N is reachable: the norm block by
     :func:`edge_overlap`, then the identity row and one same-bond block per
-    listed bond from one downward pass.  The identity is transferred alone,
-    as in :func:`edge_overlap`, down to the lowest listed bond; at each
-    listed bond the row c t^b and the block t^a+ c t^b are born into one
-    stack, which crosses each lower bond in one transfer, so every block is
-    bitwise that of :func:`edge_overlap` (up to the sign of exact zeros).
-    The transfer is unital and scales every generator by chi, so below the
-    upper of two insertions only the traceless part of t^a t^b decays: the
-    block between bonds n and n' is the same-bond block at max(n, n') with
-    chi^|n-n'| I/(2d) in place of I/(2d) on its diagonal (times w^2),
-    written straight into M by the listed bond that holds the upper
-    insertion, one listed bond at a time."""
+    listed bond from one downward pass.  The bonds are a strictly increasing
+    list in 0..N, checked before any contraction.  The identity is
+    transferred alone, as in :func:`edge_overlap`, down to the lowest listed
+    bond; at bonds[i] the row c t^b and the block t^a+ c t^b are born into
+    stack[i], and the born rows cross each lower bond in one transfer, so
+    every block is bitwise that of :func:`edge_overlap` (up to the sign of
+    exact zeros).  The transfer is unital and scales every generator by chi,
+    so below the upper of two insertions only the traceless part of t^a t^b
+    decays: for j <= i, M[(j), (i)] is the same-bond block of bonds[i] with
+    chi^(bonds[i] - bonds[j]) I/(2d) in place of I/(2d) on its diagonal
+    (times w^2).  M is written one column of bonds at a time, each block
+    above the diagonal with its mirror below it."""
     bonds = _bond_list(code, bonds)
     d, q = code.d, code.site_dim
     k = 1 + len(bonds) * q
@@ -536,47 +545,35 @@ def bond_error_compressions(
     bra, ket = ops[:, None].conj().swapaxes(-1, -2), ops[None, :]
     m = np.empty((k, k, d, d), dtype=complex)
     m[0, 0] = edge_overlap(code, ident, ident)[0, 0]
-    levels = sorted(set(bonds), reverse=True)
-    # stack[i] = [row, same-bond block] of the i-th listed bond from the top
-    stack = np.empty((len(levels), q + q * q, d, d), dtype=complex)
+    # stack[i] = [row, same-bond block] of bonds[i]
+    stack = np.empty((len(bonds), q + q * q, d, d), dtype=complex)
     c = np.eye(d, dtype=complex)
-    for i, n in enumerate(levels):
-        for _ in range(n, levels[i - 1] if i else code.n_sites):
-            if i:
-                stack[:i] = transfer_apply(code, stack[:i])
+    tops = bonds[1:] + [code.n_sites]
+    for i in range(len(bonds) - 1, -1, -1):
+        for _ in range(bonds[i], tops[i]):
+            if i + 1 < len(bonds):
+                stack[i + 1:] = transfer_apply(code, stack[i + 1:])
             c = transfer_apply(code, c)
         # at bond 0 the bra acts before the ket, as in edge_overlap
-        stack[i, :q] = ((norm_bra @ c if n == 0 else c) @ ket)[0]
+        stack[i, :q] = ((norm_bra @ c if bonds[i] == 0 else c) @ ket)[0]
         stack[i, q:] = ((bra @ c) @ ket).reshape(q * q, d, d)
-    for _ in range(levels[-1]):
+    for _ in range(bonds[0]):
         stack = transfer_apply(code, stack)
-    above = len(levels) - (levels[-1] == 0)  # the rows that reach bond 0 without their bra
-    stack[:above, :q] = norm_bra @ stack[:above, :q]
-    at = {n: i for i, n in enumerate(levels)}
-    rows, same = stack[:, :q], stack[:, q:].reshape(len(levels), q, q, d, d)
-    own = rows[[at[n] for n in bonds]].reshape(-1, d, d)
-    m[0, 1:], m[1:, 0] = own, own.conj().swapaxes(-1, -2)
-    # each block above the diagonal is written once, by the listed bond with
-    # the upper insertion (the first of equal ones): row i takes the blocks
-    # M[(i), (j)] with j >= i, column i those M[(j), (i)] with j < i
+    lo = int(bonds[0] == 0)  # stack[lo:] reach bond 0 without their bra
+    stack[lo:, :q] = norm_bra @ stack[lo:, :q]
+    m[0, 1:] = stack[:, :q].reshape(-1, d, d)
+    m[1:, 0] = m[0, 1:].conj().swapaxes(-1, -2)
+    same = stack[:, q:].reshape(len(bonds), q, q, d, d)
     half = w * w / (2.0 * d) * np.eye(d)
     for i, n in enumerate(bonds):
         r = slice(1 + i * q, 1 + (i + 1) * q)
-        row = m[r, 1:].reshape(q, -1, q, d, d).swapaxes(0, 1)  # row[j] = M[(i), (j)]
-        col = m[1:, r].reshape(-1, q, q, d, d)  # col[j] = M[(j), (i)]
-        for part, js in ((row, range(i, len(bonds))), (col, range(i))):
-            js = [j for j in js if bonds[j] < n or bonds[j] == n and j >= i]
-            part[js] = same[at[n]]
-            moved = [j for j in js if bonds[j] != n]
-            if moved:
-                diagonal = np.einsum("jaaxy->jaxy", part)  # a writeable view of blocks [a, a]
-                diagonal[moved] -= half
-                decay = np.array([code.chi ** (n - bonds[j]) for j in moved])
-                diagonal[moved] += decay[:, None, None, None] * half
-    for i in range(len(bonds)):
-        r = slice(1 + i * q, 1 + (i + 1) * q)
-        upper = m[r, r.stop:].reshape(q, -1, q, d, d)
-        np.conjugate(upper.transpose(1, 2, 0, 4, 3), out=m[r.stop:, r].reshape(-1, q, q, d, d))
+        col = m[1:r.stop, r].reshape(i + 1, q, q, d, d)  # col[j] = M[(j), (i)]
+        col[...] = same[i]
+        diagonal = np.einsum("jaaxy->jaxy", col[:i])  # a writeable view of blocks [a, a]
+        diagonal -= half
+        diagonal += np.array([code.chi ** (n - j) for j in bonds[:i]])[:, None, None, None] * half
+        np.conjugate(col[:i].transpose(2, 0, 1, 4, 3),
+                     out=m[r, 1:r.start].reshape(q, i, q, d, d))
     return m
 
 

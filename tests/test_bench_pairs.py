@@ -13,6 +13,7 @@ ENV = {"commit": "unknown (not a git checkout)", "seed": 0, "qx_file": "src/qx/_
        "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1", "openblas": "OpenBLAS x",
        "blas_threads": 2, "nproc": 2}
 BETTER = {"op_p50_s": "lower", "ops_per_s": "higher"}
+BOUNDS = {"op_p50_s": 0.25, "ops_per_s": 0.25}
 
 
 def _stdout(p50, rate, correct=True, failed=0):
@@ -53,7 +54,7 @@ def test_writer_summarises_sides_and_counts_pairs_won():
                                                    failed=2),
     ]
     commits = {"parent": "abc", "change": "working tree on abc"}
-    bench = bench_pairs.bench_file(records, BETTER, commits, 20.0, "the change")
+    bench = bench_pairs.bench_file(records, BETTER, BOUNDS, commits, 20.0, "the change")
     assert bench["change"] == "the change"
     assert "--seconds 20 --trace 0" in bench["description"]
     assert "`sweep` 3 pairs (seeds 1-3)" in bench["description"]
@@ -80,4 +81,58 @@ def test_writer_summarises_sides_and_counts_pairs_won():
 def test_writer_refuses_unpaired_seeds():
     records = [_record("parent", 1, 0.02, 50.0), _record("change", 2, 0.02, 50.0)]
     with pytest.raises(ValueError, match="different seeds"):
-        bench_pairs.bench_file(records, BETTER, {"parent": "a", "change": "b"}, 20.0, "")
+        bench_pairs.bench_file(records, BETTER, BOUNDS, {"parent": "a", "change": "b"}, 20.0,
+                               "")
+
+
+def _verdicts(change_p50, change_rate, pairs=10):
+    """The verdicts of canned pairs: over ten, the parent's op_p50_s runs
+    are 0.0200, 0.0202, ..., 0.0218 (median 0.0209, quartiles 0.02045 and
+    0.02135) and its ops_per_s runs 50, 51, ..., 59; the change's runs are
+    the given functions of the parent's and the seed."""
+    records = []
+    for seed in range(1, pairs + 1):
+        p50, rate = 0.0198 + 0.0002 * seed, 49.0 + seed
+        records += [_record("parent", seed, p50, rate),
+                    _record("change", seed, change_p50(p50, seed), change_rate(rate, seed))]
+    commits = {"parent": "a", "change": "b"}
+    return bench_pairs.bench_file(records, BETTER, BOUNDS, commits, 20.0, "")["workloads"]["sweep"]
+
+
+def test_verdicts_tell_an_a_a_like_win_from_a_resolved_gain():
+    # nine of ten pairs won by a hair: the median gap sits inside the
+    # parent's quartile range, as in an A/A run, so no gain is resolved
+    sweep = _verdicts(lambda p, seed: p - 0.0001 if seed < 10 else p + 0.0001,
+                      lambda r, seed: r + 0.1 if seed < 10 else r - 0.1)
+    assert sweep["pairs_won"] == {"op_p50_s": {"parent": 1, "change": 9},
+                                  "ops_per_s": {"parent": 1, "change": 9}}
+    assert sweep["verdicts"] == dict.fromkeys(
+        BETTER, {"gain_resolved": False, "within_bound": True})
+    # a real gain: every pair won, by more than the parent's quartile range
+    sweep = _verdicts(lambda p, seed: p - 0.002, lambda r, seed: r + 8.0)
+    assert sweep["verdicts"] == dict.fromkeys(
+        BETTER, {"gain_resolved": True, "within_bound": True})
+    # nor does a large gap over too few pairs
+    sweep = _verdicts(lambda p, seed: p - 0.002, lambda r, seed: r + 8.0, pairs=9)
+    assert sweep["pairs_won"]["op_p50_s"] == {"parent": 0, "change": 9}
+    assert not any(v["gain_resolved"] for v in sweep["verdicts"].values())
+    # the gap alone is not enough: eight of ten pairs won
+    sweep = _verdicts(lambda p, seed: p - 0.002 if seed < 9 else p + 0.0001,
+                      lambda r, seed: r + 8.0 if seed < 9 else r)
+    assert sweep["pairs_won"]["op_p50_s"] == {"parent": 2, "change": 8}
+    assert not any(v["gain_resolved"] for v in sweep["verdicts"].values())
+
+
+def test_verdicts_flag_a_regression_past_the_bound():
+    # op_p50_s 30% worse, past its 25% bound; ops_per_s 20% lower, inside it
+    sweep = _verdicts(lambda p, seed: 1.3 * p, lambda r, seed: 0.8 * r)
+    assert sweep["pairs_won"] == {"op_p50_s": {"parent": 10, "change": 0},
+                                  "ops_per_s": {"parent": 10, "change": 0}}
+    assert sweep["verdicts"] == {
+        "op_p50_s": {"gain_resolved": False, "within_bound": False},
+        "ops_per_s": {"gain_resolved": False, "within_bound": True},
+    }
+    # ops_per_s 40% lower is past its bound too
+    sweep = _verdicts(lambda p, seed: p, lambda r, seed: 0.6 * r)
+    assert sweep["verdicts"]["ops_per_s"]["within_bound"] is False
+    assert sweep["verdicts"]["op_p50_s"] == {"gain_resolved": False, "within_bound": True}

@@ -301,7 +301,7 @@ def test_closed_form_pass_peak_in_pair_batch_stacks(d, n_sites):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * stack
+    assert peak <= 4.0 * stack
 
 
 def test_kl_five_qubit(tmp_path):

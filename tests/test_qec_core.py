@@ -571,7 +571,7 @@ def _report_sources():
     yield "random", _random_compressions(17, 3, seed=5)
     for d, n in ((2, 8), (3, 6), (4, 4), (5, 3)):
         code = vc.build(d, n)
-        for bonds in ([n], list(range(1, n + 1)), [n, 0, n // 2]):
+        for bonds in ([n], list(range(1, n + 1)), sorted({0, n // 2, n})):
             yield (d, n, bonds), vc.bond_error_compressions(code, bonds, strength=0.27)
     iso = ec.five_qubit_code()
     m = qc.error_compressions(iso, [iso.isometry] + ec.weight_one_pauli_stacks(iso.isometry))

@@ -676,10 +676,7 @@ def test_bond_error_charges_follow_the_generator_support():
 def _oracle_bond_lists(n):
     return [
         [n], [n // 2], list(range(1, n + 1)), list(range(n + 1)),
-        list(range(n, -1, -1)),
-        # repeated bonds: the blocks between two rows at one bond are
-        # same-bond blocks, not the pass's
-        [n, 0, n], [n, 0, n // 2, n, 1],
+        sorted({0, n}), sorted({0, 1, n // 2, n}),
     ]
 
 
@@ -735,8 +732,8 @@ def test_bond_error_compressions_make_no_pass(monkeypatch):
     # alone and one stack of rows and same-bond blocks, one transfer each
     # per bond crossed
     for code, bonds in ((vc.build(3, 10), range(1, 11)), (vc.build(3, 10), [4]),
-                        (vc.build(2, 40), [40, 40]), (vc.build(2, 40), [1, 40]),
-                        (vc.build(2, 40), [0, 40, 7])):
+                        (vc.build(2, 40), [40]), (vc.build(2, 40), [1, 40]),
+                        (vc.build(2, 40), [0, 7, 40])):
         got = count(vc.bond_error_compressions, code, bonds)
         assert got == dict(none, edge_overlap=1, transfer_apply=got["transfer_apply"])
         assert got["transfer_apply"] <= 3 * code.n_sites, (code.n_sites, bonds)
@@ -755,7 +752,7 @@ def test_bond_error_compressions_are_the_per_bond_oracle(d):
             assert np.array_equal(got, want), (d, n, bonds)
 
 
-def test_bond_lists_take_only_integer_bonds():
+def test_bond_lists_take_only_integer_bonds(monkeypatch):
     code = vc.build(2, 4)
     for bonds in ([2.7], np.array([1.9, 3.2])):
         for f in (vc.bond_error_compressions, vc.bond_error_stacks):
@@ -764,6 +761,23 @@ def test_bond_lists_take_only_integer_bonds():
     for f in (vc.bond_error_compressions, vc.bond_error_stacks):
         got, want = f(code, np.array([2.0, 4.0])), f(code, [2, 4])
         assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    # a bond list is a strictly increasing set: any other list is refused,
+    # not sorted (that would reorder the errors), before anything is encoded
+    # or contracted
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("encoded or contracted before the bond list was checked")
+
+    for name in ("encode_dense", "edge_overlap", "transfer_apply"):
+        monkeypatch.setattr(vc, name, refuse)
+    for f in (vc.bond_error_compressions, vc.bond_error_stacks):
+        for bonds in ([], np.array([], dtype=int)):
+            with pytest.raises(ValueError, match=r"^bond list is empty$"):
+                f(code, bonds)
+        for bonds in ([2, 2], [4, 2], [4, 3, 1], [1, 3, 2], [0, 4, 4]):
+            with pytest.raises(ValueError, match=rf"^bond list \[{', '.join(map(str, bonds))}\] "
+                                                 r"is not strictly increasing$"):
+                f(code, bonds)
 
 
 def test_bond_compressions_budget_refuses_before_any_contraction(monkeypatch):

@@ -21,7 +21,12 @@ them: per side the seeds, pass flags, operation counts and,
 per end-to-end metric, ``median``, ``quartiles`` (inclusive method),
 ``spread`` and ``runs`` in seed order; per workload the number of pairs
 each side won on each metric, ties counting for neither, in the direction
-``BENCHMARK.json`` gives.  The script only reads ``run.py``'s output.
+``BENCHMARK.json`` gives, and per metric the claim rule's two verdicts:
+``gain_resolved`` (at least ten pairs ran, the change won at least 9 in 10
+of them, and its median beats the parent's by more than the parent's
+quartile range) and ``within_bound`` (the change's median is worse than
+the parent's by at most the metric's ``BENCHMARK.json`` bound, relative to
+the parent's median).  The script only reads ``run.py``'s output.
 """
 
 from __future__ import annotations
@@ -92,11 +97,27 @@ def _pairs_won(parent: list[dict], change: list[dict], better: dict[str, str]) -
     return won
 
 
-def bench_file(records: list[dict], better: dict[str, str], commits: dict[str, str],
-               seconds: float, note: str) -> dict:
+def _verdicts(sides: dict, won: dict, better: dict[str, str], bounds: dict[str, float]) -> dict:
+    verdicts = {}
+    for name, direction in better.items():
+        sign = 1.0 if direction == "lower" else -1.0
+        parent, change = (sides[side]["metrics"][name] for side in SIDES)
+        gain = sign * (parent["median"] - change["median"])
+        low, _, high = parent["quartiles"]
+        pairs = len(parent["runs"])
+        verdicts[name] = {
+            "gain_resolved": pairs >= 10 and 10 * won[name]["change"] >= 9 * pairs
+                             and gain > high - low,
+            "within_bound": -gain <= bounds[name] * abs(parent["median"]),
+        }
+    return verdicts
+
+
+def bench_file(records: list[dict], better: dict[str, str], bounds: dict[str, float],
+               commits: dict[str, str], seconds: float, note: str) -> dict:
     """The BENCH file of a list of run records, each {'side', 'workload',
     'seed', 'env', 'result'}; ``better`` maps each end-to-end metric to
-    'lower' or 'higher'."""
+    'lower' or 'higher', and ``bounds`` to its relative bound."""
     workloads, env = {}, {}
     for side in SIDES:
         first = next(r["env"] for r in records if r["side"] == side)
@@ -107,7 +128,9 @@ def bench_file(records: list[dict], better: dict[str, str], commits: dict[str, s
         if [r["seed"] for r in by_side["parent"]] != [r["seed"] for r in by_side["change"]]:
             raise ValueError(f"{name}: the two sides ran different seeds")
         workloads[name] = {side: _side(by_side[side]) for side in SIDES}
-        workloads[name]["pairs_won"] = _pairs_won(by_side["parent"], by_side["change"], better)
+        won = _pairs_won(by_side["parent"], by_side["change"], better)
+        workloads[name] |= {"pairs_won": won,
+                            "verdicts": _verdicts(workloads[name], won, better, bounds)}
     plan = ", ".join(
         f"`{name}` {len(w['parent']['seeds'])} pairs (seeds {w['parent']['seeds'][0]}"
         f"-{w['parent']['seeds'][-1]})" for name, w in workloads.items())
@@ -116,7 +139,11 @@ def bench_file(records: list[dict], better: dict[str, str], commits: dict[str, s
         f"`python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0` run, "
         "written by tools/bench_pairs.py. Per metric: `median`, `quartiles` (inclusive method), "
         "`spread` (largest run minus smallest) and `runs` in seed order; `pairs_won` counts the "
-        "pairs each side won per metric, ties counting for neither. Both trees ran from their own "
+        "pairs each side won per metric, ties counting for neither. `verdicts` applies the claim "
+        "rule per metric: `gain_resolved` if at least ten pairs ran, the change won at least 9 in "
+        "10 of them and its median beats the parent's by more than the parent's quartile range, "
+        "`within_bound` if its median is worse than the parent's by at most the metric's "
+        "BENCHMARK.json bound, relative to the parent's median. Both trees ran from their own "
         "copies (unpacked with `git archive` and byte-compiled before the first run), one run at "
         f"a time, the parent first on odd seeds and the change first on even seeds. Runs: {plan}."
     )
@@ -171,6 +198,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
 
     records = []
     with open(work / "runs.jsonl", "w", encoding="utf-8") as log:
@@ -185,7 +213,7 @@ def main(argv=None) -> int:
                     p50 = record["result"]["metrics"]["op_p50_s"]["value"]
                     print(f"{workload} seed {seed} {side}: op_p50_s {p50:.5f}", flush=True)
     out = ROOT / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps(bench_file(records, better, commits, seconds, args.note),
+    out.write_text(json.dumps(bench_file(records, better, bounds, commits, seconds, args.note),
                               indent=1) + "\n")
     print(f"wrote {out}; copies and runs.jsonl in {work}")
     return 0
